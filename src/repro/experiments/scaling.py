@@ -196,16 +196,11 @@ def _sweep_trial(rng: np.random.Generator, payload: tuple) -> float:
     Payloads carry an explicit :class:`TrialSeed`; the generator is rebuilt
     from it (bit-identical to the runner's index-spawned stream), so the
     trial's value is fully determined by the payload itself -- the property
-    the content-addressed cache keys rely on.  Legacy 5-tuples without a
-    seed fall back to the runner-provided generator.
+    the content-addressed cache keys rely on.
     """
-    parameters, n, scheme, build_kwargs, generic = payload[:5]
-    if len(payload) > 5 and payload[5] is not None:
-        rng = payload[5].rng()
-    result = measure_rate(parameters, n, rng, scheme, **build_kwargs)
-    if generic:
-        return float(result.details.get("generic_rate", result.per_node_rate))
-    return float(result.per_node_rate)
+    parameters, n, scheme, build_kwargs, generic, seed = payload
+    result = measure_rate(parameters, n, seed.rng(), scheme, **build_kwargs)
+    return _payload_rate(result, generic)
 
 
 def _payload_rate(result: FlowResult, generic: bool) -> float:
@@ -215,46 +210,36 @@ def _payload_rate(result: FlowResult, generic: bool) -> float:
     return float(result.per_node_rate)
 
 
-def _serial_members(seed_seqs, payloads) -> List[float]:
-    """Per-member serial fallback of one batch (bit-identical by construction)."""
-    return [
-        _sweep_trial(np.random.default_rng(seed_seq), payload)
-        for seed_seq, payload in zip(seed_seqs, payloads)
-    ]
-
-
 def _batched_sweep_trial(seed_seqs, payloads, backend: str = "numpy64") -> List[float]:
-    """Execute one same-shape batch of sweep trials (module-level, picklable).
+    """Execute one same-shape batch of scheme B or C sweep trials
+    (module-level, picklable).
 
     Every member's network is still built serially with its own payload
     seed (construction consumes RNG in a fixed order that must match the
     serial trial exactly); the *flow analysis* -- the hot part -- is then
-    batched: one :func:`batched_zone_access` call plus vectorised session
-    counting for scheme B, one :func:`batched_scheme_c_attach` call for
-    scheme C.  Schemes without a batched kernel, width-1 batches, and
-    batches whose realisations disagree on stacked shapes (a degenerate
-    draw changed ``k``) fall back to the serial per-member path, so the
-    returned values are always exactly the serial ones on the canonical
-    backend.
+    batched: one :func:`batched_zone_access` call for scheme B, one
+    :func:`batched_scheme_c_attach` call for scheme C.  Width-1 batches
+    and batches whose realisations disagree on stacked shapes (a
+    degenerate draw changed ``k``) run each member's serial scheme
+    instead, so the returned values are always exactly the serial ones on
+    the canonical backend.
     """
-    parameters, n, scheme, build_kwargs, generic = payloads[0][:5]
-    if len(payloads) == 1 or scheme not in ("B", "C"):
-        return _serial_members(seed_seqs, payloads)
-    rngs = [
-        payload[5].rng()
-        if len(payload) > 5 and payload[5] is not None
-        else np.random.default_rng(seed_seq)
-        for seed_seq, payload in zip(seed_seqs, payloads)
-    ]
+    parameters, n, scheme, build_kwargs, generic, _seed = payloads[0]
     nets = [
-        HybridNetwork.build(parameters, int(n), rng, **build_kwargs)
-        for rng in rngs
+        HybridNetwork.build(parameters, int(n), payload[5].rng(), **build_kwargs)
+        for payload in payloads
     ]
     traffics = [net.sample_traffic() for net in nets]
-    if any(net.bs_positions is None for net in nets) or len(
-        {net.bs_positions.shape for net in nets}
-    ) != 1:
-        return _serial_members(seed_seqs, payloads)
+    if (
+        len(nets) == 1
+        or any(net.bs_positions is None for net in nets)
+        or len({net.bs_positions.shape for net in nets}) != 1
+    ):
+        serial = HybridNetwork.scheme_b if scheme == "B" else HybridNetwork.scheme_c
+        return [
+            _payload_rate(serial(net).sustainable_rate(traffic), generic)
+            for net, traffic in zip(nets, traffics)
+        ]
     if scheme == "B":
         zones = [net.scheme_b_zones() for net in nets]
         access = batched_zone_access(
@@ -477,14 +462,15 @@ def sweep_capacity(
         getattr(store, "root", None), batch_trials, resolved_backend.name,
     )
     resilience = resilience if resilience is not None else ResilienceConfig()
-    if batch_trials is not None and scheme not in ("B", "C"):
-        # _batched_sweep_trial runs these schemes member-by-member: the
-        # user asked for batching but gets serial execution inside each
-        # batch.  Say so -- silently honouring the flag reads as a perf
-        # win that is not happening.
+    batched = batch_trials is not None and scheme in ("B", "C")
+    if batch_trials is not None and not batched:
+        # only schemes B and C have batched kernels: the user asked for
+        # batching but every other scheme runs trial by trial.  Say so --
+        # silently honouring the flag reads as a perf win that is not
+        # happening.
         _log.warning(
             "scheme %r has no batched flow kernel; batch_trials=%d will "
-            "execute each batch serially member-by-member (results are "
+            "execute its trials serially member-by-member (results are "
             "identical, the vectorisation speedup is not)",
             scheme,
             batch_trials,
@@ -506,7 +492,7 @@ def sweep_capacity(
     )
     try:
         with span("sweep_capacity", logger=_log):
-            if batch_trials is not None:
+            if batched:
                 plan = BatchedTrialPlan.group(
                     payloads,
                     shape_key=lambda payload: (int(payload[1]),),

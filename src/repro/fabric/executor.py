@@ -1,12 +1,13 @@
 """``FabricExecutor``: the distributed ``SweepExecutor`` implementation.
 
 Drives one :class:`~repro.fabric.coordinator.FabricCoordinator` per
-:meth:`run` call on the sweep's own thread: serve cache hits, partition
-the rest into content-addressed shards, lease them out, absorb streamed
-members first-wins through the runner's validation + journal path, and
-keep the whole contract of the in-process executor -- index-ordered
-results, full-count seed spawning, ``runner.last_stats`` -- so a fabric
-sweep's digest is bit-identical to a serial one.
+:meth:`run` call on the sweep's own thread.  The runner's shared prologue
+has already served the cache hits and derived the seeds; the executor
+partitions the job's remaining trials into content-addressed shards,
+leases them out and absorbs streamed members first-wins through the job's
+validation + journal path, and the runner's shared epilogue builds
+``runner.last_stats`` -- so a fabric sweep's digest is bit-identical to a
+serial one.
 
 Graceful degradation (the robustness core):
 
@@ -21,21 +22,19 @@ Graceful degradation (the robustness core):
   errors (never re-executed locally -- it killed two agents; the parent
   is not volunteering), and the sweep completes ``status="partial"``.
 
-``run_batched`` is not distributed: batches are an intra-process
-vectorization, so it logs once and falls back to the in-process path.
+Batches wider than one trial are not distributed: they are an
+intra-process vectorization, so such a job logs once and runs locally.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, List, Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from ..observability import events as _events
 from ..observability.log import get_logger
-from ..parallel.executor import IN_PROCESS, SweepExecutor
-from ..parallel.runner import TrialError, TrialResult, TrialStats, _Emitter
+from ..parallel.executor import SweepExecutor
+from ..parallel.runner import TrialError, _failed
 from .coordinator import DEFAULT_PORT, FabricCoordinator
 from .shards import DEFAULT_SHARD_SIZE, partition_shards
 from .wire import decode_payload, to_ref
@@ -99,135 +98,69 @@ class FabricExecutor(SweepExecutor):
         return self._last_coordinator
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        runner,
-        payloads: Sequence[Any],
-        seed: int,
-        submission_order: Optional[Sequence[int]] = None,
-        cache: Optional[Any] = None,
-        keys: Optional[Sequence[Optional[str]]] = None,
-        seed_seqs: Optional[Sequence[Any]] = None,
-    ) -> List[TrialResult]:
-        if seed_seqs is not None:
+    def run(self, job) -> None:
+        if job.plan is not None and job.plan.max_width > 1:
+            _log.warning(
+                "batched execution is an intra-process vectorization; "
+                "--fabric does not distribute it -- running the batches "
+                "locally"
+            )
+            job.run_local(job.items)
+            return
+        if job.seed is None:
             raise ValueError(
                 "seed_seqs override is an agent-side mechanism; the fabric "
                 "coordinator derives seeds from the sweep master seed"
             )
-        payloads = list(payloads)
-        count = len(payloads)
-        if keys is not None and len(keys) != count:
-            raise ValueError(
-                f"need one key per payload: {len(keys)} keys, {count} payloads"
-            )
-        if count == 0:
-            runner._last_stats = TrialStats(0, 0, 0, 0.0, runner.workers)
-            return []
-        # submission_order only permutes local pool submission; shard
-        # membership is deterministic by construction, so it is moot here
-        start = time.perf_counter()
-        sink = (
-            runner._telemetry
-            if runner._telemetry is not None
-            else _events.get_telemetry()
+        # shard membership is deterministic by construction: submission
+        # order only permutes local pool submission, so it is moot here
+        remaining = sorted(index for members in job.items for index in members)
+        runner = job.runner
+        coordinator = FabricCoordinator(
+            host=self._host,
+            port=self._port,
+            lease_ttl=self._lease_ttl,
+            agent_ttl=self._agent_ttl,
+            telemetry=job.emitter._sink,
         )
-        emitter = _Emitter(sink, count)
-        emitter.begin()
-        results: List[Optional[TrialResult]] = [None] * count
-        if cache is not None and keys is not None:
-            for index in range(count):
-                if keys[index] is None:
-                    continue
-                hit = cache.get(keys[index])
-                if hit is not None:
-                    results[index] = TrialResult(
-                        index=index,
-                        value=hit.value,
-                        attempts=0,
-                        duration=hit.duration,
-                        cached=True,
-                    )
-                    emitter.cache_hit(results[index])
-        cache_hits = sum(1 for r in results if r is not None)
-        remaining = [i for i in range(count) if results[i] is None]
-        degraded = False
-        coordinator: Optional[FabricCoordinator] = None
-        if remaining:
-            seeds = np.random.SeedSequence(seed).spawn(count)
-            coordinator = FabricCoordinator(
-                host=self._host,
-                port=self._port,
-                lease_ttl=self._lease_ttl,
-                agent_ttl=self._agent_ttl,
-                telemetry=sink,
+        coordinator.configure(runner.retry_policy, runner._fault_plan)
+        self._last_coordinator = coordinator
+        coordinator.start()
+        try:
+            alive = coordinator.wait_for_agents(
+                self._wait_seconds, self._min_agents
             )
-            coordinator.configure(runner.retry_policy, runner._fault_plan)
-            self._last_coordinator = coordinator
-            coordinator.start()
-            try:
-                alive = coordinator.wait_for_agents(
-                    self._wait_seconds, self._min_agents
+            if alive == 0:
+                _log.warning(
+                    "no fabric agents registered on %s:%d within "
+                    "%.0f s; degrading to local in-process execution "
+                    "of %d trial(s)",
+                    self._host,
+                    coordinator.port,
+                    self._wait_seconds,
+                    len(remaining),
                 )
-                if alive == 0:
-                    _log.warning(
-                        "no fabric agents registered on %s:%d within "
-                        "%.0f s; degrading to local in-process execution "
-                        "of %d trial(s)",
-                        self._host,
-                        coordinator.port,
-                        self._wait_seconds,
-                        len(remaining),
-                    )
-                    if sink.enabled:
-                        sink.emit(
-                            _events.FabricDegraded(
-                                reason="no_agents", trials=len(remaining)
-                            )
-                        )
-                    degraded = True
-                    self._run_locally(
-                        runner, payloads, seeds, remaining, results,
-                        cache, keys, emitter,
-                    )
-                else:
-                    degraded = self._run_fabric(
-                        runner, coordinator, payloads, seed, seeds,
-                        remaining, results, cache, keys, emitter,
-                    )
-            finally:
-                coordinator.stop()
-        self._quarantine_unfinished(coordinator, results, emitter)
-        elapsed = time.perf_counter() - start
-        failures = sum(1 for r in results if not r.ok)
-        retries = sum(max(r.attempts - 1, 0) for r in results)
-        runner._last_stats = TrialStats(
-            trials=count,
-            failures=failures,
-            retries=retries,
-            elapsed_seconds=elapsed,
-            workers=runner.workers,
-            cache_hits=cache_hits,
-            degraded=degraded,
-        )
-        _log.debug("fabric run complete: %s", runner._last_stats.summary())
-        return results  # type: ignore[return-value]
+                self._degrade(job, "no_agents", job.items)
+            else:
+                self._run_fabric(job, coordinator, remaining)
+        finally:
+            coordinator.stop()
+        self._quarantine_unfinished(coordinator, job)
 
     # ------------------------------------------------------------------
-    def _run_fabric(
-        self, runner, coordinator, payloads, seed, seeds, remaining,
-        results, cache, keys, emitter,
-    ) -> bool:
-        """Lease/absorb until done; returns True if degraded mid-sweep."""
+    def _run_fabric(self, job, coordinator, remaining) -> None:
+        """Lease/absorb until done, or degrade once every agent is gone."""
+        runner = job.runner
         validator_ref = (
             to_ref(runner._validator)
             if runner._validator is not None
             else None
         )
         shards = partition_shards(
-            payloads,
+            job.payloads,
             remaining,
-            keys,
-            int(seed),
+            job.keys,
+            int(job.seed),
             to_ref(runner._trial_fn),
             validator_ref,
             shard_size=self._shard_size,
@@ -244,122 +177,73 @@ class FabricExecutor(SweepExecutor):
         while True:
             fresh, stalled = coordinator.pump()
             for member in fresh:
-                self._absorb(runner, member, results, cache, keys, emitter)
+                self._absorb(job, member)
             if coordinator.outstanding() == 0:
                 fresh, _stalled = coordinator.pump()
                 for member in fresh:
-                    self._absorb(
-                        runner, member, results, cache, keys, emitter
-                    )
-                return False
+                    self._absorb(job, member)
+                return
             if stalled:
                 quarantined = set(coordinator.quarantined_indices())
                 left = [
-                    index
+                    (index,)
                     for index in remaining
-                    if results[index] is None and index not in quarantined
+                    if job.results[index] is None and index not in quarantined
                 ]
                 _log.warning(
                     "every fabric agent is gone; degrading %d remaining "
                     "trial(s) to local in-process execution",
                     len(left),
                 )
-                if emitter._enabled:
-                    emitter._sink.emit(
-                        _events.FabricDegraded(
-                            reason="agents_lost", trials=len(left)
-                        )
-                    )
-                if left:
-                    self._run_locally(
-                        runner, payloads, seeds, left, results, cache,
-                        keys, emitter,
-                    )
-                return True
+                self._degrade(job, "agents_lost", left)
+                return
             time.sleep(self._poll_interval)
 
-    # ------------------------------------------------------------------
-    def _run_locally(
-        self, runner, payloads, seeds, order, results, cache, keys, emitter
-    ) -> None:
-        """Local fallback through the runner's own machinery."""
-        if runner.workers is None:
-            runner._run_inline(
-                payloads, seeds, order, results, cache, keys, emitter
+    @staticmethod
+    def _degrade(job, reason: str, items) -> None:
+        """Run ``items`` locally through the runner's own machinery."""
+        job.degraded = True
+        if job.emitter._enabled:
+            job.emitter._sink.emit(
+                _events.FabricDegraded(reason=reason, trials=len(items))
             )
-        else:
-            runner._run_pool(
-                payloads, seeds, order, results, cache, keys, emitter
-            )
+        if items:
+            job.run_local(items)
 
-    def _absorb(
-        self, runner, member, results, cache, keys, emitter
-    ) -> None:
+    @staticmethod
+    def _absorb(job, member) -> None:
         """Merge one streamed member (first wins) through validation and
         the journal, exactly as the in-process path would."""
         index = int(member["index"])
-        if results[index] is not None:
+        if job.results[index] is not None:
             return
         attempts = int(member.get("attempts") or 0)
-        emitter.started(index, max(attempts, 1))
+        job.emitter.started(index, max(attempts, 1))
         if member.get("ok"):
-            value = decode_payload(member["value"])
-            message = (
-                runner._validator(value)
-                if runner._validator is not None
-                else None
+            error = job.accept(
+                index,
+                decode_payload(member["value"]),
+                attempts,
+                float(member.get("duration") or 0.0),
+                0.0,
             )
-            if message is not None:
-                result = TrialResult(
-                    index=index,
-                    value=None,
-                    attempts=attempts,
-                    duration=0.0,
-                    error=TrialError(
-                        trial_index=index,
-                        kind="invalid_result",
-                        message=message,
-                        attempts=attempts,
-                    ),
-                )
-            else:
-                result = runner._journal(
-                    cache,
-                    keys,
-                    TrialResult(
-                        index=index,
-                        value=value,
-                        attempts=attempts,
-                        duration=float(member.get("duration") or 0.0),
-                    ),
-                    emitter,
-                )
         else:
-            error = member.get("error") or {}
-            result = TrialResult(
-                index=index,
-                value=None,
-                attempts=attempts,
-                duration=0.0,
-                error=TrialError(
-                    trial_index=index,
-                    kind=str(error.get("kind", "exception")),
-                    message=str(error.get("message", "agent-side failure")),
-                    attempts=int(error.get("attempts", attempts) or attempts),
-                ),
+            failure = member.get("error") or {}
+            error = TrialError(
+                trial_index=index,
+                kind=str(failure.get("kind", "exception")),
+                message=str(failure.get("message", "agent-side failure")),
+                attempts=int(failure.get("attempts", attempts) or attempts),
             )
-        results[index] = result
-        emitter.finished(result)
+        if error is not None:
+            job.complete(_failed(error))
 
-    def _quarantine_unfinished(
-        self, coordinator, results, emitter
-    ) -> None:
+    @staticmethod
+    def _quarantine_unfinished(coordinator, job) -> None:
         """Fail every index buried in a quarantined shard (and any index
         the fabric somehow lost) as ``kind="quarantined"``."""
-        if coordinator is None:
-            return
         quarantined = set(coordinator.quarantined_indices())
-        for index, result in enumerate(results):
+        for index, result in enumerate(job.results):
             if result is not None:
                 continue
             reason = (
@@ -367,37 +251,13 @@ class FabricExecutor(SweepExecutor):
                 if index in quarantined
                 else "trial unaccounted for after fabric shutdown"
             )
-            error = TrialError(
-                trial_index=index,
-                kind="quarantined",
-                message=reason,
-                attempts=0,
+            job.complete(
+                _failed(
+                    TrialError(
+                        trial_index=index,
+                        kind="quarantined",
+                        message=reason,
+                        attempts=0,
+                    )
+                )
             )
-            results[index] = TrialResult(
-                index=index,
-                value=None,
-                attempts=0,
-                duration=0.0,
-                error=error,
-            )
-            emitter.finished(results[index])
-
-    # ------------------------------------------------------------------
-    def run_batched(
-        self,
-        runner,
-        payloads: Sequence[Any],
-        batch_fn: Callable[[Sequence[Any], Sequence[Any]], Sequence[Any]],
-        plan,
-        seed: int,
-        cache: Optional[Any] = None,
-        keys: Optional[Sequence[Optional[str]]] = None,
-    ) -> List[TrialResult]:
-        _log.warning(
-            "batched execution is an intra-process vectorization; "
-            "--fabric does not distribute it -- running the batches "
-            "locally"
-        )
-        return IN_PROCESS.run_batched(
-            runner, payloads, batch_fn, plan, seed, cache, keys
-        )

@@ -180,11 +180,11 @@ class DegradedToSerial(TelemetryEvent):
 
 @dataclass(frozen=True)
 class BatchDegradedToSerial(TelemetryEvent):
-    """``run_batched`` fell back to the per-member serial path.
+    """``--batch-trials`` fell back to per-trial execution.
 
     The batched kernels cover schemes B/C only; any other scheme executes
-    its batch members one by one, so the user-visible throughput is serial
-    even though ``--batch-trials`` was requested.  ``scheme`` names the
+    its trials one by one, so the user-visible throughput is serial even
+    though ``--batch-trials`` was requested.  ``scheme`` names the
     offender, ``batch_trials`` the requested width, ``reason`` why the
     batch path could not apply.
     """

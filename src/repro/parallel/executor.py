@@ -3,33 +3,29 @@
 :class:`~repro.parallel.runner.TrialRunner` owns the *semantics* of a sweep
 -- deterministic per-trial seeding, retries, validation, caching, telemetry
 -- while a :class:`SweepExecutor` owns *where* the trials actually execute.
-``TrialRunner.run`` and ``TrialRunner.run_batched`` delegate to the
-runner's configured executor:
+``TrialRunner.run`` and ``TrialRunner.run_batched`` share one prologue
+(validation, seeding, cache hits) and one epilogue (``TrialStats``); in
+between they hand the executor one *job*: the batches still to execute,
+each a tuple of member trial indices (a ``run`` call is batches of one).
+The batch is the only unit of execution and retry on every executor.
 
-- :class:`InProcessExecutor` (the default) executes through the runner's
-  own machinery: inline in this process, or fanned out over its
-  ``ProcessPoolExecutor`` -- exactly the historical behaviour.
+- :class:`InProcessExecutor` (the default) executes the batches through
+  the job's own machinery: inline in this process, or fanned out over a
+  ``ProcessPoolExecutor``.
 - :class:`repro.fabric.FabricExecutor` leases content-addressed trial
   shards to registered worker *agents* over localhost sockets, rebalances
-  on agent failure, and degrades to an :class:`InProcessExecutor` when no
-  agents are reachable.
+  on agent failure, and falls back to local execution when no agents are
+  reachable or the batches are wider than one trial.
 
 The contract every executor must keep (verified by the fabric chaos tests
-against the in-process reference): results ordered by trial index, cache
-hits served before any execution, per-trial seeds derived from
-``SeedSequence(seed).spawn(count)`` by index (or taken verbatim from
-``seed_seqs``), fresh values validated and journaled as they complete, and
-``runner.last_stats`` populated -- so a sweep's digest is bit-identical no
-matter which executor ran it.
+against the in-process reference): every unfinished trial of the job ends
+with a result, per-trial seeds are the job's (derived from
+``SeedSequence(seed).spawn(count)`` by index, or the caller's), and fresh
+values are validated and journaled as they complete -- so a sweep's digest
+is bit-identical no matter which executor ran it.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .batch import BatchedTrialPlan
-    from .runner import TrialResult, TrialRunner
 
 __all__ = ["InProcessExecutor", "SweepExecutor"]
 
@@ -37,80 +33,31 @@ __all__ = ["InProcessExecutor", "SweepExecutor"]
 class SweepExecutor:
     """Where a runner's trials execute (see module docs).
 
-    Implementations receive the :class:`TrialRunner` whose call they are
-    serving and may use its configuration (retry policy, validator, fault
-    plan, worker count) and its private execution helpers -- the runner and
-    its executors are one subsystem split along the local/distributed seam.
+    The job an executor receives carries the calling runner (its retry
+    policy, validator, fault plan and worker count) and the execution
+    helpers -- the runner and its executors are one subsystem split along
+    the local/distributed seam.
     """
 
     #: Short stable name for logs, manifests and telemetry.
     name: str = "executor"
 
-    def run(
-        self,
-        runner: "TrialRunner",
-        payloads: Sequence[Any],
-        seed: int,
-        submission_order: Optional[Sequence[int]] = None,
-        cache: Optional[Any] = None,
-        keys: Optional[Sequence[Optional[str]]] = None,
-        seed_seqs: Optional[Sequence[Any]] = None,
-    ) -> List["TrialResult"]:
-        """Execute one trial per payload; results ordered by trial index."""
-        raise NotImplementedError
-
-    def run_batched(
-        self,
-        runner: "TrialRunner",
-        payloads: Sequence[Any],
-        batch_fn: Callable[[Sequence[Any], Sequence[Any]], Sequence[Any]],
-        plan: "BatchedTrialPlan",
-        seed: int,
-        cache: Optional[Any] = None,
-        keys: Optional[Sequence[Optional[str]]] = None,
-    ) -> List["TrialResult"]:
-        """Execute trials grouped into same-shape batches (see
-        :meth:`TrialRunner.run_batched`)."""
+    def run(self, job) -> None:
+        """Execute ``job.items``, filling ``job.results``."""
         raise NotImplementedError
 
 
 class InProcessExecutor(SweepExecutor):
     """The default substrate: this process's pool (or inline execution).
 
-    A stateless pass-through to the runner's historical machinery; one
-    shared instance (:data:`IN_PROCESS`) serves every runner without a
-    configured executor.
+    Stateless; one shared instance (:data:`IN_PROCESS`) serves every
+    runner without a configured executor.
     """
 
     name = "in-process"
 
-    def run(
-        self,
-        runner: "TrialRunner",
-        payloads: Sequence[Any],
-        seed: int,
-        submission_order: Optional[Sequence[int]] = None,
-        cache: Optional[Any] = None,
-        keys: Optional[Sequence[Optional[str]]] = None,
-        seed_seqs: Optional[Sequence[Any]] = None,
-    ) -> List["TrialResult"]:
-        return runner._run_guarded(
-            payloads, seed, submission_order, cache, keys, seed_seqs
-        )
-
-    def run_batched(
-        self,
-        runner: "TrialRunner",
-        payloads: Sequence[Any],
-        batch_fn: Callable[[Sequence[Any], Sequence[Any]], Sequence[Any]],
-        plan: "BatchedTrialPlan",
-        seed: int,
-        cache: Optional[Any] = None,
-        keys: Optional[Sequence[Optional[str]]] = None,
-    ) -> List["TrialResult"]:
-        return runner._run_batched_guarded(
-            payloads, batch_fn, plan, seed, cache, keys
-        )
+    def run(self, job) -> None:
+        job.run_local(job.items)
 
 
 #: The shared default executor (stateless, so one instance is enough).

@@ -14,39 +14,51 @@ panels, the convergence studies) is an average over independent trials.  The
   serial sweep exactly.
 - Results are returned ordered by trial index, not completion order.
 
-Fault handling (each mechanism is exercised by
-``tests/test_trial_runner_faults.py`` and ``tests/test_resilience_faults.py``):
+**The batch is the only unit of execution, retry, timeout, fault injection
+and crash accounting.**  :meth:`TrialRunner.run_batched` groups trials into
+same-shape batches that one call executes together;
+:meth:`TrialRunner.run` is the same machinery over batches of one member,
+each calling ``trial_fn`` once.  A width-1 batch reports exactly what a
+serial trial does: same errors, same telemetry.
 
-- A failing trial is retried under a configurable
+Fault handling (each mechanism is exercised by
+``tests/test_trial_runner_faults.py``, ``tests/test_resilience_faults.py``
+and ``tests/test_batched_faults.py``):
+
+- A failing batch is retried under a configurable
   :class:`~repro.resilience.RetryPolicy` (max attempts, exponential backoff
-  with deterministic per-trial jitter, retry-on predicates per error kind;
-  the legacy ``retries=N`` knob maps to ``max_attempts=N+1`` with no
-  backoff) and then surfaced as a structured :class:`TrialError`.
-- A per-trial ``timeout`` is enforced *inside* the worker with ``SIGALRM``
-  (POSIX), so a stuck trial is interrupted without poisoning the pool;
+  with deterministic per-trial jitter, retry-on predicates per error kind):
+  the retry re-submits the batch's still-unfinished members, each with its
+  own seed.  A member that fails for good surfaces as a structured
+  :class:`TrialError`.
+- A per-batch ``timeout`` is enforced *inside* the worker with ``SIGALRM``
+  (POSIX), so a stuck batch is interrupted without poisoning the pool;
   a second, harder deadline in the parent terminates the worker processes
-  if the alarm itself is ignored.  Either way the trial is retried per the
+  if the alarm itself is ignored.  Either way the batch is retried per the
   policy and then reported with ``kind="timeout"``.
-- A worker killed mid-trial breaks the pool
+- A worker killed mid-batch breaks the pool
   (:class:`~concurrent.futures.process.BrokenProcessPool`); the runner
-  rebuilds the pool, re-queues every in-flight trial and reports
-  unrecoverable trials with ``kind="worker-crash"`` instead of hanging.
+  rebuilds the pool, re-queues every in-flight batch and reports
+  unrecoverable members with ``kind="worker-crash"`` instead of hanging.
   A :class:`~repro.resilience.PoolSupervisor` watches the rebuild rate:
   once a **crash storm** is detected (``max_rebuilds`` rebuilds inside
-  ``rebuild_window_seconds``), payloads implicated in repeated crashes are
+  ``rebuild_window_seconds``), trials implicated in repeated crashes are
   quarantined (``kind="quarantined"``) and the remaining trials degrade
   gracefully to inline serial execution instead of livelocking on
   rebuilds -- emitting ``pool_rebuilt`` and ``degraded_to_serial``
   telemetry along the way.
-- A ``validator`` runs in the parent on every fresh value: NaN/inf/negative
-  throughput becomes ``kind="invalid_result"`` instead of polluting sweep
+- A ``validator`` runs in the parent on every fresh member value:
+  NaN/inf/negative throughput becomes ``kind="invalid_result"`` (retried
+  per the policy, that member alone) instead of polluting sweep
   aggregates.  A value the store journal refuses to serialize is surfaced
   the same way; a journal *IO* error only degrades durability (logged,
   value kept).
 - A :class:`~repro.resilience.FaultPlan` injects deterministic faults
-  (raise / hang / kill / NaN / journal-IO) keyed by ``(trial index,
-  attempt)`` for bit-reproducible chaos testing; each armed fault is
-  announced with a ``fault_injected`` event from the parent.
+  keyed by ``(trial index, attempt)`` for bit-reproducible chaos testing;
+  a fault fires on the batch attempt that holds its trial.  ``raise`` /
+  ``hang`` / ``kill`` fail the whole batch, ``nan`` replaces that
+  member's value and ``io`` fails its journal append.  Each armed fault
+  is announced with a ``fault_injected`` event from the parent.
 
 The trial callable must be picklable (a module-level function) with
 signature ``trial_fn(rng, payload) -> value`` and the value must be
@@ -67,6 +79,7 @@ hands every executing trial exactly the generator a cold run would.
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
 import time
@@ -209,16 +222,28 @@ def _raise_trial_timeout(signum, frame):
     raise _TrialTimeout()
 
 
-def _execute_trial(trial_fn, index, seed_seq, payload, timeout, inject=None):
-    """Run one trial (worker side) and return a structured outcome tuple.
+def _each_member(trial_fn, seed_seqs, payloads) -> list:
+    """The batch function of :meth:`TrialRunner.run`: ``trial_fn`` once per
+    member, on the generator of that member's own seed."""
+    return [
+        trial_fn(np.random.default_rng(seed_seq), payload)
+        for seed_seq, payload in zip(seed_seqs, payloads)
+    ]
 
+
+def _execute(batch_fn, seed_seqs, payloads, timeout, inject=None, nan=()):
+    """Run one batch attempt (worker side); returns a structured outcome.
+
+    ``("ok", values, seconds)`` on success, else ``(kind, message,
+    traceback, seconds)`` with kind ``"exception"``, ``"timeout"`` or
+    ``"invalid_result"`` (the batch returned the wrong number of values).
     Exceptions are converted to tuples rather than raised so arbitrary
     (possibly unpicklable) exception types never cross the process boundary.
 
-    ``inject`` applies one deterministic fault (see
+    ``inject`` is ``(kind, trial index)`` of one deterministic fault (see
     :class:`repro.resilience.FaultPlan`): ``raise`` / ``hang`` / ``kill``
-    replace the trial body; ``nan`` short-circuits to a NaN value that the
-    parent-side validation boundary will reject.
+    replace the batch body.  ``nan`` lists member positions whose value is
+    replaced by NaN, which the parent-side validation boundary rejects.
     """
     start = time.perf_counter()
     previous_handler = None
@@ -226,23 +251,28 @@ def _execute_trial(trial_fn, index, seed_seq, payload, timeout, inject=None):
         previous_handler = signal.signal(signal.SIGALRM, _raise_trial_timeout)
         signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        rng = np.random.default_rng(seed_seq)
-        if inject == "raise":
+        fault, index = inject if inject is not None else (None, None)
+        if fault == "raise":
             raise RuntimeError(f"injected fault: trial {index} raises")
-        if inject == "hang":
+        if fault == "hang":
             # sleep far past the deadline; the in-worker alarm interrupts it
             time.sleep((timeout or 0.0) + 3600.0)
-        if inject == "kill":
+        if fault == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
-        if inject == "nan":
-            return ("ok", index, float("nan"), time.perf_counter() - start, "")
-        value = trial_fn(rng, payload)
-        return ("ok", index, value, time.perf_counter() - start, "")
+        values = batch_fn(seed_seqs, payloads)
+        if not isinstance(values, (list, tuple)) or len(values) != len(payloads):
+            return (
+                "invalid_result",
+                f"batch returned {type(values).__name__} instead of "
+                f"{len(payloads)} member value(s)",
+                "",
+                time.perf_counter() - start,
+            )
+        values = [float("nan") if p in nan else v for p, v in enumerate(values)]
+        return ("ok", values, time.perf_counter() - start)
     except _TrialTimeout:
         return (
             "timeout",
-            index,
-            None,
             f"trial exceeded {timeout} s",
             "",
             time.perf_counter() - start,
@@ -250,8 +280,6 @@ def _execute_trial(trial_fn, index, seed_seq, payload, timeout, inject=None):
     except Exception as exc:  # noqa: BLE001 - converted to structured error
         return (
             "exception",
-            index,
-            None,
             f"{type(exc).__name__}: {exc}",
             traceback_module.format_exc(),
             time.perf_counter() - start,
@@ -260,6 +288,17 @@ def _execute_trial(trial_fn, index, seed_seq, payload, timeout, inject=None):
         if timeout is not None:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous_handler)
+
+
+def _failed(error: "TrialError") -> "TrialResult":
+    """The result of a trial that failed for good."""
+    return TrialResult(
+        index=error.trial_index,
+        value=None,
+        attempts=error.attempts,
+        duration=0.0,
+        error=error,
+    )
 
 
 class _Emitter:
@@ -369,15 +408,376 @@ class _Emitter:
             self._progress()
 
 
-def _execute_batch(rng, batch_payload):
-    """Inner trial body of one batch (module-level so it pickles).
+class _Job:
+    """The state of one :meth:`TrialRunner.run` / ``run_batched`` call.
 
-    ``batch_payload`` is ``(batch_fn, seed_seqs, member_payloads)``; the
-    runner-provided ``rng`` is unused -- every member derives its stream
-    from its own full-count-spawned seed, exactly as a serial run would.
+    Built by the runner's prologue (validation, seeding, cache hits) and
+    handed to the configured :class:`~repro.parallel.executor.SweepExecutor`,
+    which fills :attr:`results` -- through :meth:`run_local` (inline or a
+    pool of this process) or, for the fabric, by streaming members into
+    :meth:`accept` / :meth:`complete`.  The runner's epilogue turns the
+    filled job into :class:`TrialStats`.
+
+    ``items`` are the batches still to execute, as tuples of member trial
+    indices in submission order (cache hits already removed).  ``seed`` is
+    the master seed the per-trial ``seeds`` are spawned from, ``None``
+    when the caller supplied the seeds.
     """
-    batch_fn, seed_seqs, members = batch_payload
-    return batch_fn(seed_seqs, members)
+
+    def __init__(self, runner, payloads, batch_fn, plan, seed, cache, keys, emitter):
+        self.runner = runner
+        self.payloads = payloads
+        self.batch_fn = batch_fn
+        self.plan = plan
+        self.seed = seed
+        self.seeds: list = []
+        self.cache = cache
+        self.keys = keys
+        self.emitter = emitter
+        self.results: List[Optional[TrialResult]] = [None] * len(payloads)
+        self.attempts = [0] * len(payloads)
+        self.items: List[Tuple[int, ...]] = []
+        self.pool_rebuilds = 0
+        self.degraded = False
+
+    # ------------------------------------------------------------------
+    # outcomes
+    # ------------------------------------------------------------------
+    def complete(self, result: TrialResult) -> None:
+        """Record one final outcome: journal a success, announce it."""
+        result = self._journal(result)
+        self.results[result.index] = result
+        self.emitter.finished(result)
+
+    def accept(
+        self, index: int, value: Any, attempts: int, duration: float, elapsed: float
+    ) -> Optional[TrialError]:
+        """Validate one fresh member value; complete it, or return the
+        ``invalid_result`` error the validator raised."""
+        validator = self.runner._validator
+        message = validator(value) if validator is not None else None
+        if message is not None:
+            return TrialError(
+                trial_index=index,
+                kind="invalid_result",
+                message=message,
+                attempts=attempts,
+                elapsed_seconds=elapsed,
+            )
+        self.complete(
+            TrialResult(index=index, value=value, attempts=attempts, duration=duration)
+        )
+        return None
+
+    def _journal(self, result: TrialResult) -> TrialResult:
+        """Durably record one fresh success in the trial cache.
+
+        Returns the result to surface: unchanged on success; converted to
+        ``kind="invalid_result"`` when the store refuses the *value*
+        (``ValueError``, e.g. a non-finite float the journal cannot
+        encode); unchanged-but-logged when the journal *write* fails with
+        an ``OSError`` -- durability degrades, the sweep keeps its value.
+        """
+        if self.cache is None or self.keys is None or not result.ok:
+            return result
+        key = self.keys[result.index]
+        if key is None:
+            return result
+        plan = self.runner._fault_plan
+        try:
+            if (
+                plan is not None
+                and plan.fault_for(result.index, result.attempts) == "io"
+            ):
+                self.emitter.fault(result.index, result.attempts, "io")
+                raise OSError(
+                    f"injected fault: journal append for trial {result.index}"
+                )
+            self.cache.put(key, result.value, result.duration)
+        except ValueError as exc:
+            return _failed(
+                TrialError(
+                    trial_index=result.index,
+                    kind="invalid_result",
+                    message=f"value could not be journaled: {exc}",
+                    attempts=result.attempts,
+                    elapsed_seconds=result.duration,
+                )
+            )
+        except OSError as exc:
+            _log.warning(
+                "journal append failed for trial %d (%s: %s); the value is "
+                "kept in memory but will not survive an interruption",
+                result.index,
+                type(exc).__name__,
+                exc,
+            )
+        return result
+
+    def _fail(self, members, kind, message, traceback="", elapsed=0.0):
+        """One batch-level failure: every member fails the same way (a
+        batch wider than 1 prefixes the message with its width)."""
+        if len(members) > 1:
+            message = f"batch of {len(members)}: {message}"
+        return [
+            TrialError(
+                trial_index=index,
+                kind=kind,
+                message=message,
+                attempts=self.attempts[index],
+                traceback=traceback,
+                elapsed_seconds=elapsed,
+            )
+            for index in members
+        ]
+
+    def _retry_or_fail(self, errors: List[TrialError]):
+        """Retry the failed members as one batch, or fail them for good.
+
+        The members of one batch attempt share their attempt count and
+        failure kind.  Returns ``(members, backoff delay)`` to re-submit,
+        or ``None`` when nothing is retried.
+        """
+        if not errors:
+            return None
+        policy = self.runner._policy
+        first = errors[0]
+        if policy.should_retry(first.kind, first.attempts):
+            delay = policy.delay(first.attempts, self.seeds[first.trial_index])
+            for error in errors:
+                self.emitter.retried(
+                    error.trial_index, error.attempts, error.kind, delay
+                )
+            return tuple(error.trial_index for error in errors), delay
+        for error in errors:
+            self.complete(_failed(error))
+        return None
+
+    def _settle(self, members, outcome):
+        """Absorb one batch attempt's outcome (see :meth:`_retry_or_fail`)."""
+        if outcome[0] != "ok":
+            return self._retry_or_fail(self._fail(members, *outcome))
+        _status, values, elapsed = outcome
+        duration = elapsed / len(members)
+        errors = []
+        for index, value in zip(members, values):
+            error = self.accept(index, value, self.attempts[index], duration, elapsed)
+            if error is not None:
+                errors.append(error)
+        return self._retry_or_fail(errors)
+
+    # ------------------------------------------------------------------
+    # execution
+    # ------------------------------------------------------------------
+    def _arm(self, members, inline: bool) -> tuple:
+        """Start the next attempt of ``members``: count it, announce it and
+        arm its faults.  Returns the :func:`_execute` arguments."""
+        inject = None
+        nan = []
+        for position, index in enumerate(members):
+            self.attempts[index] += 1
+            attempt = self.attempts[index]
+            fault = self.runner._fault_for(index, attempt, inline)
+            self.emitter.started(index, attempt)
+            if fault is None:
+                continue
+            self.emitter.fault(index, attempt, fault)
+            if fault == "nan":
+                nan.append(position)
+            elif inject is None:
+                inject = (fault, index)
+        return (
+            self.batch_fn,
+            [self.seeds[index] for index in members],
+            [self.payloads[index] for index in members],
+            self.runner._timeout,
+            inject,
+            tuple(nan),
+        )
+
+    def run_local(self, items) -> None:
+        """Execute ``items`` in this process: inline, or over its pool."""
+        if self.runner.workers is None:
+            self._run_inline(items)
+        else:
+            self._run_pool(items)
+
+    def _run_inline(self, items) -> None:
+        """Execute ``items`` serially in this process, each batch retried
+        (after its backoff) before the next starts."""
+        for members in items:
+            while members:
+                outcome = _execute(*self._arm(members, inline=True))
+                retry = self._settle(members, outcome)
+                if retry is None:
+                    break
+                members, delay = retry
+                if delay > 0:
+                    time.sleep(delay)
+
+    def _run_pool(self, items) -> None:
+        """Execute ``items`` over a worker pool."""
+        runner = self.runner
+        pending: deque = deque((members, 0.0) for members in items)
+        crash_counts: Dict[int, int] = {}
+        supervisor = PoolSupervisor(runner._max_rebuilds, runner._rebuild_window)
+        window = runner.workers * runner.CHUNK_SIZE
+        executor = ProcessPoolExecutor(max_workers=runner.workers)
+        # batches force-killed by the parent-side hard deadline: their pool
+        # breakage should be reported as a timeout, not a crash.
+        hard_timed_out: set = set()
+
+        def crashed(members):
+            for index in members:
+                crash_counts[index] = crash_counts.get(index, 0) + 1
+            if members in hard_timed_out:
+                hard_timed_out.discard(members)  # one crash consumes one flag
+                errors = self._fail(
+                    members,
+                    "timeout",
+                    f"trial ignored its {runner._timeout} s alarm and was "
+                    "terminated",
+                    # the worker burned the full deadline before the parent
+                    # shot it
+                    elapsed=float(runner._timeout) + runner.HARD_TIMEOUT_GRACE,
+                )
+            else:
+                errors = self._fail(
+                    members, "worker-crash", "worker process died mid-trial"
+                )
+            requeue(self._retry_or_fail(errors))
+
+        def requeue(retry):
+            if retry is not None:
+                members, delay = retry
+                pending.append((members, time.monotonic() + delay))
+
+        try:
+            inflight = {}  # future -> (members, deadline or None)
+            while pending or inflight:
+                deferred = []
+                now = time.monotonic()
+                while pending and len(inflight) < window:
+                    members, ready = pending.popleft()
+                    if ready > now:
+                        deferred.append((members, ready))
+                        continue
+                    future = executor.submit(
+                        _execute, *self._arm(members, inline=False)
+                    )
+                    deadline = (
+                        now + runner._timeout + runner.HARD_TIMEOUT_GRACE
+                        if runner._timeout is not None
+                        else None
+                    )
+                    inflight[future] = (members, deadline)
+                pending.extend(deferred)
+                if not inflight:
+                    # everything pending is backing off; nap until the
+                    # earliest retry becomes ready
+                    wake = min(ready for _members, ready in pending)
+                    time.sleep(max(wake - time.monotonic(), 0.0))
+                    continue
+                done, _ = wait(
+                    list(inflight), timeout=0.05, return_when=FIRST_COMPLETED
+                )
+                broken = False
+                for future in done:
+                    members, _deadline = inflight.pop(future)
+                    try:
+                        outcome = future.result()
+                    except BrokenProcessPool:
+                        broken = True
+                        crashed(members)
+                        continue
+                    requeue(self._settle(members, outcome))
+                if not done and _deadline_exceeded(inflight):
+                    # A worker ignored its in-worker alarm; terminate the
+                    # pool's processes so the broken-pool path recycles it.
+                    for members, deadline in inflight.values():
+                        if deadline is not None and time.monotonic() > deadline:
+                            hard_timed_out.add(members)
+                    runner._terminate_workers(executor)
+                    broken = True
+                if broken:
+                    # The pool is unusable: every remaining in-flight batch
+                    # died with it.  Re-queue or fail each, then rebuild.
+                    _log.warning(
+                        "worker pool broke with %d batch(es) in flight; "
+                        "rebuilding the pool",
+                        len(inflight),
+                    )
+                    died = len(inflight)
+                    for members, _deadline in inflight.values():
+                        crashed(members)
+                    inflight.clear()
+                    executor.shutdown(wait=False, cancel_futures=True)
+                    executor = ProcessPoolExecutor(max_workers=runner.workers)
+                    storm = supervisor.record_rebuild()
+                    self.pool_rebuilds = supervisor.rebuilds
+                    self.emitter.pool_rebuilt(supervisor.rebuilds, died)
+                    if storm:
+                        self._degrade_to_serial(pending, crash_counts, supervisor)
+                        return
+        finally:
+            executor.shutdown(wait=False, cancel_futures=True)
+
+    def _degrade_to_serial(self, pending, crash_counts, supervisor) -> None:
+        """Crash storm: quarantine repeat-crashers, run the rest inline.
+
+        A trial that crashed the pool :data:`TrialRunner.QUARANTINE_CRASHES`
+        or more times is surfaced as ``kind="quarantined"`` (running it
+        inline would risk taking the parent down with it); every other
+        unfinished trial executes serially in the parent, where a broken
+        pool cannot hurt it.
+        """
+        self.degraded = True
+        threshold = self.runner.QUARANTINE_CRASHES
+        quarantined = sorted(
+            index
+            for members, _ready in pending
+            for index in members
+            if crash_counts.get(index, 0) >= threshold
+        )
+        survivors = [
+            tuple(index for index in members if index not in quarantined)
+            for members, _ready in pending
+        ]
+        _log.warning(
+            "crash storm: %d pool rebuild(s) within %.0f s; quarantining "
+            "%d payload(s) %s and degrading %d remaining trial(s) to inline "
+            "serial execution",
+            supervisor.rebuilds,
+            supervisor.window_seconds,
+            len(quarantined),
+            quarantined,
+            sum(len(members) for members in survivors),
+        )
+        self.emitter.degraded(supervisor.rebuilds, quarantined)
+        for index in quarantined:
+            self.complete(
+                _failed(
+                    TrialError(
+                        trial_index=index,
+                        kind="quarantined",
+                        message=(
+                            f"payload crashed {crash_counts[index]} worker(s); "
+                            f"quarantined after {supervisor.rebuilds} pool "
+                            "rebuild(s) (crash storm)"
+                        ),
+                        attempts=self.attempts[index],
+                    )
+                )
+            )
+        self._run_inline(survivors)
+
+
+def _deadline_exceeded(inflight) -> bool:
+    now = time.monotonic()
+    return any(
+        deadline is not None and now > deadline
+        for _members, deadline in inflight.values()
+    )
 
 
 class TrialRunner:
@@ -393,13 +793,8 @@ class TrialRunner:
         uses a :class:`ProcessPoolExecutor` with that many workers.  The
         results are bit-identical either way.
     timeout:
-        Optional per-trial wall-clock deadline in seconds.
-    retries:
-        Legacy knob: extra attempts granted to a failing trial (default 1,
-        i.e. two attempts total).  Ignored when ``retry_policy`` is given.
-    chunk_size:
-        In pool mode at most ``workers * chunk_size`` trials are in flight
-        at once, bounding memory for very long sweeps.
+        Optional per-batch wall-clock deadline in seconds (per trial for
+        :meth:`run`).
     telemetry:
         Optional :class:`~repro.observability.events.Telemetry` sink for
         the trial lifecycle events (``trial_started`` / ``trial_finished``
@@ -411,7 +806,8 @@ class TrialRunner:
         emitted from the parent process only.
     retry_policy:
         A :class:`~repro.resilience.RetryPolicy` governing attempts,
-        backoff and per-kind retry predicates; supersedes ``retries``.
+        backoff and per-kind retry predicates (default: two attempts, no
+        backoff).
     fault_plan:
         A :class:`~repro.resilience.FaultPlan` of deterministic faults
         keyed by ``(trial index, attempt)``.  ``hang`` faults require a
@@ -425,10 +821,9 @@ class TrialRunner:
         the window, crash-implicated payloads are quarantined and the run
         degrades to inline serial execution.
     executor:
-        The :class:`~repro.parallel.executor.SweepExecutor` substrate that
-        :meth:`run` / :meth:`run_batched` delegate to.  ``None`` (the
-        default) uses the in-process executor -- inline or this runner's
-        own worker pool, the historical behaviour.  A
+        The :class:`~repro.parallel.executor.SweepExecutor` substrate the
+        batches execute on.  ``None`` (the default) uses the in-process
+        executor -- inline or this runner's own worker pool.  A
         :class:`repro.fabric.FabricExecutor` instead leases trial shards
         to worker agents and rebalances on agent failure.
     """
@@ -436,6 +831,10 @@ class TrialRunner:
     #: Extra parent-side slack (seconds) on top of ``timeout`` before the
     #: pool is forcibly recycled because a worker ignored its alarm.
     HARD_TIMEOUT_GRACE = 5.0
+
+    #: In pool mode at most ``workers * CHUNK_SIZE`` batches are in flight
+    #: at once, bounding memory for very long sweeps.
+    CHUNK_SIZE = 4
 
     #: Crashes a single trial must accumulate (across pool rebuilds) to be
     #: quarantined when a crash storm is declared.  Two crashes separate a
@@ -448,8 +847,6 @@ class TrialRunner:
         trial_fn: Callable[[np.random.Generator, Any], Any],
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
-        retries: int = 1,
-        chunk_size: int = 4,
         telemetry: Optional[_events.Telemetry] = None,
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -462,10 +859,6 @@ class TrialRunner:
             raise ValueError(f"workers must be >= 1 or None, got {workers}")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if fault_plan is not None and fault_plan.has_hang and timeout is None:
             raise ValueError(
                 "hang faults require a timeout (they sleep past the deadline; "
@@ -474,12 +867,7 @@ class TrialRunner:
         self._trial_fn = trial_fn
         self._workers = workers
         self._timeout = timeout
-        self._policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy.from_retries(retries)
-        )
-        self._chunk_size = chunk_size
+        self._policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._telemetry = telemetry
         self._fault_plan = fault_plan
         self._validator = validator
@@ -505,7 +893,7 @@ class TrialRunner:
 
     @property
     def executor(self) -> SweepExecutor:
-        """The execution substrate :meth:`run` delegates to."""
+        """The execution substrate the batches run on."""
         return self._executor
 
     @staticmethod
@@ -529,6 +917,8 @@ class TrialRunner:
         seed_seqs: Optional[Sequence[Any]] = None,
     ) -> List[TrialResult]:
         """Run one trial per payload; results are ordered by trial index.
+
+        Each trial is a batch of one member (see :meth:`run_batched`).
 
         ``submission_order`` permutes only the order in which trials are
         handed to the pool (used by the determinism tests to prove the
@@ -558,91 +948,19 @@ class TrialRunner:
         worker-count-independent streams.
         """
         try:
-            return self._executor.run(
-                self, payloads, seed, submission_order, cache, keys,
+            return self._run_guarded(
+                payloads,
+                functools.partial(_each_member, self._trial_fn),
+                None,
+                seed,
+                submission_order,
+                cache,
+                keys,
                 seed_seqs,
             )
         finally:
             if shared is not None:
                 shared.unlink_all()
-
-    def _run_guarded(
-        self, payloads, seed, submission_order, cache, keys, seed_seqs=None
-    ) -> List[TrialResult]:
-        payloads = list(payloads)
-        count = len(payloads)
-        if keys is not None and len(keys) != count:
-            raise ValueError(
-                f"need one key per payload: {len(keys)} keys, {count} payloads"
-            )
-        if count == 0:
-            self._last_stats = TrialStats(0, 0, 0, 0.0, self._workers)
-            return []
-        order = list(range(count)) if submission_order is None else list(submission_order)
-        if sorted(order) != list(range(count)):
-            raise ValueError("submission_order must be a permutation of the trial indices")
-        start = time.perf_counter()
-        sink = self._telemetry if self._telemetry is not None else _events.get_telemetry()
-        emitter = _Emitter(sink, count)
-        emitter.begin()
-        _log.debug(
-            "running %d trial(s) (%s, %d cache key(s))",
-            count,
-            "inline" if self._workers is None else f"{self._workers} workers",
-            sum(1 for key in keys or [] if key is not None),
-        )
-        results: List[Optional[TrialResult]] = [None] * count
-        if cache is not None and keys is not None:
-            for index in range(count):
-                if keys[index] is None:
-                    continue
-                hit = cache.get(keys[index])
-                if hit is not None:
-                    results[index] = TrialResult(
-                        index=index,
-                        value=hit.value,
-                        attempts=0,
-                        duration=hit.duration,
-                        cached=True,
-                    )
-                    emitter.cache_hit(results[index])
-        cache_hits = sum(1 for r in results if r is not None)
-        remaining = [index for index in order if results[index] is None]
-        pool_rebuilds = 0
-        degraded = False
-        if remaining:
-            if seed_seqs is not None:
-                if len(seed_seqs) != count:
-                    raise ValueError(
-                        f"need one seed sequence per payload: "
-                        f"{len(seed_seqs)} seeds, {count} payloads"
-                    )
-                seeds = list(seed_seqs)
-            else:
-                seeds = np.random.SeedSequence(seed).spawn(count)
-            if self._workers is None:
-                self._run_inline(
-                    payloads, seeds, remaining, results, cache, keys, emitter
-                )
-            else:
-                pool_rebuilds, degraded = self._run_pool(
-                    payloads, seeds, remaining, results, cache, keys, emitter
-                )
-        elapsed = time.perf_counter() - start
-        failures = sum(1 for r in results if not r.ok)
-        retries = sum(max(r.attempts - 1, 0) for r in results)
-        self._last_stats = TrialStats(
-            trials=count,
-            failures=failures,
-            retries=retries,
-            elapsed_seconds=elapsed,
-            workers=self._workers,
-            cache_hits=cache_hits,
-            pool_rebuilds=pool_rebuilds,
-            degraded=degraded,
-        )
-        _log.debug("run complete: %s", self._last_stats.summary())
-        return results  # type: ignore[return-value]
 
     def run_batched(
         self,
@@ -661,42 +979,53 @@ class TrialRunner:
         values`` (module-level, picklable) executes one whole batch and
         returns one value per member, in member order.
 
-        The contract matches :meth:`run` exactly: cache hits are served
-        per *member* before any batch executes, seeds are spawned for the
-        full payload list by trial index (each member receives the same
+        The contract is :meth:`run`'s: cache hits are served per *member*
+        before any batch executes, seeds are spawned for the full payload
+        list by trial index (each member receives the same
         ``SeedSequence`` a serial run would), fresh member values are
         validated and journaled individually, and results come back
         ordered by trial index.  A batch is the unit of execution and
-        failure -- retry, timeout and crash handling apply to whole
-        batches through the same pool machinery as :meth:`run`, and a
-        batch that fails for good surfaces one :class:`TrialError` per
-        member.  Member durations report the batch duration split evenly
-        (the journaled per-trial cost a later cached run replays).
+        retry: a batch that fails re-submits its unfinished members, and
+        one that fails for good surfaces one :class:`TrialError` per
+        member (prefixed ``batch of N:``).  Member durations report the
+        batch duration split evenly (the journaled per-trial cost a later
+        cached run replays).
         """
         from .batch import BatchedTrialPlan  # local: avoid import cycle
 
         if not isinstance(plan, BatchedTrialPlan):
             raise TypeError(f"plan must be a BatchedTrialPlan, got {type(plan)}")
         try:
-            return self._executor.run_batched(
-                self, payloads, batch_fn, plan, seed, cache, keys
+            return self._run_guarded(
+                payloads, batch_fn, plan, seed, None, cache, keys, None
             )
         finally:
             if shared is not None:
                 shared.unlink_all()
 
-    def _run_batched_guarded(
-        self, payloads, batch_fn, plan, seed, cache, keys
+    def _run_guarded(
+        self, payloads, batch_fn, plan, seed, submission_order, cache, keys,
+        seed_seqs,
     ) -> List[TrialResult]:
+        """The one prologue and epilogue around every executor."""
         payloads = list(payloads)
         count = len(payloads)
         if keys is not None and len(keys) != count:
             raise ValueError(
                 f"need one key per payload: {len(keys)} keys, {count} payloads"
             )
-        if not plan.covers(count):
+        if plan is not None and not plan.covers(count):
+            raise ValueError(f"plan does not partition the {count} payload indices")
+        if submission_order is not None and sorted(submission_order) != list(
+            range(count)
+        ):
             raise ValueError(
-                f"plan does not partition the {count} payload indices"
+                "submission_order must be a permutation of the trial indices"
+            )
+        if seed_seqs is not None and len(seed_seqs) != count:
+            raise ValueError(
+                f"need one seed sequence per payload: "
+                f"{len(seed_seqs)} seeds, {count} payloads"
             )
         if count == 0:
             self._last_stats = TrialStats(0, 0, 0, 0.0, self._workers)
@@ -705,12 +1034,14 @@ class TrialRunner:
         sink = self._telemetry if self._telemetry is not None else _events.get_telemetry()
         emitter = _Emitter(sink, count)
         emitter.begin()
-        results: List[Optional[TrialResult]] = [None] * count
+        job = _Job(
+            self, payloads, batch_fn, plan, seed if seed_seqs is None else None,
+            cache, keys, emitter,
+        )
+        results = job.results
         if cache is not None and keys is not None:
-            for index in range(count):
-                if keys[index] is None:
-                    continue
-                hit = cache.get(keys[index])
+            for index, key in enumerate(keys):
+                hit = cache.get(key) if key is not None else None
                 if hit is not None:
                     results[index] = TrialResult(
                         index=index,
@@ -720,139 +1051,43 @@ class TrialRunner:
                         cached=True,
                     )
                     emitter.cache_hit(results[index])
-        cache_hits = sum(1 for r in results if r is not None)
-        seeds = np.random.SeedSequence(seed).spawn(count)
-        live: List = []  # (member indices, batch payload)
-        for batch in plan.batches:
-            members = [i for i in batch.indices if results[i] is None]
-            if not members:
-                continue
-            live.append(
-                (
-                    members,
-                    (
-                        batch_fn,
-                        [seeds[i] for i in members],
-                        [payloads[i] for i in members],
-                    ),
+        if plan is None:
+            order = range(count) if submission_order is None else submission_order
+            job.items = [(index,) for index in order if results[index] is None]
+        else:
+            job.items = [
+                members
+                for members in (
+                    tuple(i for i in batch.indices if results[i] is None)
+                    for batch in plan.batches
                 )
-            )
+                if members
+            ]
         _log.debug(
-            "running %d trial(s) as %d batch(es) (max width %d, %s)",
-            count - cache_hits,
-            len(live),
-            max((len(m) for m, _p in live), default=0),
+            "running %d batch(es) of <= %d trial(s) (%s, %d cache hit(s))",
+            len(job.items),
+            max(map(len, job.items), default=0),
             "inline" if self._workers is None else f"{self._workers} workers",
+            emitter.cached,
         )
-        pool_rebuilds = 0
-        degraded = False
-        failures = 0
-        retries = 0
-        if live:
-            inner = TrialRunner(
-                _execute_batch,
-                workers=self._workers,
-                timeout=self._timeout,
-                chunk_size=self._chunk_size,
-                telemetry=_events.NullTelemetry(),
-                retry_policy=self._policy,
-                max_rebuilds=self._max_rebuilds,
-                rebuild_window_seconds=self._rebuild_window,
+        if job.items:
+            job.seeds = (
+                np.random.SeedSequence(seed).spawn(count)
+                if seed_seqs is None
+                else list(seed_seqs)
             )
-            batch_results = inner.run(
-                [payload for _members, payload in live], seed=seed
-            )
-            inner_stats = inner.last_stats
-            pool_rebuilds = inner_stats.pool_rebuilds if inner_stats else 0
-            degraded = inner_stats.degraded if inner_stats else False
-            for (members, _payload), batch_result in zip(live, batch_results):
-                width = len(members)
-                retries += max(batch_result.attempts - 1, 0) * width
-                values = batch_result.value if batch_result.ok else None
-                if batch_result.ok and (
-                    not isinstance(values, (list, tuple))
-                    or len(values) != width
-                ):
-                    values = None
-                    batch_result = TrialResult(
-                        index=batch_result.index,
-                        value=None,
-                        attempts=batch_result.attempts,
-                        duration=0.0,
-                        error=TrialError(
-                            trial_index=batch_result.index,
-                            kind="invalid_result",
-                            message=(
-                                f"batch returned {type(batch_result.value).__name__} "
-                                f"instead of {width} member value(s)"
-                            ),
-                            attempts=batch_result.attempts,
-                        ),
-                    )
-                for position, index in enumerate(members):
-                    emitter.started(index, max(batch_result.attempts, 1))
-                    if values is None:
-                        error = batch_result.error
-                        results[index] = TrialResult(
-                            index=index,
-                            value=None,
-                            attempts=batch_result.attempts,
-                            duration=0.0,
-                            error=TrialError(
-                                trial_index=index,
-                                kind=error.kind,
-                                message=f"batch of {width}: {error.message}",
-                                attempts=error.attempts,
-                                traceback=error.traceback,
-                                elapsed_seconds=error.elapsed_seconds,
-                            ),
-                        )
-                    else:
-                        value = values[position]
-                        message = (
-                            self._validator(value)
-                            if self._validator is not None
-                            else None
-                        )
-                        if message is not None:
-                            results[index] = TrialResult(
-                                index=index,
-                                value=None,
-                                attempts=batch_result.attempts,
-                                duration=0.0,
-                                error=TrialError(
-                                    trial_index=index,
-                                    kind="invalid_result",
-                                    message=message,
-                                    attempts=batch_result.attempts,
-                                ),
-                            )
-                        else:
-                            results[index] = self._journal(
-                                cache,
-                                keys,
-                                TrialResult(
-                                    index=index,
-                                    value=value,
-                                    attempts=batch_result.attempts,
-                                    duration=batch_result.duration / width,
-                                ),
-                                emitter,
-                            )
-                    emitter.finished(results[index])
-        elapsed = time.perf_counter() - start
-        failures = sum(1 for r in results if not r.ok)
+            self._executor.run(job)
         self._last_stats = TrialStats(
             trials=count,
-            failures=failures,
-            retries=retries,
-            elapsed_seconds=elapsed,
+            failures=sum(1 for r in results if not r.ok),
+            retries=sum(max(r.attempts - 1, 0) for r in results),
+            elapsed_seconds=time.perf_counter() - start,
             workers=self._workers,
-            cache_hits=cache_hits,
-            pool_rebuilds=pool_rebuilds,
-            degraded=degraded,
+            cache_hits=emitter.cached,
+            pool_rebuilds=job.pool_rebuilds,
+            degraded=job.degraded,
         )
-        _log.debug("batched run complete: %s", self._last_stats.summary())
+        _log.debug("run complete: %s", self._last_stats.summary())
         return results  # type: ignore[return-value]
 
     def run_values(
@@ -900,344 +1135,6 @@ class TrialRunner:
             return "raise"
         return fault
 
-    def _classify(self, outcome) -> Tuple[Optional[str], str]:
-        """``(failure kind, message)`` of a worker outcome -- ``(None, "")``
-        for a success, applying parent-side result validation."""
-        if outcome[0] == "ok":
-            if self._validator is not None:
-                message = self._validator(outcome[2])
-                if message is not None:
-                    return "invalid_result", message
-            return None, ""
-        return outcome[0], outcome[3]
-
-    def _finish(self, outcome, attempts) -> TrialResult:
-        """Convert a worker outcome tuple into a TrialResult."""
-        status, index = outcome[0], outcome[1]
-        if status == "ok":
-            kind, message = self._classify(outcome)
-            if kind is not None:
-                error = TrialError(
-                    trial_index=index,
-                    kind=kind,
-                    message=message,
-                    attempts=attempts,
-                    elapsed_seconds=float(outcome[3]),
-                )
-                return TrialResult(
-                    index=index, value=None, attempts=attempts, duration=0.0,
-                    error=error,
-                )
-            return TrialResult(
-                index=index,
-                value=outcome[2],
-                attempts=attempts,
-                duration=outcome[3],
-            )
-        kind = status  # "exception" or "timeout"
-        error = TrialError(
-            trial_index=index,
-            kind=kind,
-            message=outcome[3],
-            attempts=attempts,
-            traceback=outcome[4],
-            # legacy 5-tuples (no elapsed slot) surface as 0.0
-            elapsed_seconds=float(outcome[5]) if len(outcome) > 5 else 0.0,
-        )
-        return TrialResult(index=index, value=None, attempts=attempts, duration=0.0, error=error)
-
-    def _journal(self, cache, keys, result: TrialResult, emitter) -> TrialResult:
-        """Durably record one fresh success in the trial cache.
-
-        Returns the result to surface: unchanged on success; converted to
-        ``kind="invalid_result"`` when the store refuses the *value*
-        (``ValueError``, e.g. a non-finite float the journal cannot
-        encode); unchanged-but-logged when the journal *write* fails with
-        an ``OSError`` -- durability degrades, the sweep keeps its value.
-        """
-        if cache is None or keys is None or not result.ok:
-            return result
-        key = keys[result.index]
-        if key is None:
-            return result
-        try:
-            if (
-                self._fault_plan is not None
-                and self._fault_plan.fault_for(result.index, result.attempts)
-                == "io"
-            ):
-                emitter.fault(result.index, result.attempts, "io")
-                raise OSError(
-                    f"injected fault: journal append for trial {result.index}"
-                )
-            cache.put(key, result.value, result.duration)
-        except ValueError as exc:
-            error = TrialError(
-                trial_index=result.index,
-                kind="invalid_result",
-                message=f"value could not be journaled: {exc}",
-                attempts=result.attempts,
-                elapsed_seconds=result.duration,
-            )
-            return TrialResult(
-                index=result.index, value=None, attempts=result.attempts,
-                duration=0.0, error=error,
-            )
-        except OSError as exc:
-            _log.warning(
-                "journal append failed for trial %d (%s: %s); the value is "
-                "kept in memory but will not survive an interruption",
-                result.index,
-                type(exc).__name__,
-                exc,
-            )
-        return result
-
-    def _run_inline(
-        self, payloads, seeds, order, results, cache, keys, emitter,
-        attempts: Optional[List[int]] = None,
-    ) -> None:
-        """Execute ``order`` serially in this process.
-
-        ``attempts`` carries per-trial attempt counts already consumed by a
-        degraded pool run, so retry budgets span the degradation boundary.
-        """
-        if attempts is None:
-            attempts = [0] * len(payloads)
-        for index in order:
-            while True:
-                attempts[index] += 1
-                fault = self._fault_for(index, attempts[index], inline=True)
-                emitter.started(index, attempts[index])
-                if fault is not None:
-                    emitter.fault(index, attempts[index], fault)
-                outcome = _execute_trial(
-                    self._trial_fn, index, seeds[index], payloads[index],
-                    self._timeout, fault,
-                )
-                kind, _message = self._classify(outcome)
-                if kind is not None and self._policy.should_retry(
-                    kind, attempts[index]
-                ):
-                    delay = self._policy.delay(attempts[index], seeds[index])
-                    emitter.retried(index, attempts[index], kind, delay)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                result = self._finish(outcome, attempts[index])
-                result = self._journal(cache, keys, result, emitter)
-                results[index] = result
-                emitter.finished(result)
-                break
-
-    def _run_pool(
-        self, payloads, seeds, order, results, cache, keys, emitter
-    ) -> Tuple[int, bool]:
-        """Execute ``order`` over a worker pool; returns
-        ``(pool rebuilds, degraded to serial)``."""
-        pending: deque = deque((index, 0.0) for index in order)
-        attempts = [0] * len(payloads)
-        crash_counts: Dict[int, int] = {}
-        supervisor = PoolSupervisor(self._max_rebuilds, self._rebuild_window)
-        window = self._workers * self._chunk_size
-        executor = ProcessPoolExecutor(max_workers=self._workers)
-        # trial indices force-killed by the parent-side hard deadline: their
-        # pool breakage should be reported as a timeout, not a crash.
-        hard_timed_out: set = set()
-        try:
-            inflight = {}  # future -> (index, deadline or None)
-            while pending or inflight:
-                deferred = []
-                now = time.monotonic()
-                while pending and len(inflight) < window:
-                    index, ready = pending.popleft()
-                    if ready > now:
-                        deferred.append((index, ready))
-                        continue
-                    attempts[index] += 1
-                    fault = self._fault_for(index, attempts[index], inline=False)
-                    emitter.started(index, attempts[index])
-                    if fault is not None:
-                        emitter.fault(index, attempts[index], fault)
-                    future = executor.submit(
-                        _execute_trial,
-                        self._trial_fn,
-                        index,
-                        seeds[index],
-                        payloads[index],
-                        self._timeout,
-                        fault,
-                    )
-                    deadline = (
-                        now + self._timeout + self.HARD_TIMEOUT_GRACE
-                        if self._timeout is not None
-                        else None
-                    )
-                    inflight[future] = (index, deadline)
-                pending.extend(deferred)
-                if not inflight:
-                    # everything pending is backing off; nap until the
-                    # earliest retry becomes ready
-                    wake = min(ready for _index, ready in pending)
-                    time.sleep(max(wake - time.monotonic(), 0.0))
-                    continue
-                done, _ = wait(
-                    list(inflight), timeout=0.05, return_when=FIRST_COMPLETED
-                )
-                broken = False
-                for future in done:
-                    index, _deadline = inflight.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        crash_counts[index] = crash_counts.get(index, 0) + 1
-                        self._record_crash(
-                            results, pending, attempts, seeds, index,
-                            hard_timed_out, emitter,
-                        )
-                        continue
-                    kind, _message = self._classify(outcome)
-                    if kind is not None and self._policy.should_retry(
-                        kind, attempts[index]
-                    ):
-                        delay = self._policy.delay(attempts[index], seeds[index])
-                        emitter.retried(index, attempts[index], kind, delay)
-                        pending.append((index, time.monotonic() + delay))
-                    else:
-                        result = self._finish(outcome, attempts[index])
-                        result = self._journal(cache, keys, result, emitter)
-                        results[index] = result
-                        emitter.finished(result)
-                if not done and self._deadline_exceeded(inflight):
-                    # A worker ignored its in-worker alarm; terminate the
-                    # pool's processes so the broken-pool path recycles it.
-                    for future, (index, deadline) in inflight.items():
-                        if deadline is not None and time.monotonic() > deadline:
-                            hard_timed_out.add(index)
-                    self._terminate_workers(executor)
-                    broken = True
-                if broken:
-                    # The pool is unusable: every remaining in-flight trial
-                    # died with it.  Re-queue or fail each, then rebuild.
-                    _log.warning(
-                        "worker pool broke with %d trial(s) in flight; "
-                        "rebuilding the pool",
-                        len(inflight),
-                    )
-                    died = len(inflight)
-                    for future, (index, _deadline) in inflight.items():
-                        crash_counts[index] = crash_counts.get(index, 0) + 1
-                        self._record_crash(
-                            results, pending, attempts, seeds, index,
-                            hard_timed_out, emitter,
-                        )
-                    inflight.clear()
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    executor = ProcessPoolExecutor(max_workers=self._workers)
-                    storm = supervisor.record_rebuild()
-                    emitter.pool_rebuilt(supervisor.rebuilds, died)
-                    if storm:
-                        self._degrade_to_serial(
-                            payloads, seeds, pending, attempts, crash_counts,
-                            results, cache, keys, emitter, supervisor,
-                        )
-                        return supervisor.rebuilds, True
-            return supervisor.rebuilds, False
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def _degrade_to_serial(
-        self, payloads, seeds, pending, attempts, crash_counts, results,
-        cache, keys, emitter, supervisor,
-    ) -> None:
-        """Crash storm: quarantine repeat-crashers, run the rest inline.
-
-        A payload that crashed the pool :data:`QUARANTINE_CRASHES` or more
-        times is surfaced as ``kind="quarantined"`` (running it inline
-        would risk taking the parent down with it); every other unfinished
-        trial executes serially in the parent, where a broken pool cannot
-        hurt it.
-        """
-        remaining = [index for index, _ready in pending]
-        quarantined = sorted(
-            index
-            for index in remaining
-            if crash_counts.get(index, 0) >= self.QUARANTINE_CRASHES
-        )
-        survivors = [index for index in remaining if index not in quarantined]
-        _log.warning(
-            "crash storm: %d pool rebuild(s) within %.0f s; quarantining "
-            "%d payload(s) %s and degrading %d remaining trial(s) to inline "
-            "serial execution",
-            supervisor.rebuilds,
-            supervisor.window_seconds,
-            len(quarantined),
-            quarantined,
-            len(survivors),
-        )
-        emitter.degraded(supervisor.rebuilds, quarantined)
-        for index in quarantined:
-            error = TrialError(
-                trial_index=index,
-                kind="quarantined",
-                message=(
-                    f"payload crashed {crash_counts[index]} worker(s); "
-                    f"quarantined after {supervisor.rebuilds} pool rebuild(s) "
-                    "(crash storm)"
-                ),
-                attempts=attempts[index],
-            )
-            results[index] = TrialResult(
-                index=index, value=None, attempts=attempts[index],
-                duration=0.0, error=error,
-            )
-            emitter.finished(results[index])
-        self._run_inline(
-            payloads, seeds, survivors, results, cache, keys, emitter,
-            attempts=attempts,
-        )
-
-    def _record_crash(
-        self, results, pending, attempts, seeds, index, hard_timed_out, emitter
-    ):
-        """Re-queue a trial whose worker died, or surface the error."""
-        kind = "timeout" if index in hard_timed_out else "worker-crash"
-        hard_timed_out.discard(index)  # one crash consumes one timeout flag
-        if self._policy.should_retry(kind, attempts[index]):
-            delay = self._policy.delay(attempts[index], seeds[index])
-            emitter.retried(index, attempts[index], kind, delay)
-            pending.append((index, time.monotonic() + delay))
-            return
-        if index in hard_timed_out:
-            message = (
-                f"trial ignored its {self._timeout} s alarm and was terminated"
-            )
-            # the worker burned the full deadline before the parent shot it
-            elapsed = float(self._timeout) + self.HARD_TIMEOUT_GRACE
-        else:
-            message = "worker process died mid-trial"
-            elapsed = 0.0
-        error = TrialError(
-            trial_index=index,
-            kind=kind,
-            message=message,
-            attempts=attempts[index],
-            elapsed_seconds=elapsed,
-        )
-        results[index] = TrialResult(
-            index=index, value=None, attempts=attempts[index], duration=0.0, error=error
-        )
-        emitter.finished(results[index])
-
-    @staticmethod
-    def _deadline_exceeded(inflight) -> bool:
-        now = time.monotonic()
-        return any(
-            deadline is not None and now > deadline
-            for _index, deadline in inflight.values()
-        )
-
     @staticmethod
     def _terminate_workers(executor) -> None:
         """Forcibly kill the pool's worker processes (hard-timeout path).
@@ -1268,8 +1165,7 @@ def run_trials(
     seed: int = 0,
     workers: Optional[int] = None,
     timeout: Optional[float] = None,
-    retries: int = 1,
 ) -> List[Any]:
     """One-shot convenience wrapper: run and unwrap, raising on failure."""
-    runner = TrialRunner(trial_fn, workers=workers, timeout=timeout, retries=retries)
+    runner = TrialRunner(trial_fn, workers=workers, timeout=timeout)
     return runner.run_values(payloads, seed=seed)

@@ -92,14 +92,14 @@ class RetryPolicy:
 
     @classmethod
     def from_retries(cls, retries: int, backoff_base: float = 0.0) -> "RetryPolicy":
-        """The policy equivalent of the legacy ``retries=N`` runner knob."""
+        """The policy of the CLI's ``--retries N``: ``N`` extra attempts."""
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         return cls(max_attempts=retries + 1, backoff_base=backoff_base)
 
     @property
     def retries(self) -> int:
-        """Extra attempts beyond the first (the legacy knob's view)."""
+        """Extra attempts beyond the first (the ``--retries`` view)."""
         return self.max_attempts - 1
 
     def should_retry(self, kind: str, attempts: int) -> bool:

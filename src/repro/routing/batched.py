@@ -1,21 +1,18 @@
 """Trial-batched flow kernels for schemes B and C.
 
-The capacity sweeps spend almost all of their flow-analysis time in two
-places: :meth:`SchemeB.zone_access_vector` (an ``n x k`` masked contact-
-probability reduction per realisation) and the Python loop over
-``traffic.pairs()`` inside :meth:`SchemeB.sustainable_rate`.  This module
-provides the batched/vectorised counterparts used by
+Scheme B spends most of its flow-analysis time in
+:meth:`SchemeB.zone_access_vector` (an ``n x k`` masked contact-
+probability reduction per realisation), scheme C in its nearest-BS
+attach search.  This module provides the batched counterparts used by
 ``repro.experiments.scaling`` when ``--batch-trials`` groups several
 same-shape realisations:
 
 - :func:`batched_zone_access` stacks ``B`` realisations along a leading
   batch axis and reduces them chunk-by-chunk in one pass;
-- :func:`zone_pair_sessions` replaces the per-pair Python loop with a
-  ``np.unique`` count **that preserves the serial first-occurrence key
-  order** -- non-mesh backbones accumulate float loads in dict-iteration
-  order, so insertion order is bit-significant;
-- :func:`scheme_b_flow` mirrors :meth:`SchemeB.sustainable_rate`
-  line-for-line on top of the vectorised session counts;
+- :func:`scheme_b_flow` runs :meth:`SchemeB.sustainable_rate`'s flow
+  analysis on one slice of the batched access vectors (re-exported here
+  with :func:`~repro.routing.scheme_b.zone_pair_sessions`, the vectorised
+  session count both share);
 - :func:`batched_scheme_c_attach` runs scheme C's nearest-same-cluster-BS
   search for a whole batch at once (inject the slices via
   ``SchemeC(..., attach=...)``).
@@ -27,7 +24,7 @@ here reproduces the serial per-trial result bit-for-bit
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -37,6 +34,7 @@ from ..geometry.torus import batched_pairwise_distances
 from ..infrastructure.backbone import Backbone
 from ..mobility.shapes import MobilityShape
 from ..wireless.link_capacity import contact_probability_ms_bs_at_range
+from .scheme_b import SchemeB, zone_pair_sessions
 
 __all__ = [
     "batched_zone_access",
@@ -131,43 +129,6 @@ def batched_zone_access(
     return access
 
 
-def zone_pair_sessions(
-    ms_zone: np.ndarray, destination: np.ndarray
-) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """Ordered inter-zone session counts plus the intra-zone session count.
-
-    Vectorised replacement for the ``traffic.pairs()`` loop in
-    :meth:`SchemeB.sustainable_rate`.  The returned dict lists each
-    ``(source_zone, dest_zone)`` key in **first-occurrence order over the
-    session index** -- exactly the insertion order the serial loop
-    produces.  That order matters: :meth:`Backbone.spread_scale` on
-    non-mesh topologies accumulates float loads key by key, and float
-    addition is not associative.
-    """
-    ms_zone = np.asarray(ms_zone, dtype=np.int64)
-    destination = np.asarray(destination, dtype=int)
-    source_zone = ms_zone[: destination.shape[0]]
-    dest_zone = ms_zone[destination]
-    inter = source_zone != dest_zone
-    intra = int(destination.shape[0] - np.count_nonzero(inter))
-    sessions: Dict[Tuple[int, int], int] = {}
-    if not inter.any():
-        return sessions, intra
-    sz = source_zone[inter]
-    dz = dest_zone[inter]
-    offset = int(min(sz.min(), dz.min()))
-    width = int(max(sz.max(), dz.max())) - offset + 1
-    codes = (sz - offset) * width + (dz - offset)
-    unique, first, counts = np.unique(
-        codes, return_index=True, return_counts=True
-    )
-    for position in np.argsort(first, kind="stable"):
-        code = int(unique[position])
-        key = (code // width + offset, code % width + offset)
-        sessions[key] = int(counts[position])
-    return sessions, intra
-
-
 def scheme_b_flow(
     access: np.ndarray,
     ms_zone: np.ndarray,
@@ -177,38 +138,18 @@ def scheme_b_flow(
 ) -> Tuple[float, float]:
     """``(per_node_rate, generic_rate)`` of scheme B for one realisation.
 
-    Mirrors :meth:`SchemeB.sustainable_rate` exactly -- including the
-    order of the ``spread_scale`` call relative to the zone-without-BS
-    early return, and the final clamps -- but takes the precomputed
-    access vector and raw zone assignments, so a batched sweep never
-    constructs a :class:`SchemeB` instance per trial.
+    :meth:`SchemeB.sustainable_rate` on a precomputed access vector and
+    raw zone assignments, so a batched sweep needs no traffic object; the
+    generic rate falls back to the per-node rate exactly as
+    ``details.get("generic_rate", per_node_rate)`` does.
     """
-    access = np.asarray(access, dtype=float)
-    bs_zone = np.asarray(bs_zone, dtype=int)
-    access_rate = float(access.min()) / 2.0
-    sessions, _ = zone_pair_sessions(ms_zone, destination)
-    present = set(int(zone) for zone in np.unique(bs_zone))
-    missing_bs = any(
-        source_zone not in present or dest_zone not in present
-        for source_zone, dest_zone in sessions
+    result = SchemeB.from_access_vector(ms_zone, bs_zone, access, backbone)._flow(
+        destination
     )
-    backbone_rate = backbone.spread_scale(
-        bs_zone, {pair: float(count) for pair, count in sessions.items()}
+    return (
+        result.per_node_rate,
+        result.details.get("generic_rate", result.per_node_rate),
     )
-    if missing_bs:
-        # serial path: FlowResult(0.0, "zone-without-bs") whose details
-        # carry no generic_rate, so the generic fallback is 0.0 as well
-        return 0.0, 0.0
-    rate = min(access_rate, backbone_rate)
-    if not np.isfinite(rate):
-        rate = access_rate
-    median_access = float(np.median(access)) / 2.0
-    generic = min(median_access, backbone_rate)
-    per_node = max(0.0, float(rate))
-    generic_rate = max(
-        0.0, float(generic if np.isfinite(generic) else median_access)
-    )
-    return per_node, generic_rate
 
 
 def batched_scheme_c_attach(

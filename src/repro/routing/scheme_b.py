@@ -37,7 +37,44 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 from ..wireless.link_capacity import contact_probability_ms_bs_at_range
 from .base import FlowResult, RoutingScheme
 
-__all__ = ["SchemeB"]
+__all__ = ["SchemeB", "zone_pair_sessions"]
+
+
+def zone_pair_sessions(
+    ms_zone: np.ndarray, destination: np.ndarray
+) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """Ordered inter-zone session counts plus the intra-zone session count.
+
+    Session ``i`` runs from MS ``i`` to MS ``destination[i]``.  The
+    returned dict lists each ``(source_zone, dest_zone)`` key in
+    **first-occurrence order over the session index** -- the insertion
+    order of a loop over ``traffic.pairs()``.  That order matters:
+    :meth:`Backbone.spread_scale` on non-mesh topologies accumulates float
+    loads key by key (and scheme C's ``spread_flow`` calls run in it), and
+    float addition is not associative.
+    """
+    ms_zone = np.asarray(ms_zone, dtype=np.int64)
+    destination = np.asarray(destination, dtype=int)
+    source_zone = ms_zone[: destination.shape[0]]
+    dest_zone = ms_zone[destination]
+    inter = source_zone != dest_zone
+    intra = int(destination.shape[0] - np.count_nonzero(inter))
+    sessions: Dict[Tuple[int, int], int] = {}
+    if not inter.any():
+        return sessions, intra
+    sz = source_zone[inter]
+    dz = dest_zone[inter]
+    offset = int(min(sz.min(), dz.min()))
+    width = int(max(sz.max(), dz.max())) - offset + 1
+    codes = (sz - offset) * width + (dz - offset)
+    unique, first, counts = np.unique(
+        codes, return_index=True, return_counts=True
+    )
+    for position in np.argsort(first, kind="stable"):
+        code = int(unique[position])
+        key = (code // width + offset, code % width + offset)
+        sessions[key] = int(counts[position])
+    return sessions, intra
 
 
 class SchemeB(RoutingScheme):
@@ -222,6 +259,10 @@ class SchemeB(RoutingScheme):
                 f"traffic has {traffic.session_count} sessions but the network "
                 f"has {self.ms_count} MSs"
             )
+        return self._flow(traffic.destination)
+
+    def _flow(self, destination: np.ndarray) -> FlowResult:
+        """The flow analysis for the sessions ``i -> destination[i]``."""
         # Phase I & III: lambda <= mu_i^A / 2 for every MS.
         access = self.ms_access_capacity()
         access_rate = float(access.min()) / 2.0
@@ -229,26 +270,13 @@ class SchemeB(RoutingScheme):
         # Phase II: accumulate unit-rate zone-to-zone flows on the backbone,
         # batched per ordered zone pair (sessions between the same zones
         # share the same wire set).
-        intra_zone = 0
-        missing_bs = False
-        zone_pair_sessions: Dict[Tuple[int, int], int] = {}
-        for source, dest in traffic.pairs():
-            source_zone = int(self._ms_zone[source])
-            dest_zone = int(self._ms_zone[dest])
-            if source_zone == dest_zone:
-                intra_zone += 1
-                continue
-            key = (source_zone, dest_zone)
-            zone_pair_sessions[key] = zone_pair_sessions.get(key, 0) + 1
-        for source_zone, dest_zone in zone_pair_sessions:
-            if (
-                self.bs_set(source_zone).size == 0
-                or self.bs_set(dest_zone).size == 0
-            ):
-                missing_bs = True
+        sessions, intra_zone = zone_pair_sessions(self._ms_zone, destination)
+        missing_bs = any(
+            zone not in self._bs_by_zone for pair in sessions for zone in pair
+        )
         backbone_rate = self._backbone.spread_scale(
             self._bs_zone,
-            {pair: float(count) for pair, count in zone_pair_sessions.items()},
+            {pair: float(count) for pair, count in sessions.items()},
         )
         if missing_bs:
             # a zone with sessions but no BS cannot be served by scheme B

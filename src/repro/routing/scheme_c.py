@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..simulation.traffic import PermutationTraffic
 from .base import FlowResult, RoutingScheme
+from .scheme_b import zone_pair_sessions
 
 __all__ = ["SchemeC"]
 
@@ -200,14 +201,9 @@ class SchemeC(RoutingScheme):
             int(c): np.nonzero(self._bs_cluster == c)[0]
             for c in np.unique(self._bs_cluster)
         }
-        pair_sessions: Dict[tuple, int] = {}
-        for source, dest in traffic.pairs():
-            source_cluster = int(self._ms_cluster[source])
-            dest_cluster = int(self._ms_cluster[dest])
-            if source_cluster == dest_cluster:
-                continue
-            key = (source_cluster, dest_cluster)
-            pair_sessions[key] = pair_sessions.get(key, 0) + 1
+        pair_sessions, _intra = zone_pair_sessions(
+            self._ms_cluster, traffic.destination
+        )
         for (source_cluster, dest_cluster), count in pair_sessions.items():
             self._backbone.spread_flow(
                 bs_by_cluster[source_cluster].tolist(),

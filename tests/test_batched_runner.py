@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import BatchedTrialPlan, TrialBatch, TrialRunner
+from repro.resilience import RetryPolicy
 
 
 def _trial(rng, payload):
@@ -150,9 +151,8 @@ class TestRunBatched:
     def test_batch_failure_scatters_per_member(self):
         payloads = payloads_for([1, 1, 1])
         plan = BatchedTrialPlan.group(payloads, shape_key, 3)
-        results = TrialRunner(_trial, retries=0).run_batched(
-            payloads, _batch_boom, plan
-        )
+        runner = TrialRunner(_trial, retry_policy=RetryPolicy(max_attempts=1))
+        results = runner.run_batched(payloads, _batch_boom, plan)
         assert all(not r.ok for r in results)
         for result in results:
             assert result.error.trial_index == result.index
@@ -164,9 +164,8 @@ class TestRunBatched:
     def test_wrong_length_return_is_invalid_result(self):
         payloads = payloads_for([1, 1])
         plan = BatchedTrialPlan.group(payloads, shape_key, 2)
-        results = TrialRunner(_trial, retries=0).run_batched(
-            payloads, _batch_short, plan
-        )
+        runner = TrialRunner(_trial, retry_policy=RetryPolicy(max_attempts=1))
+        results = runner.run_batched(payloads, _batch_short, plan)
         assert all(not r.ok for r in results)
         assert all(r.error.kind == "invalid_result" for r in results)
         assert "instead of 2 member value(s)" in results[0].error.message

@@ -178,9 +178,15 @@ class TestInjectedJournalIO:
         assert [e.kind for e in sink.of_type(FaultInjected)] == ["io"]
 
 
+class _OneInFlight(TrialRunner):
+    """A runner that keeps one batch in flight per worker."""
+
+    CHUNK_SIZE = 1
+
+
 class TestCrashStormDegradation:
     def test_repeat_crasher_quarantined_and_rest_run_inline(self):
-        """Deterministic storm: workers=1, chunk_size=1 -> exactly one trial
+        """Deterministic storm: workers=1, CHUNK_SIZE=1 -> exactly one trial
         in flight per pool, so crash attribution is exact.
 
         ``kill@0-1x99`` makes trials 0 and 1 kill their worker on every
@@ -190,10 +196,9 @@ class TestCrashStormDegradation:
         inline where the kill downgrades to raise and exhausts its attempts.
         """
         sink = RecordingTelemetry()
-        runner = TrialRunner(
+        runner = _OneInFlight(
             _value_trial,
             workers=1,
-            chunk_size=1,
             telemetry=sink,
             fault_plan=FaultPlan.parse("kill@0-1x99"),
             retry_policy=RetryPolicy(max_attempts=10),

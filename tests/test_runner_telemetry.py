@@ -22,6 +22,7 @@ from repro.observability import (
     using_telemetry,
 )
 from repro.parallel.runner import TrialRunner
+from repro.resilience import RetryPolicy
 
 
 def _ok_trial(rng, payload):
@@ -115,7 +116,9 @@ class TestCacheEvents:
 class TestFailureEvents:
     def test_failing_trial_emits_exactly_one_trial_failed(self, caplog):
         sink = RecordingTelemetry()
-        runner = TrialRunner(_fail_trial, retries=1, telemetry=sink)
+        runner = TrialRunner(
+            _fail_trial, retry_policy=RetryPolicy(max_attempts=2), telemetry=sink
+        )
         with caplog.at_level(logging.WARNING, logger="repro"):
             results = runner.run([0], seed=0)
         assert not results[0].ok
@@ -136,7 +139,12 @@ class TestFailureEvents:
 
     def test_pool_failure_emits_one_trial_failed(self):
         sink = RecordingTelemetry()
-        runner = TrialRunner(_fail_trial, workers=2, retries=0, telemetry=sink)
+        runner = TrialRunner(
+            _fail_trial,
+            workers=2,
+            retry_policy=RetryPolicy(max_attempts=1),
+            telemetry=sink,
+        )
         results = runner.run([0, 1], seed=0)
         assert all(not r.ok for r in results)
         assert sorted(e.index for e in sink.of_type(TrialFailedEvent)) == [0, 1]
@@ -145,7 +153,10 @@ class TestFailureEvents:
     def test_timeout_error_carries_elapsed_seconds(self):
         sink = RecordingTelemetry()
         runner = TrialRunner(
-            _sleep_trial, timeout=0.2, retries=0, telemetry=sink
+            _sleep_trial,
+            timeout=0.2,
+            retry_policy=RetryPolicy(max_attempts=1),
+            telemetry=sink,
         )
         results = runner.run([5.0], seed=0)
         error = results[0].error
@@ -155,7 +166,7 @@ class TestFailureEvents:
         assert failed[0].elapsed_seconds == error.elapsed_seconds
 
     def test_exception_error_carries_elapsed_seconds(self):
-        runner = TrialRunner(_fail_trial, retries=0)
+        runner = TrialRunner(_fail_trial, retry_policy=RetryPolicy(max_attempts=1))
         results = runner.run([0], seed=0)
         assert results[0].error.elapsed_seconds >= 0
 

@@ -7,6 +7,7 @@ import pytest
 from repro.core.regimes import NetworkParameters
 from repro.experiments.scaling import sweep_capacity, sweep_trial_payloads
 from repro.parallel import TrialRunner
+from repro.resilience import RetryPolicy
 from repro.store import RunStore, TrialSeed, trial_key
 
 PARAMS = NetworkParameters(alpha="1/4", cluster_exponent=1)
@@ -66,9 +67,8 @@ class TestRunnerCache:
 
     def test_failures_not_journaled(self):
         cache = FakeCache()
-        results = TrialRunner(_fail_on_odd, retries=0).run(
-            [1, 2], cache=cache, keys=["a", "b"]
-        )
+        runner = TrialRunner(_fail_on_odd, retry_policy=RetryPolicy(max_attempts=1))
+        results = runner.run([1, 2], cache=cache, keys=["a", "b"])
         assert not results[0].ok and results[1].ok
         assert cache.puts == ["b"]
 

@@ -14,6 +14,7 @@ import pytest
 from repro.core.regimes import NetworkParameters
 from repro.experiments.scaling import sweep_capacity
 from repro.parallel import TrialRunner, run_trials
+from repro.resilience import RetryPolicy
 
 
 def _draw_trial(rng, payload):
@@ -116,9 +117,7 @@ class TestRunValuesAndStats:
         with pytest.raises(ValueError):
             TrialRunner(_sum_trial, timeout=0)
         with pytest.raises(ValueError):
-            TrialRunner(_sum_trial, retries=-1)
-        with pytest.raises(ValueError):
-            TrialRunner(_sum_trial, chunk_size=0)
+            TrialRunner(_sum_trial, retry_policy=RetryPolicy(max_attempts=0))
 
     def test_resolve_workers(self):
         assert TrialRunner.resolve_workers(None) is None

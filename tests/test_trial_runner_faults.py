@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.parallel import TrialError, TrialFailed, TrialRunner, run_trials
+from repro.resilience import RetryPolicy
 
 
 def _ok_trial(rng, payload):
@@ -49,6 +50,18 @@ def _kill_worker_once_trial(rng, payload):
 def _sleeping_trial(rng, payload):
     time.sleep(60)
     return "never"
+
+
+def _alarm_ignoring_trial(rng, payload):
+    signal.signal(signal.SIGALRM, signal.SIG_IGN)
+    time.sleep(60)
+    return "never"
+
+
+class _ShortGrace(TrialRunner):
+    """A runner whose parent-side hard deadline follows its alarm closely."""
+
+    HARD_TIMEOUT_GRACE = 0.3
 
 
 class TestRaisingTrial:
@@ -129,6 +142,22 @@ class TestTimeout:
         assert error.attempts == 2
         # two attempts at ~0.3 s each, far below the 60 s sleep
         assert elapsed < 30
+
+    def test_ignored_alarm_is_reported_as_a_hard_timeout(self):
+        runner = _ShortGrace(
+            _alarm_ignoring_trial,
+            workers=1,
+            timeout=0.2,
+            retry_policy=RetryPolicy(max_attempts=1),
+        )
+        [result] = runner.run([None], seed=0)
+        error = result.error
+        assert error.kind == "timeout"
+        assert error.message == (
+            "trial ignored its 0.2 s alarm and was terminated"
+        )
+        assert error.elapsed_seconds == pytest.approx(0.5)
+        assert runner.last_stats.pool_rebuilds == 1
 
     def test_fast_trial_unaffected_by_timeout(self):
         results = TrialRunner(_ok_trial, workers=2, timeout=30.0).run(
