@@ -13,16 +13,12 @@ Commands
                regressions, and generate HTML/JSON reports (see
                ``repro.serve``); ``runs list``/``runs show`` resolve
                through the same incremental index
-``fabric``     distributed sweep fabric (see ``repro.fabric``): run a
-               worker agent (``fabric serve-agent``) or inspect a live
-               coordinator (``fabric agents`` / ``fabric shards``);
-               ``sweep --fabric`` leases trial shards to the agents and
-               reproduces the serial digest bit-for-bit
 
 ``runs`` and ``serve`` accept ``--store`` repeatedly to merge several
-store directories -- e.g. a coordinator store plus each fabric agent's
-journal -- into one list/query/regression view; ``sweep`` treats extra
-``--store`` values as read-only cache replicas (writes go to the first).
+store directories -- e.g. the stores of sweeps run on different hosts or
+at different times -- into one list/query/regression view; ``sweep``
+treats extra ``--store`` values as read-only cache replicas (writes go to
+the first).
 
 ``sweep`` and ``reproduce`` accept ``--workers N`` to fan Monte-Carlo
 trials out over ``N`` processes (``0`` = all cores); results are
@@ -177,7 +173,8 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
         help="journal completed trials into this persistent store and "
         "replay any already journaled there (resumable runs); repeatable "
         "-- extra stores are read-only replicas merged into the cache "
-        "lookup (e.g. fabric agent journals), writes go to the first",
+        "lookup (e.g. a store copied from another host), writes go to "
+        "the first",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -228,8 +225,7 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         "--inject-faults", default=None, metavar="SPEC",
         help="deterministic fault injection for chaos testing, e.g. "
         "'kill@0,raise@2-5,nan@7' (KIND@SELECT[xN]; kinds: raise, hang, "
-        "kill, nan, io, plus agent-kill/agent-hang under sweep --fabric: "
-        "the agent leasing a matching trial dies or hangs mid-lease)",
+        "kill, nan, io)",
     )
 
 
@@ -288,32 +284,11 @@ def _telemetry(args):
     return CompositeTelemetry(sinks), trace_path
 
 
-def _fabric_executor(args):
-    """CLI --fabric flags -> FabricExecutor (None without --fabric)."""
-    if not getattr(args, "fabric", False):
-        return None
-    from .fabric import DEFAULT_PORT, DEFAULT_SHARD_SIZE, FabricExecutor
-
-    return FabricExecutor(
-        port=(
-            args.fabric_port if args.fabric_port is not None else DEFAULT_PORT
-        ),
-        shard_size=(
-            args.shard_size
-            if args.shard_size is not None
-            else DEFAULT_SHARD_SIZE
-        ),
-        wait_seconds=args.fabric_wait,
-        min_agents=args.min_agents,
-    )
-
-
 def _cmd_sweep(args) -> int:
     from .experiments.scaling import sweep_capacity
 
     params = _family(args)
     grid = [int(v) for v in args.grid.split(",")]
-    executor = _fabric_executor(args)
     result = sweep_capacity(
         params,
         grid,
@@ -325,7 +300,6 @@ def _cmd_sweep(args) -> int:
         resilience=_resilience(args),
         batch_trials=args.batch_trials,
         backend=args.backend,
-        executor=executor,
     )
     print(params.describe())
     for n, rate in zip(result.n_values, result.rates):
@@ -341,86 +315,8 @@ def _cmd_sweep(args) -> int:
                 f"{result.stats.cache_misses} miss(es) "
                 f"(store: {', '.join(stores)})"
             )
-    if executor is not None and executor.last_coordinator is not None:
-        coordinator = executor.last_coordinator
-        print(
-            f"fabric: {len(coordinator.table.agents())} agent(s) seen, "
-            f"{coordinator.leaked()} leaked lease(s)"
-        )
     print(f"digest: {result.digest()}")
     return 0
-
-
-def _cmd_fabric(args) -> int:
-    """Fabric worker and observer commands (see ``repro.fabric``)."""
-    from .fabric import DEFAULT_PORT, FabricAgent, WireError, request_status
-    from .utils.tables import render_table
-
-    if args.action == "serve-agent":
-        agent = FabricAgent(
-            host=args.host,
-            port=args.port,
-            capacity=args.capacity,
-            store=args.agent_store,
-            agent_id=args.agent_id,
-            connect_timeout=args.connect_timeout,
-            idle_timeout=args.idle_timeout,
-        )
-        print(
-            f"agent {agent.agent_id} serving {args.host}:{args.port} "
-            f"(capacity {args.capacity})",
-            file=sys.stderr,
-        )
-        return agent.serve()
-
-    try:
-        status = request_status(args.host, args.port)
-    except WireError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    if args.action == "agents":
-        agents = status.get("agents") or []
-        if not agents:
-            print("no agents registered")
-            return 0
-        print(render_table(
-            ["agent", "state", "capacity", "leases", "strikes",
-             "completed", "heartbeat age"],
-            [
-                [
-                    entry["agent"],
-                    entry["state"],
-                    str(entry["capacity"]),
-                    str(entry["leases"]),
-                    str(entry["strikes"]),
-                    str(entry["completed"]),
-                    f"{entry['heartbeat_age']:.1f}s",
-                ]
-                for entry in agents
-            ],
-        ))
-        return 0
-    if args.action == "shards":
-        shards = status.get("shards") or []
-        if not shards:
-            print("no shards submitted")
-            return 0
-        print(render_table(
-            ["shard", "status", "trials", "leased to", "failed on"],
-            [
-                [
-                    entry["shard"],
-                    entry["status"],
-                    str(entry["trials"]),
-                    entry["agent"] or "-",
-                    ",".join(entry["failures"]) or "-",
-                ]
-                for entry in shards
-            ],
-        ))
-        return 0
-    print(f"unknown fabric action {args.action!r}", file=sys.stderr)
-    return 2
 
 
 def _cmd_runs(args) -> int:
@@ -748,71 +644,10 @@ def main(argv=None) -> int:
         help="array backend for the batched kernels (default numpy64; "
         "see repro.backend -- non-canonical backends need --batch-trials)",
     )
-    cmd.add_argument(
-        "--fabric", action="store_true",
-        help="lease trial shards to fabric worker agents (start them with "
-        "'repro fabric serve-agent'); degrades to local execution when no "
-        "agents register, and results stay bit-identical either way",
-    )
-    cmd.add_argument(
-        "--fabric-port", type=int, default=None, metavar="PORT",
-        help="coordinator listen port (default 7345; 0 = ephemeral)",
-    )
-    cmd.add_argument(
-        "--fabric-wait", type=float, default=10.0, metavar="SECONDS",
-        help="how long to wait for the first agent before degrading to "
-        "local execution (default 10)",
-    )
-    cmd.add_argument(
-        "--min-agents", type=int, default=1, metavar="N",
-        help="keep waiting (up to --fabric-wait) until N agents have "
-        "registered before leasing starts (default 1)",
-    )
-    cmd.add_argument(
-        "--shard-size", type=int, default=None, metavar="N",
-        help="trials per leased shard (default 4; the lease granularity)",
-    )
     _add_store_arguments(cmd)
     _add_telemetry_arguments(cmd)
     _add_resilience_arguments(cmd)
     cmd.set_defaults(func=_cmd_sweep)
-
-    cmd = commands.add_parser(
-        "fabric",
-        help="distributed sweep fabric: run a worker agent, inspect a "
-        "coordinator's agents and shards",
-    )
-    cmd.add_argument("action", choices=["serve-agent", "agents", "shards"])
-    cmd.add_argument("--host", default="127.0.0.1",
-                     help="coordinator address (default 127.0.0.1)")
-    cmd.add_argument("--port", type=int, default=7345,
-                     help="coordinator port (default 7345)")
-    cmd.add_argument(
-        "--capacity", type=int, default=1, metavar="N",
-        help="serve-agent: concurrent shard leases this agent accepts "
-        "(the coordinator's capacity-scheduling weight; default 1)",
-    )
-    cmd.add_argument(
-        "--agent-store", default=None, metavar="DIR",
-        help="serve-agent: agent-local RunStore journal directory "
-        "(re-leased shards replay from it; merge it into queries with "
-        "repeated --store flags)",
-    )
-    cmd.add_argument(
-        "--agent-id", default=None, metavar="NAME",
-        help="serve-agent: stable agent name (default host-pid-random)",
-    )
-    cmd.add_argument(
-        "--connect-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="serve-agent: keep retrying the initial connection this long "
-        "(an agent may start before the coordinator; default 30)",
-    )
-    cmd.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="SECONDS",
-        help="serve-agent: exit after this long without a lease "
-        "(default: serve until the coordinator sends shutdown)",
-    )
-    cmd.set_defaults(func=_cmd_fabric)
 
     cmd = commands.add_parser(
         "reproduce", help="regenerate the paper's artifacts into --out"
@@ -866,8 +701,8 @@ def main(argv=None) -> int:
     cmd.add_argument("--store", action="append", default=None, metavar="DIR",
                      help="store directory (default: results); repeatable "
                      "to query/regress/report across several stores at "
-                     "once (e.g. a coordinator store plus fabric agent "
-                     "journals)")
+                     "once (e.g. the stores of sweeps run on different "
+                     "hosts)")
     cmd.add_argument("--command", dest="command_filter", default=None,
                      metavar="NAME",
                      help="filter: experiment command (sweep, figure1, ...)")

@@ -23,7 +23,7 @@ from ..core.capacity import (
     per_node_capacity,
 )
 from ..core.order import Order
-from ..core.regimes import MobilityRegime, NetworkParameters
+from ..core.regimes import NetworkParameters
 from ..observability.events import (
     BackendSelected,
     BatchDegradedToSerial,
@@ -99,10 +99,8 @@ def theory_order(parameters: NetworkParameters, scheme: str) -> Order:
     if scheme in ("B", "C"):
         return infrastructure_capacity(parameters)
     if scheme == "static":
-        if parameters.regime is MobilityRegime.STRONG:
-            # strong mobility still pays the enlarged-range price when forced
-            # to route statically at R_T = sqrt(gamma)
-            return (Order(1) * parameters.gamma.sqrt()).reciprocal()
+        # every regime, strong mobility included, pays the enlarged-range
+        # price when forced to route statically at R_T = sqrt(gamma)
         return (Order(1) * parameters.gamma.sqrt()).reciprocal()
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -355,7 +353,6 @@ def sweep_capacity(
     resilience: Optional[ResilienceConfig] = None,
     batch_trials: Optional[int] = None,
     backend: Optional[str] = None,
-    executor=None,
 ) -> SweepResult:
     """Measure ``lambda(n)`` over a grid of ``n`` and fit the exponent.
 
@@ -405,17 +402,10 @@ def sweep_capacity(
     sweep digest -- are bit-identical to the per-trial path at any worker
     count.  ``backend`` selects a registered array backend
     (:func:`repro.backend.available_backends`); non-canonical backends
-    (``numpy32``, ``cupy``, ``torch``) are tolerance-gated, require
+    (``numpy32``) are tolerance-gated, require
     ``batch_trials`` (only the batched kernels are backend-aware), fold
     into the trial cache keys, and stamp :attr:`SweepResult.backend` so
     their digests never collide with canonical results.
-
-    ``executor`` (a :class:`repro.parallel.SweepExecutor`, e.g.
-    :class:`repro.fabric.FabricExecutor`) replaces the in-process trial
-    fan-out with an alternative execution substrate.  Executors preserve
-    the determinism contract -- per-trial seeds derive from the master
-    ``seed`` by global index -- so the sweep digest is identical no
-    matter where the trials ran.
     """
     if scheme not in SCHEME_SELECTORS:
         raise ValueError(
@@ -487,7 +477,6 @@ def sweep_capacity(
         _sweep_trial,
         workers=workers,
         validator=validate_rate,
-        executor=executor,
         **resilience.runner_kwargs(),
     )
     try:
@@ -529,7 +518,6 @@ def sweep_capacity(
                     "workers": workers,
                     "batch_trials": batch_trials,
                     "backend": resolved_backend.name,
-                    "executor": getattr(executor, "name", None),
                 },
                 parameters=parameters,
                 trial_keys=keys,
@@ -589,7 +577,6 @@ def sweep_capacity(
                 "workers": workers,
                 "batch_trials": batch_trials,
                 "backend": resolved_backend.name,
-                "executor": getattr(executor, "name", None),
             },
             parameters=parameters,
             trial_keys=keys,

@@ -1,7 +1,6 @@
 """Deterministic parallel execution of independent Monte-Carlo trials."""
 
 from .batch import BatchedTrialPlan, TrialBatch
-from .executor import InProcessExecutor, SweepExecutor
 from .runner import (
     TrialError,
     TrialFailed,
@@ -19,10 +18,8 @@ from .shm import (
 
 __all__ = [
     "BatchedTrialPlan",
-    "InProcessExecutor",
     "SharedArrayHandle",
     "SharedArrays",
-    "SweepExecutor",
     "TrialBatch",
     "TrialError",
     "TrialFailed",

@@ -6,7 +6,7 @@ along a leading batch axis (for the capacity sweeps: the grid point
 ``n``; parameters, scheme and build kwargs are constant within one
 sweep).  :class:`BatchedTrialPlan` partitions a payload list into
 :class:`TrialBatch` chunks of at most ``batch_trials`` members, keeping
-trial-index order inside every batch so the batched executor hands each
+trial-index order inside every batch so the batched runner hands each
 member exactly the seed its serial counterpart would use.
 
 Payloads whose shape key is ``None`` are declared unbatchable and get a

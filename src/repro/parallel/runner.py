@@ -97,7 +97,6 @@ from ..observability.log import get_logger
 from ..resilience.faults import FaultPlan
 from ..resilience.retry import RetryPolicy
 from ..resilience.supervisor import PoolSupervisor
-from .executor import IN_PROCESS, SweepExecutor
 
 __all__ = [
     "TrialError",
@@ -411,25 +410,20 @@ class _Emitter:
 class _Job:
     """The state of one :meth:`TrialRunner.run` / ``run_batched`` call.
 
-    Built by the runner's prologue (validation, seeding, cache hits) and
-    handed to the configured :class:`~repro.parallel.executor.SweepExecutor`,
-    which fills :attr:`results` -- through :meth:`run_local` (inline or a
-    pool of this process) or, for the fabric, by streaming members into
-    :meth:`accept` / :meth:`complete`.  The runner's epilogue turns the
-    filled job into :class:`TrialStats`.
+    Built by the runner's prologue (validation, seeding, cache hits);
+    :meth:`run_local` fills :attr:`results` (inline or over this process's
+    pool) and the runner's epilogue turns the filled job into
+    :class:`TrialStats`.
 
     ``items`` are the batches still to execute, as tuples of member trial
-    indices in submission order (cache hits already removed).  ``seed`` is
-    the master seed the per-trial ``seeds`` are spawned from, ``None``
-    when the caller supplied the seeds.
+    indices in submission order (cache hits already removed).
     """
 
-    def __init__(self, runner, payloads, batch_fn, plan, seed, cache, keys, emitter):
+    def __init__(self, runner, payloads, batch_fn, plan, cache, keys, emitter):
         self.runner = runner
         self.payloads = payloads
         self.batch_fn = batch_fn
         self.plan = plan
-        self.seed = seed
         self.seeds: list = []
         self.cache = cache
         self.keys = keys
@@ -820,12 +814,6 @@ class TrialRunner:
         Crash-storm threshold: after ``max_rebuilds`` pool rebuilds within
         the window, crash-implicated payloads are quarantined and the run
         degrades to inline serial execution.
-    executor:
-        The :class:`~repro.parallel.executor.SweepExecutor` substrate the
-        batches execute on.  ``None`` (the default) uses the in-process
-        executor -- inline or this runner's own worker pool.  A
-        :class:`repro.fabric.FabricExecutor` instead leases trial shards
-        to worker agents and rebalances on agent failure.
     """
 
     #: Extra parent-side slack (seconds) on top of ``timeout`` before the
@@ -853,7 +841,6 @@ class TrialRunner:
         validator: Optional[Callable[[Any], Optional[str]]] = None,
         max_rebuilds: int = 3,
         rebuild_window_seconds: float = 60.0,
-        executor: Optional[SweepExecutor] = None,
     ):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1 or None, got {workers}")
@@ -873,7 +860,6 @@ class TrialRunner:
         self._validator = validator
         self._max_rebuilds = max_rebuilds
         self._rebuild_window = rebuild_window_seconds
-        self._executor = executor if executor is not None else IN_PROCESS
         self._last_stats: Optional[TrialStats] = None
 
     @property
@@ -890,11 +876,6 @@ class TrialRunner:
     def last_stats(self) -> Optional[TrialStats]:
         """Throughput counters of the most recent :meth:`run` call."""
         return self._last_stats
-
-    @property
-    def executor(self) -> SweepExecutor:
-        """The execution substrate the batches run on."""
-        return self._executor
 
     @staticmethod
     def resolve_workers(workers: Optional[int]) -> Optional[int]:
@@ -914,7 +895,6 @@ class TrialRunner:
         cache: Optional[Any] = None,
         keys: Optional[Sequence[Optional[str]]] = None,
         shared: Optional[Any] = None,
-        seed_seqs: Optional[Sequence[Any]] = None,
     ) -> List[TrialResult]:
         """Run one trial per payload; results are ordered by trial index.
 
@@ -940,12 +920,6 @@ class TrialRunner:
         ``KeyboardInterrupt`` and on SIGTERM (which the resilience layer's
         :func:`~repro.resilience.drain.interruptible` converts into a
         ``KeyboardInterrupt`` subclass that propagates through here).
-
-        ``seed_seqs`` overrides the per-trial ``SeedSequence`` list (one
-        entry per payload) instead of spawning from ``seed``.  Fabric
-        agents use it to execute a shard *slice* of a sweep with the exact
-        full-count-spawned seeds the coordinator derived, preserving the
-        worker-count-independent streams.
         """
         try:
             return self._run_guarded(
@@ -956,7 +930,6 @@ class TrialRunner:
                 submission_order,
                 cache,
                 keys,
-                seed_seqs,
             )
         finally:
             if shared is not None:
@@ -997,17 +970,16 @@ class TrialRunner:
             raise TypeError(f"plan must be a BatchedTrialPlan, got {type(plan)}")
         try:
             return self._run_guarded(
-                payloads, batch_fn, plan, seed, None, cache, keys, None
+                payloads, batch_fn, plan, seed, None, cache, keys
             )
         finally:
             if shared is not None:
                 shared.unlink_all()
 
     def _run_guarded(
-        self, payloads, batch_fn, plan, seed, submission_order, cache, keys,
-        seed_seqs,
+        self, payloads, batch_fn, plan, seed, submission_order, cache, keys
     ) -> List[TrialResult]:
-        """The one prologue and epilogue around every executor."""
+        """The one prologue and epilogue around every execution."""
         payloads = list(payloads)
         count = len(payloads)
         if keys is not None and len(keys) != count:
@@ -1022,11 +994,6 @@ class TrialRunner:
             raise ValueError(
                 "submission_order must be a permutation of the trial indices"
             )
-        if seed_seqs is not None and len(seed_seqs) != count:
-            raise ValueError(
-                f"need one seed sequence per payload: "
-                f"{len(seed_seqs)} seeds, {count} payloads"
-            )
         if count == 0:
             self._last_stats = TrialStats(0, 0, 0, 0.0, self._workers)
             return []
@@ -1034,10 +1001,7 @@ class TrialRunner:
         sink = self._telemetry if self._telemetry is not None else _events.get_telemetry()
         emitter = _Emitter(sink, count)
         emitter.begin()
-        job = _Job(
-            self, payloads, batch_fn, plan, seed if seed_seqs is None else None,
-            cache, keys, emitter,
-        )
+        job = _Job(self, payloads, batch_fn, plan, cache, keys, emitter)
         results = job.results
         if cache is not None and keys is not None:
             for index, key in enumerate(keys):
@@ -1071,12 +1035,8 @@ class TrialRunner:
             emitter.cached,
         )
         if job.items:
-            job.seeds = (
-                np.random.SeedSequence(seed).spawn(count)
-                if seed_seqs is None
-                else list(seed_seqs)
-            )
-            self._executor.run(job)
+            job.seeds = np.random.SeedSequence(seed).spawn(count)
+            job.run_local(job.items)
         self._last_stats = TrialStats(
             trials=count,
             failures=sum(1 for r in results if not r.ok),
@@ -1121,11 +1081,6 @@ class TrialRunner:
         fault = self._fault_plan.fault_for(index, attempt)
         if fault == "io":
             # journal faults fire at cache.put time, not in the trial body
-            return None
-        if fault is not None and fault.startswith("agent-"):
-            # agent-level faults are armed by the fabric coordinator (they
-            # target whichever agent holds the lease, not a trial body);
-            # outside the fabric they are inert by design.
             return None
         if fault == "kill" and inline:
             _log.debug(

@@ -60,11 +60,12 @@ _log = get_logger(__name__)
 #: with a different version is discarded and rebuilt from the manifests.
 INDEX_VERSION = 1
 
-#: Config keys that change *how fast* (or *where*) a run executes but
-#: never its value (results are bit-identical at any worker count, batch
-#: width or execution substrate -- a fabric sweep reproduces the serial
-#: digest), excluded from the cache-key family so reruns remain
-#: comparable.
+#: Config keys that change *how fast* a run executes but never its value
+#: (results are bit-identical at any worker count or batch width),
+#: excluded from the cache-key family so reruns remain comparable.
+#: ``executor`` is no longer written; it stays here so stored manifests
+#: from sweeps that recorded it (``null``, or ``"fabric"`` for the removed
+#: localhost fabric scheduler) still group with new runs.
 VOLATILE_CONFIG_KEYS = frozenset({"workers", "batch_trials", "executor"})
 
 
@@ -450,8 +451,8 @@ class MergedRunIndex:
     (``refresh`` / ``records`` / ``get`` / ``resolve`` / ``families`` /
     ``__len__`` / ``root``) over an ordered list of member indexes, so
     ``serve query|regress|report`` and ``runs list`` work unchanged when
-    ``--store`` is passed more than once -- e.g. a fabric coordinator
-    store plus each agent's journal directory.
+    ``--store`` is passed more than once -- e.g. the stores of sweeps run
+    on different hosts.
 
     A run id is resolved across every member; records are interleaved
     newest-first exactly as a single index orders them.  Regression

@@ -1,14 +1,14 @@
 """A merged, multi-directory view over several run stores.
 
-A distributed sweep leaves trial journals in more than one place: the
-coordinator's own store plus one :class:`~repro.store.runstore.RunStore`
-per fabric agent.  :class:`MergedStore` presents that collection as one
-cache/manifest surface:
+Sweeps run on different hosts, or at different times into different
+directories, leave their trial journals in several
+:class:`~repro.store.runstore.RunStore` directories.  :class:`MergedStore`
+presents that collection as one cache/manifest surface:
 
 - ``get`` consults the primary first, then each replica in order -- a
-  trial journaled by *any* agent is a cache hit for the next sweep;
+  trial journaled in *any* store is a cache hit for the next sweep;
 - ``put`` and ``record_run`` always write to the primary (replicas are
-  read-only here: they belong to their agents);
+  read-only here: they belong to the sweeps that wrote them);
 - ``list_runs`` merges every store's manifests newest-first.
 
 The merged view composes with everything that duck-types the cache

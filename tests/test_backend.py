@@ -98,24 +98,9 @@ class TestDtypePolicy:
 
 
 class TestOptionalBackends:
-    """Skip-if-unavailable smoke for the GPU/tensor backends."""
-
-    def test_cupy_roundtrip(self):
-        pytest.importorskip("cupy")
-        backend = get_backend("cupy")
-        data = np.arange(4, dtype=np.float64)
-        assert np.array_equal(backend.from_device(backend.asarray(data)), data)
-
-    def test_torch_roundtrip(self):
-        pytest.importorskip("torch")
-        backend = get_backend("torch")
-        data = np.arange(4, dtype=np.float64)
-        assert np.array_equal(backend.from_device(backend.asarray(data)), data)
+    """Only the numpy backends are registered out of the box."""
 
     def test_unavailable_optionals_not_listed(self):
         names = available_backends()
         for optional in ("cupy", "torch"):
-            try:
-                __import__(optional)
-            except ImportError:
-                assert optional not in names
+            assert optional not in names

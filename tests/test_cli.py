@@ -385,21 +385,3 @@ class TestMultiStore:
         ) == 0
         out = capsys.readouterr().out
         assert "2 match(es)" in out or "2 run(s)" in out
-
-
-class TestFabricCLI:
-    def test_status_without_coordinator_exits_2(self, capsys):
-        import socket
-
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        assert main(["fabric", "agents", "--port", str(port)]) == 2
-        assert "no fabric coordinator" in capsys.readouterr().err
-
-    def test_sweep_fabric_zero_agents_degrades(self, capsys):
-        out = sweep_output(capsys, ["--fabric", "--fabric-port", "0",
-                                    "--fabric-wait", "0.2"])
-        assert "fabric:" in out
-        assert "0 agent(s) seen" in out

@@ -146,11 +146,16 @@ class TestFaultPlanGrammar:
             "kill@1x0",  # zero attempts
             "kill@1-4:0",  # zero stride
             "kill@a-b",
+            "agent-kill@0",  # no agent-level fault kinds
+            "agent-hang@0",
         ],
     )
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(FaultSpecError):
             FaultPlan.parse(spec)
+
+    def test_fault_kinds(self):
+        assert FAULT_KINDS == ("raise", "hang", "kill", "nan", "io")
 
     def test_all_kinds_parse(self):
         for kind in FAULT_KINDS:

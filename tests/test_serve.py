@@ -193,7 +193,18 @@ class TestRunIndex:
         other_scheme = manifest(
             "run-c", config={**serial["config"], "scheme": "B"}
         )
+        # older manifests recorded the execution substrate; new ones (like
+        # ``serial``) carry no ``executor`` key and must share their family
+        legacy_fabric = manifest(
+            "run-d", config={**serial["config"], "executor": "fabric"}
+        )
+        legacy_local = manifest(
+            "run-e", config={**serial["config"], "executor": None}
+        )
+        assert "executor" not in serial["config"]
         assert family_key(serial) == family_key(pooled)
+        assert family_key(serial) == family_key(legacy_fabric)
+        assert family_key(serial) == family_key(legacy_local)
         assert family_key(serial) != family_key(other_scheme)
 
     def test_fresh_throughput_excludes_cached_trials(self):

@@ -1,8 +1,8 @@
 """Merged multi-store views: ``MergedStore`` and ``MergedRunIndex``.
 
-A distributed sweep leaves journals in several directories (coordinator
-plus one per agent); these tests pin the merge semantics the CLI relies
-on when ``--store`` is repeated: primary-first reads, primary-only
+Sweeps run on different hosts leave journals in several directories;
+these tests pin the merge semantics the CLI relies on when ``--store``
+is repeated: primary-first reads, primary-only
 writes, newest-first manifest interleaving, cross-store run-id
 resolution, and regression families that span stores.
 """
@@ -87,7 +87,7 @@ class TestMergedManifests:
             merged.load_run("zzzz")
 
     def test_same_manifest_in_two_stores_is_not_ambiguous(self, tmp_path):
-        # e.g. an agent store rsynced into the coordinator's directory
+        # e.g. a replica store rsynced into the primary's directory
         left = RunStore(tmp_path / "left")
         run_id = left.record_run("sweep")
         import shutil
