@@ -24,13 +24,12 @@ the first).
 trials out over ``N`` processes (``0`` = all cores); results are
 bit-identical at any worker count (see ``repro.parallel``).
 
-``sweep`` additionally accepts ``--batch-trials N`` (group same-``n``
-trials into batches of at most ``N`` and drive the batched flow kernels
-of ``repro.routing.batched``; bit-identical to the per-trial path on the
-default backend) and ``--backend NAME`` (pick a registered array backend,
-see ``repro.backend``; non-canonical backends such as ``numpy32`` are
-tolerance-gated, require ``--batch-trials`` and get their own digest
-namespace).
+``sweep`` additionally accepts ``--batch-trials N`` (run same-``n``
+scheme B/C trials in batches of at most ``N``, the unit the pool
+schedules and retries; results do not depend on ``N``) and ``--backend
+NAME`` (the float precision of the scheme B/C kernels, see
+``repro.backend``; ``numpy32`` is tolerance-gated, requires
+``--batch-trials`` and gets its own digest namespace).
 
 They also accept ``--store DIR`` to journal every completed trial into a
 persistent, content-addressed store (see ``repro.store``): re-invoking the
@@ -636,13 +635,15 @@ def main(argv=None) -> int:
     )
     cmd.add_argument(
         "--batch-trials", type=int, default=None, metavar="N",
-        help="group same-n trials into batches of at most N and use the "
-        "batched flow kernels (bit-identical on the default backend)",
+        help="schemes B and C: run same-n trials in batches of at most N, "
+        "the unit the pool schedules and retries (results do not depend "
+        "on N)",
     )
     cmd.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="array backend for the batched kernels (default numpy64; "
-        "see repro.backend -- non-canonical backends need --batch-trials)",
+        help="float precision of the scheme B/C kernels: numpy64 "
+        "(default, canonical) or numpy32 (tolerance-gated, own digests; "
+        "needs --batch-trials)",
     )
     _add_store_arguments(cmd)
     _add_telemetry_arguments(cmd)

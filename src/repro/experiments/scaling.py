@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import resolve_backend
+from ..backend import get_backend, resolve_backend
 from ..core.capacity import (
     infrastructure_capacity,
     mobility_capacity,
@@ -209,46 +209,34 @@ def _payload_rate(result: FlowResult, generic: bool) -> float:
 
 
 def _batched_sweep_trial(seed_seqs, payloads, backend: str = "numpy64") -> List[float]:
-    """Execute one same-shape batch of scheme B or C sweep trials
+    """Execute one same-``n`` batch of scheme B or C sweep trials
     (module-level, picklable).
 
-    Every member's network is still built serially with its own payload
-    seed (construction consumes RNG in a fixed order that must match the
-    serial trial exactly); the *flow analysis* -- the hot part -- is then
-    batched: one :func:`batched_zone_access` call for scheme B, one
-    :func:`batched_scheme_c_attach` call for scheme C.  Width-1 batches
-    and batches whose realisations disagree on stacked shapes (a
-    degenerate draw changed ``k``) run each member's serial scheme
-    instead, so the returned values are always exactly the serial ones on
-    the canonical backend.
+    Every member's network is built with its own payload seed and its flow
+    analysis runs the per-trial kernels in the backend's float dtype: one
+    :func:`batched_zone_access` call for scheme B, one
+    :func:`batched_scheme_c_attach` call for scheme C.  A member's value
+    therefore never depends on the batch width or on the other members;
+    on the canonical backend it is exactly the per-trial value.
     """
     parameters, n, scheme, build_kwargs, generic, _seed = payloads[0]
+    dtype = get_backend(backend).float_dtype
     nets = [
         HybridNetwork.build(parameters, int(n), payload[5].rng(), **build_kwargs)
         for payload in payloads
     ]
     traffics = [net.sample_traffic() for net in nets]
-    if (
-        len(nets) == 1
-        or any(net.bs_positions is None for net in nets)
-        or len({net.bs_positions.shape for net in nets}) != 1
-    ):
-        serial = HybridNetwork.scheme_b if scheme == "B" else HybridNetwork.scheme_c
-        return [
-            _payload_rate(serial(net).sustainable_rate(traffic), generic)
-            for net, traffic in zip(nets, traffics)
-        ]
     if scheme == "B":
         zones = [net.scheme_b_zones() for net in nets]
         access = batched_zone_access(
-            np.stack([net.home_model.points for net in nets]),
-            np.stack([net.bs_positions for net in nets]),
-            np.stack([ms_zone for ms_zone, _bs_zone in zones]),
-            np.stack([bs_zone for _ms_zone, bs_zone in zones]),
+            [net.home_model.points for net in nets],
+            [net.bs_positions for net in nets],
+            [ms_zone for ms_zone, _bs_zone in zones],
+            [bs_zone for _ms_zone, bs_zone in zones],
             nets[0].shape,
             nets[0].realized.f,
-            nets[0].access_transmission_range(),
-            backend=backend,
+            [net.access_transmission_range() for net in nets],
+            dtype=dtype,
         )
         values = []
         for member, net in enumerate(nets):
@@ -261,13 +249,15 @@ def _batched_sweep_trial(seed_seqs, payloads, backend: str = "numpy64") -> List[
             )
             values.append(float(generic_rate if generic else per_node))
         return values
-    cell, distance = batched_scheme_c_attach(
-        np.stack([net.process.positions() for net in nets]),
-        np.stack([net.bs_positions for net in nets]),
-        np.stack([net.home_model.assignment for net in nets]),
-        np.stack([net._bs_cluster_assignment() for net in nets]),
+    if any(net.bs_positions is None for net in nets):
+        raise ValueError("scheme C needs infrastructure")
+    attach = batched_scheme_c_attach(
+        [net.process.positions() for net in nets],
+        [net.bs_positions for net in nets],
+        [net.home_model.assignment for net in nets],
+        [net._bs_cluster_assignment() for net in nets],
         chunk_size=SchemeC._CHUNK,
-        backend=backend,
+        dtype=dtype,
     )
     values = []
     for member, net in enumerate(nets):
@@ -278,7 +268,7 @@ def _batched_sweep_trial(seed_seqs, payloads, backend: str = "numpy64") -> List[
             bs_cluster=net._bs_cluster_assignment(),
             backbone=net.backbone,
             delta=net.delta,
-            attach=(cell[member], distance[member]),
+            attach=attach[member],
         )
         result = scheme_c.sustainable_rate(traffics[member])
         values.append(_payload_rate(result, generic))
@@ -395,17 +385,18 @@ def sweep_capacity(
     recorded, and the interrupt propagates -- re-invoking the same sweep
     resumes from the journal and reproduces the uninterrupted digest.
 
-    ``batch_trials`` (``>= 2``) groups same-``n`` trials into batches of
-    at most that width and drives the batched flow kernels
-    (:mod:`repro.routing.batched`) instead of one full scheme object per
-    trial.  On the default canonical backend the batched rates -- and the
-    sweep digest -- are bit-identical to the per-trial path at any worker
-    count.  ``backend`` selects a registered array backend
+    ``batch_trials`` (``>= 2``) groups same-``n`` scheme B or C trials
+    into batches of at most that width: a batch is the unit the pool
+    schedules, retries, times out and fault-injects.  Each member still
+    runs the per-trial kernels (:mod:`repro.routing.batched` calls them
+    member by member), so its value -- and the sweep digest -- does not
+    depend on the width or the worker count.  ``backend`` selects the
+    float precision of those kernels
     (:func:`repro.backend.available_backends`); non-canonical backends
-    (``numpy32``) are tolerance-gated, require
-    ``batch_trials`` (only the batched kernels are backend-aware), fold
-    into the trial cache keys, and stamp :attr:`SweepResult.backend` so
-    their digests never collide with canonical results.
+    (``numpy32``) are tolerance-gated, require ``batch_trials`` (the
+    per-trial path is always canonical), fold into the trial cache keys,
+    and stamp :attr:`SweepResult.backend` so their digests never collide
+    with canonical results.
     """
     if scheme not in SCHEME_SELECTORS:
         raise ValueError(
@@ -422,7 +413,7 @@ def sweep_capacity(
     if not resolved_backend.canonical and batch_trials is None:
         raise ValueError(
             f"backend {resolved_backend.name!r} is only used by the batched "
-            "kernels; pass batch_trials >= 2 (the per-trial path is always "
+            "path; pass batch_trials >= 2 (the per-trial path is always "
             "canonical numpy64)"
         )
     store = open_store(store)
@@ -454,14 +445,13 @@ def sweep_capacity(
     resilience = resilience if resilience is not None else ResilienceConfig()
     batched = batch_trials is not None and scheme in ("B", "C")
     if batch_trials is not None and not batched:
-        # only schemes B and C have batched kernels: the user asked for
-        # batching but every other scheme runs trial by trial.  Say so --
-        # silently honouring the flag reads as a perf win that is not
-        # happening.
+        # only schemes B and C have a batched path: the user asked for
+        # batching but every other scheme runs trial by trial.  Say so
+        # rather than silently ignore the flag.
         _log.warning(
-            "scheme %r has no batched flow kernel; batch_trials=%d will "
-            "execute its trials serially member-by-member (results are "
-            "identical, the vectorisation speedup is not)",
+            "scheme %r has no batched flow path; batch_trials=%d is ignored "
+            "and its trials execute serially member-by-member (results are "
+            "identical)",
             scheme,
             batch_trials,
         )

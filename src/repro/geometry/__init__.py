@@ -4,7 +4,6 @@ from .neighbors import (
     CellGridIndex,
     IncrementalCellGridIndex,
     adjacency_lists,
-    iter_distance_chunks,
     masked_nearest,
     pair_distances,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "IncrementalCellGridIndex",
     "SquareTessellation",
     "adjacency_lists",
-    "iter_distance_chunks",
     "masked_nearest",
     "pair_distances",
     "pairwise_distances",

@@ -24,28 +24,25 @@ the wrap-around stencil would self-overlap) or the point set is tiny, the
 index transparently falls back to the dense matrix -- same results, bounded
 memory in the regimes that matter.
 
-Also hosted here are the shared memory-capping helpers
-(:func:`iter_distance_chunks`, :func:`masked_nearest`,
-:func:`adjacency_lists`) so no call site hand-rolls chunked distance loops.
+Also hosted here are two shared helpers: the chunked, label-masked
+nearest-neighbour search :func:`masked_nearest` and the CSR builder
+:func:`adjacency_lists`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .torus import batched_pairwise_distances, pairwise_distances, wrap
 
 __all__ = [
-    "BatchedCellGridIndex",
     "CellGridIndex",
     "IncrementalCellGridIndex",
     "pair_distances",
-    "iter_distance_chunks",
     "masked_nearest",
-    "batched_masked_nearest",
     "adjacency_lists",
     "DEFAULT_CHUNK",
 ]
@@ -542,186 +539,26 @@ class IncrementalCellGridIndex(CellGridIndex):
         return i.copy(), j.copy(), d.copy()
 
 
-def _empty_batched_pairs() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    e = np.empty(0, dtype=np.int64)
-    return e, e.copy(), e.copy(), np.empty(0, dtype=float)
-
-
-class BatchedCellGridIndex:
-    """One cell-grid index over a *stack* of same-size position snapshots.
-
-    ``points`` is ``(B, n, 2)``: ``B`` independent trials' (or slots')
-    positions sharing one node count.  All ``B`` slices are bucketed into a
-    single flattened grid whose cell ids are offset by ``batch * m * m``,
-    so one stable argsort and one half-stencil enumeration replace ``B``
-    of them -- the batching multiplier the trial-batched sweep path rides.
-
-    Bit-identity contract: for every slice ``b``,
-    ``pairs_within(radius)`` restricted to ``batch == b`` returns exactly
-    the ``(i, j, dist)`` arrays ``CellGridIndex(points[b])`` would -- the
-    per-slice stable bucket order is preserved inside each batch block
-    (block offsets keep ids of different batches disjoint and stability
-    keeps intra-block order equal to the per-slice argsort), neighbor
-    cells never cross block boundaries, and distances are evaluated with
-    the shared per-axis :func:`pair_distances` kernel on the raw
-    coordinates.  The dense-fallback regimes (``m < 3`` or
-    ``n <= _SMALL_N``) match the fresh index's dense path per slice.
-    """
-
-    def __init__(self, points: np.ndarray):
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 3 or points.shape[2] != 2:
-            raise ValueError(
-                f"expected (batch, n, 2) positions, got shape {points.shape}"
-            )
-        self._points = points
-        self._flat = points.reshape(-1, 2)
-        self._wrapped = wrap(self._flat)
-        self._grids: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    @property
-    def points(self) -> np.ndarray:
-        """The indexed position stack (raw coordinates, not wrapped)."""
-        return self._points
-
-    @property
-    def batch(self) -> int:
-        return self._points.shape[0]
-
-    def __len__(self) -> int:
-        return self._points.shape[1]
-
-    def resolution(self, radius: float) -> int:
-        """Cells per side per slice; same formula as :class:`CellGridIndex`
-        with ``n`` the per-slice node count, so regime decisions agree."""
-        if not radius > 0:
-            raise ValueError(f"query radius must be positive, got {radius}")
-        m = max(1, int(1.0 / radius))
-        while m > 1 and m * radius > 1.0:
-            m -= 1
-        cap = max(3, math.isqrt(max(len(self), 1)) + 1)
-        return min(m, cap)
-
-    def _grid(self, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        got = self._grids.get(m)
-        if got is None:
-            n = self._points.shape[1]
-            cells = m * m
-            cid = _cell_ids(self._wrapped, m)
-            cid += np.repeat(
-                np.arange(self.batch, dtype=np.int64) * cells, n
-            )
-            order = np.argsort(cid, kind="stable")
-            count = np.bincount(cid, minlength=self.batch * cells)
-            start = np.zeros(self.batch * cells + 1, dtype=np.int64)
-            np.cumsum(count, out=start[1:])
-            got = (order, start, count)
-            self._grids[m] = got
-        return got
-
-    def pairs_within(
-        self, radius: float
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """All within-slice unordered pairs at torus distance ``<= radius``.
-
-        Returns flat ``(batch, i, j, dist)`` arrays sorted
-        lexicographically by ``(batch, i, j)``; the ``batch == b`` run is
-        bit-identical to ``CellGridIndex(points[b]).pairs_within(radius)``.
-        """
-        batches, n = self._points.shape[:2]
-        if n < 2:
-            return _empty_batched_pairs()
-        m = self.resolution(radius)
-        if m < 3 or n <= _SMALL_N:
-            distances = batched_pairwise_distances(self._points)
-            ti, tj = np.triu_indices(n, k=1)
-            upper = distances[:, ti, tj]
-            mask = upper <= radius
-            b_idx, p_idx = np.nonzero(mask)
-            return (
-                b_idx.astype(np.int64),
-                ti[p_idx],
-                tj[p_idx],
-                upper[mask],
-            )
-        order, start, count = self._grid(m)
-        cells = np.arange(batches * m * m, dtype=np.int64)
-        local = cells % (m * m)
-        base = cells - local
-        cx, cy = local // m, local % m
-        chunks = []
-        for dx, dy in _HALF_STENCIL:
-            if dx == 0 and dy == 0:
-                sel = cells[count > 1]
-                pa, pb = _cartesian(start[sel], count[sel], start[sel], count[sel])
-                keep = pa < pb
-                pa, pb = pa[keep], pb[keep]
-            else:
-                # wrap the stencil offset inside each slice's block
-                nb = base + np.mod(cx + dx, m) * m + np.mod(cy + dy, m)
-                sel = (count > 0) & (count[nb] > 0)
-                pa, pb = _cartesian(
-                    start[:-1][sel], count[sel], start[nb[sel]], count[nb[sel]]
-                )
-            if pa.size:
-                chunks.append((order[pa], order[pb]))
-        if not chunks:
-            return _empty_batched_pairs()
-        raw_i = np.concatenate([c[0] for c in chunks])
-        raw_j = np.concatenate([c[1] for c in chunks])
-        gi = np.minimum(raw_i, raw_j)
-        gj = np.maximum(raw_i, raw_j)
-        dist = pair_distances(self._flat, gi, gj)
-        keep = dist <= radius
-        gi, gj, dist = gi[keep], gj[keep], dist[keep]
-        b_idx = gi // n
-        i = gi - b_idx * n
-        j = gj - b_idx * n
-        sel = np.lexsort((j, i, b_idx))
-        return b_idx[sel], i[sel], j[sel], dist[sel]
-
-
 # ----------------------------------------------------------------------
 # shared chunked-distance helpers (memory capping in one place)
 # ----------------------------------------------------------------------
-def iter_distance_chunks(
-    points: np.ndarray,
-    others: Optional[np.ndarray] = None,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> Iterator[Tuple[slice, np.ndarray]]:
-    """Yield ``(rows, block)`` row slices of the torus distance matrix.
-
-    ``block`` equals ``pairwise_distances(points[rows], others)``; at most
-    ``chunk_size * len(others)`` distances are live at once.  Call sites
-    that reduce row-wise (sums, argmins) consume this instead of
-    hand-rolling their own chunk loops.
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    others = (
-        points if others is None else np.atleast_2d(np.asarray(others, dtype=float))
-    )
-    total = points.shape[0]
-    for begin in range(0, total, chunk_size):
-        rows = slice(begin, min(begin + chunk_size, total))
-        yield rows, pairwise_distances(points[rows], others)
-
-
 def masked_nearest(
     points: np.ndarray,
     others: np.ndarray,
     point_labels: Optional[np.ndarray] = None,
     other_labels: Optional[np.ndarray] = None,
     chunk_size: int = DEFAULT_CHUNK,
+    dtype=np.float64,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Nearest ``others`` index per point, restricted to matching labels.
 
     Returns ``(nearest, distance)``; where no label-compatible candidate
-    exists, ``nearest`` is ``-1`` and ``distance`` is ``inf``.  Chunked via
-    :func:`iter_distance_chunks`, so memory stays
+    exists, ``nearest`` is ``-1`` and ``distance`` is ``inf``.  Rows are
+    taken ``chunk_size`` at a time, so memory stays
     ``O(chunk_size * len(others))`` (the MS -> BS attachment pattern of the
-    cellular routing schemes).
+    cellular routing schemes).  Distances are computed in ``dtype``
+    (``np.float32`` for the ``numpy32`` backend); ``distance`` is always
+    float64.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     others = np.atleast_2d(np.asarray(others, dtype=float))
@@ -735,7 +572,11 @@ def masked_nearest(
     if point_labels is not None:
         point_labels = np.asarray(point_labels)
         other_labels = np.asarray(other_labels)
-    for rows, block in iter_distance_chunks(points, others, chunk_size):
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    for begin in range(0, count, chunk_size):
+        rows = slice(begin, min(begin + chunk_size, count))
+        block = batched_pairwise_distances(points[rows], others, dtype=dtype)
         if point_labels is not None:
             mask = point_labels[rows, None] == other_labels[None, :]
             block = np.where(mask, block, np.inf)
@@ -744,54 +585,6 @@ def masked_nearest(
         found = np.isfinite(best_distance)
         nearest[rows][found] = best[found]
         distance[rows][found] = best_distance[found]
-    return nearest, distance
-
-
-def batched_masked_nearest(
-    points: np.ndarray,
-    others: np.ndarray,
-    point_labels: Optional[np.ndarray] = None,
-    other_labels: Optional[np.ndarray] = None,
-    chunk_size: int = DEFAULT_CHUNK,
-    backend=None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`masked_nearest` over a leading batch axis.
-
-    ``points`` is ``(B, n, 2)``, ``others`` ``(B, k, 2)``, labels
-    ``(B, n)`` / ``(B, k)``; returns ``(B, n)`` ``nearest`` / ``distance``
-    arrays where slice ``b`` equals ``masked_nearest(points[b], ...)``
-    (argmin ties break to the first candidate in both paths).  Rows are
-    chunked so at most ``chunk_size * k`` distances are live per slice.
-    """
-    from ..backend import resolve_backend
-
-    resolved = resolve_backend(backend)
-    points = np.asarray(points, dtype=float)
-    others = np.asarray(others, dtype=float)
-    if (point_labels is None) != (other_labels is None):
-        raise ValueError("provide labels for both sides or neither")
-    batches, count = points.shape[:2]
-    nearest = np.full((batches, count), -1, dtype=int)
-    distance = np.full((batches, count), np.inf)
-    if count == 0 or others.shape[1] == 0:
-        return nearest, distance
-    if point_labels is not None:
-        point_labels = np.asarray(point_labels)
-        other_labels = np.asarray(other_labels)
-    rows_per_chunk = max(1, chunk_size // max(batches, 1))
-    for begin in range(0, count, rows_per_chunk):
-        rows = slice(begin, min(begin + rows_per_chunk, count))
-        block = resolved.from_device(
-            batched_pairwise_distances(points[:, rows], others, backend=resolved)
-        )
-        if point_labels is not None:
-            mask = point_labels[:, rows, None] == other_labels[:, None, :]
-            block = np.where(mask, block, np.inf)
-        best = block.argmin(axis=-1)
-        best_distance = np.take_along_axis(block, best[..., None], axis=-1)[..., 0]
-        found = np.isfinite(best_distance)
-        nearest[:, rows][found] = best[found]
-        distance[:, rows][found] = best_distance[found]
     return nearest, distance
 
 

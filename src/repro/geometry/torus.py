@@ -62,53 +62,43 @@ def pairwise_distances(points: np.ndarray, others: Optional[np.ndarray] = None) 
     ``points`` (self-distances on the diagonal are zero).
 
     Memory is ``O(len(points) * len(others))``; for the node counts used in
-    the benchmarks (up to a few thousand) this is the fastest option.
-
-    The evaluation is per-axis (two 2-D temporaries) rather than one
-    broadcast ``(len(points), len(others), 2)`` displacement tensor: it
-    performs the same ``dx*dx + dy*dy`` accumulation in the same order --
-    bit-identical results -- at roughly 4x the throughput, and this is the
-    inner kernel of every per-slot scheduling decision.
+    the benchmarks (up to a few thousand) this is the fastest option.  The
+    kernel is :func:`batched_pairwise_distances` on two 2-D point sets.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     others = points if others is None else np.atleast_2d(np.asarray(others, dtype=float))
-    dx = points[:, 0, None] - others[None, :, 0]
-    dx -= np.round(dx)
-    dx *= dx
-    dy = points[:, 1, None] - others[None, :, 1]
-    dy -= np.round(dy)
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx)
+    return batched_pairwise_distances(points, others)
 
 
 def batched_pairwise_distances(
     points: np.ndarray,
     others: Optional[np.ndarray] = None,
-    backend=None,
+    dtype=np.float64,
 ) -> np.ndarray:
-    """Torus distances for a *stack* of point sets along a leading batch axis.
+    """Torus distances between point sets stacked along leading axes.
 
-    ``points`` is ``(B, n, 2)`` and ``others`` (default ``points``) is
-    ``(B, k, 2)``; the result is ``(B, n, k)`` where slice ``b`` equals
-    :func:`pairwise_distances` on the ``b``-th point sets.  Every
-    operation is elementwise, so on the canonical ``numpy64`` backend
-    each slice is *bit-identical* to the serial kernel; other backends
-    agree within their declared ``rtol["torus_distance"]``.
+    ``points`` is ``(..., n, 2)`` and ``others`` (default ``points``) is
+    ``(..., k, 2)``; the result is ``(..., n, k)`` in ``dtype``.  On
+    ``np.float64`` every slice is the distance matrix of
+    :func:`pairwise_distances`; ``np.float32`` is the tolerance-gated
+    ``numpy32`` backend (within its ``rtol["torus_distance"]``).
+
+    The evaluation is per-axis (two temporaries) rather than one broadcast
+    ``(..., n, k, 2)`` displacement tensor: it performs the same
+    ``dx*dx + dy*dy`` accumulation in the same order -- bit-identical
+    results -- at roughly 4x the throughput, and this is the inner kernel
+    of every per-slot scheduling decision.
     """
-    from ..backend import resolve_backend
-
-    resolved = resolve_backend(backend)
-    xp = resolved.xp
-    points = resolved.asarray(points)
-    others = points if others is None else resolved.asarray(others)
+    points = np.asarray(points, dtype=dtype)
+    others = points if others is None else np.asarray(others, dtype=dtype)
     dx = points[..., :, 0, None] - others[..., None, :, 0]
-    dx = dx - xp.round(dx)
-    dx = dx * dx
+    dx -= np.round(dx)
+    dx *= dx
     dy = points[..., :, 1, None] - others[..., None, :, 1]
-    dy = dy - xp.round(dy)
-    dy = dy * dy
-    return xp.sqrt(dx + dy)
+    dy -= np.round(dy)
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def within_range(

@@ -175,9 +175,8 @@ class DegradedToSerial(TelemetryEvent):
 class BatchDegradedToSerial(TelemetryEvent):
     """``--batch-trials`` fell back to per-trial execution.
 
-    The batched kernels cover schemes B/C only; any other scheme executes
-    its trials one by one, so the user-visible throughput is serial even
-    though ``--batch-trials`` was requested.  ``scheme`` names the
+    The batched path covers schemes B/C only; any other scheme executes
+    its trials one by one, ignoring the requested ``--batch-trials``.  ``scheme`` names the
     offender, ``batch_trials`` the requested width, ``reason`` why the
     batch path could not apply.
     """
@@ -202,14 +201,7 @@ class SweepProgress(TelemetryEvent):
 
 @dataclass(frozen=True)
 class SlotBatch(TelemetryEvent):
-    """Timing of one :meth:`SlottedSimulator.run` batch of slots.
-
-    ``batch_width`` is how many same-shape simulations each slot's
-    scheduling decision covered: 1 for a plain per-trial ``run()``, the
-    number of lockstep simulators when
-    :func:`repro.simulation.batch.run_lockstep` drove one
-    ``schedule_batch`` call per slot.
-    """
+    """Timing of one :meth:`SlottedSimulator.run` batch of slots."""
 
     EVENT: ClassVar[str] = "slot_batch"
     slots: int
@@ -217,12 +209,11 @@ class SlotBatch(TelemetryEvent):
     total_slots: int
     created: int
     delivered: int
-    batch_width: int = 1
 
 
 @dataclass(frozen=True)
 class BackendSelected(TelemetryEvent):
-    """Which array backend (and batch shape) a run's results came from.
+    """Which float backend (and batch shape) a run's results came from.
 
     Emitted once per sweep invocation so traces record whether numbers
     are canonical (bit-identical ``numpy64``) or tolerance-gated, and

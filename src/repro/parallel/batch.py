@@ -1,17 +1,15 @@
 """Grouping sweep trials into same-shape batches.
 
 A trial batch is a set of trial indices whose payloads share a *shape
-key* -- everything that must be equal for their per-trial state to stack
-along a leading batch axis (for the capacity sweeps: the grid point
-``n``; parameters, scheme and build kwargs are constant within one
-sweep).  :class:`BatchedTrialPlan` partitions a payload list into
+key* -- everything that must be equal for one batched trial function to
+run them together (for the capacity sweeps: the grid point ``n``;
+parameters, scheme and build kwargs are constant within one sweep).  :class:`BatchedTrialPlan` partitions a payload list into
 :class:`TrialBatch` chunks of at most ``batch_trials`` members, keeping
 trial-index order inside every batch so the batched runner hands each
 member exactly the seed its serial counterpart would use.
 
 Payloads whose shape key is ``None`` are declared unbatchable and get a
-singleton batch each (the batched trial function degrades to the serial
-per-trial path for width-1 batches).
+singleton batch each.
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..geometry.neighbors import DEFAULT_CHUNK, iter_distance_chunks
+from ..geometry.neighbors import DEFAULT_CHUNK
 from ..geometry.tessellation import SquareTessellation
-from ..geometry.torus import pairwise_distances
+from ..geometry.torus import batched_pairwise_distances, pairwise_distances
 from ..infrastructure.backbone import Backbone
 from ..mobility.shapes import MobilityShape
 from typing import TYPE_CHECKING
@@ -198,23 +198,43 @@ class SchemeB(RoutingScheme):
         f: float,
         transmission_range: float,
         chunk_size: int = DEFAULT_CHUNK,
+        dtype=np.float64,
     ) -> np.ndarray:
-        """``mu_i^A`` per MS, computed zone-masked and chunked so no
-        ``n x k`` matrix is ever materialised (row blocks come from the
-        shared :func:`~repro.geometry.neighbors.iter_distance_chunks`)."""
+        """``mu_i^A`` per MS, zone-blocked and chunked so no ``n x k``
+        matrix is ever materialised.
+
+        Only in-zone ``(MS, BS)`` pairs reach the distance and contact
+        kernels: each zone's MSs meet that zone's BSs, ``chunk_size`` MSs
+        at a time.  A block's values are scattered into full-width
+        ``(rows, k)`` rows whose other entries are the exact ``0.0`` of the
+        zone mask, and the sum runs over those rows -- so every entry is
+        bit-identical to the masked row sum of :meth:`access_matrix`.  MSs
+        of a zone without BSs get ``0.0``.  Distances and the returned
+        vector are in ``dtype`` (``np.float32`` for the ``numpy32``
+        backend).
+        """
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         ms_home = np.atleast_2d(np.asarray(ms_home, dtype=float))
         bs_positions = np.atleast_2d(np.asarray(bs_positions, dtype=float))
         ms_zone = np.asarray(ms_zone, dtype=int)
         bs_zone = np.asarray(bs_zone, dtype=int)
-        access = np.zeros(ms_home.shape[0], dtype=float)
-        for rows, distances in iter_distance_chunks(
-            ms_home, bs_positions, chunk_size
-        ):
-            mu = contact_probability_ms_bs_at_range(
-                shape, f, transmission_range, distances
-            )
-            mask = ms_zone[rows, None] == bs_zone[None, :]
-            access[rows] = np.where(mask, mu, 0.0).sum(axis=1)
+        k = bs_zone.shape[0]
+        access = np.zeros(ms_home.shape[0], dtype=dtype)
+        for zone in np.unique(bs_zone):
+            rows = np.nonzero(ms_zone == zone)[0]
+            cols = np.nonzero(bs_zone == zone)[0]
+            stations = bs_positions[cols]
+            for begin in range(0, rows.size, chunk_size):
+                block = rows[begin : begin + chunk_size]
+                distances = batched_pairwise_distances(
+                    ms_home[block], stations, dtype=dtype
+                )
+                padded = np.zeros((block.size, k))
+                padded[:, cols] = contact_probability_ms_bs_at_range(
+                    shape, f, transmission_range, distances
+                )
+                access[block] = padded.sum(axis=1)
         return access
 
     # ------------------------------------------------------------------

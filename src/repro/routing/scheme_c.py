@@ -55,8 +55,8 @@ class SchemeC(RoutingScheme):
         Optional precomputed ``(cell_of_ms, attach_distance)`` pair, as
         produced by the nearest-same-cluster-BS search.  The trial-batched
         sweep computes attachments for a whole batch of realisations in one
-        :func:`~repro.geometry.neighbors.batched_masked_nearest` call and
-        injects each slice here; everything downstream (cell range,
+        :func:`~repro.routing.batched.batched_scheme_c_attach` call and
+        injects each member's here; everything downstream (cell range,
         colouring, flow analysis) is unchanged.
     """
 

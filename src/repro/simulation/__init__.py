@@ -1,6 +1,5 @@
 """Network assembly, traffic, flow analysis, and the packet-level simulator."""
 
-from .batch import run_lockstep
 from .engine import Packet, PacketRouter, SlottedSimulator
 from .maxflow import LinkCapacityGraph, session_max_flow, uniform_rate_bound
 from .metrics import SimulationMetrics
@@ -22,5 +21,4 @@ __all__ = [
     "SchemeARouter",
     "SchemeBRouter",
     "TwoHopRelayRouter",
-    "run_lockstep",
 ]

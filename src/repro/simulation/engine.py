@@ -271,33 +271,17 @@ class SlottedSimulator:
             buffer[: self.ms_count][moved] = positions[moved]
         return buffer
 
-    def _begin_slot(self):
-        """Advance mobility, combine positions, spawn arrivals.
-
-        Returns ``(positions, moved)`` for this slot's scheduling decision
-        -- the first half of :meth:`step`, split out so a lockstep batch
-        driver can interpose one ``schedule_batch`` call across
-        simulators.
-        """
+    def step(self) -> None:
+        """Advance the simulation by one slot."""
         positions, moved = self._process.step_moved()
         positions = self._combine(positions, moved)
         self._spawn_packets()
-        return positions, moved
-
-    def step(self) -> None:
-        """Advance the simulation by one slot."""
-        positions, moved = self._begin_slot()
         # One cell-grid index per slot over the advanced positions; the
         # scheduler runs its guard-zone queries against it instead of a
         # dense n x n distance matrix.
         schedule = self._scheduler.schedule(
             positions, index=self._slot_index(positions, moved)
         )
-        self._apply_schedule(schedule)
-
-    def _apply_schedule(self, schedule) -> None:
-        """Serve one slot's enabled pairs and advance wired transport --
-        the second half of :meth:`step`."""
         for a, b in schedule.pairs:
             # Each enabled pair serves one packet in each direction
             # (Definition 10 splits the bandwidth symmetrically).

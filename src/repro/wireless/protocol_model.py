@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.neighbors import BatchedCellGridIndex, CellGridIndex, pair_distances
+from ..geometry.neighbors import CellGridIndex, pair_distances
 from ..geometry.torus import pairwise_distances, torus_distance
 
 __all__ = ["ProtocolModel", "Link"]
@@ -246,46 +246,6 @@ class ProtocolModel:
         lonely = guard_count == 2
         enabled = (dist < transmission_range) & lonely[i] & lonely[j]
         return [(int(a), int(b)) for a, b in zip(i[enabled], j[enabled])]
-
-    def strict_pairs_batch(
-        self,
-        positions: np.ndarray,
-        transmission_range: float,
-        index: Optional[BatchedCellGridIndex] = None,
-    ) -> List[List[Link]]:
-        """:meth:`strict_pairs` for a ``(B, n, 2)`` stack of position sets.
-
-        One :class:`~repro.geometry.neighbors.BatchedCellGridIndex` query
-        and one flat ``bincount`` replace ``B`` sparse evaluations; entry
-        ``b`` of the result is bit-identical (same pairs, same order) to
-        ``strict_pairs(positions[b], transmission_range)``.
-        """
-        positions = np.asarray(positions, dtype=float)
-        if positions.ndim != 3 or positions.shape[2] != 2:
-            raise ValueError(
-                f"expected (batch, n, 2) positions, got shape {positions.shape}"
-            )
-        batches, count = positions.shape[:2]
-        if transmission_range <= 0:
-            return [[] for _ in range(batches)]
-        if index is None:
-            index = BatchedCellGridIndex(positions)
-        guard = self.guard_factor * transmission_range
-        b_idx, i, j, dist = index.pairs_within(guard)
-        inside = dist < guard
-        flat_i = b_idx * count + i
-        flat_j = b_idx * count + j
-        guard_count = (
-            np.bincount(flat_i[inside], minlength=batches * count)
-            + np.bincount(flat_j[inside], minlength=batches * count)
-            + 1
-        )
-        lonely = guard_count == 2
-        enabled = (dist < transmission_range) & lonely[flat_i] & lonely[flat_j]
-        result: List[List[Link]] = [[] for _ in range(batches)]
-        for b, a, c in zip(b_idx[enabled], i[enabled], j[enabled]):
-            result[b].append((int(a), int(c)))
-        return result
 
     def cross_cluster_interference_count(
         self,

@@ -26,12 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.neighbors import (
-    BatchedCellGridIndex,
-    CellGridIndex,
-    adjacency_lists,
-    pair_distances,
-)
+from ..geometry.neighbors import CellGridIndex, adjacency_lists, pair_distances
 from ..geometry.torus import pairwise_distances
 from ..observability.log import get_logger
 from .protocol_model import Link, ProtocolModel
@@ -92,30 +87,6 @@ class Scheduler(abc.ABC):
         paths return bit-identical schedules.
         """
 
-    def schedule_batch(
-        self,
-        positions: np.ndarray,
-        index: Optional[BatchedCellGridIndex] = None,
-    ) -> List[Schedule]:
-        """Schedule every slice of a ``(B, n, 2)`` position stack.
-
-        Entry ``b`` is bit-identical to ``schedule(positions[b])``.  The
-        base implementation loops slices through :meth:`schedule`;
-        stateless policies override it with genuinely batched kernels.
-        Stateful schedulers (round-robin TDMA) advance their state once
-        per slice here, so they must not be shared across independent
-        trials -- :meth:`batch_signature` advertises shareability.
-        """
-        positions = np.asarray(positions, dtype=float)
-        return [self.schedule(positions[b]) for b in range(positions.shape[0])]
-
-    def batch_signature(self) -> Optional[tuple]:
-        """Hashable config identifying schedulers whose batch path may be
-        shared across same-shape simulations; ``None`` means this
-        scheduler is stateful (or unbatchable) and must stay per-trial.
-        """
-        return None
-
 
 class PolicySStar(Scheduler):
     """The paper's policy ``S*`` with ``R_T = c_T / sqrt(n)``.
@@ -141,7 +112,6 @@ class PolicySStar(Scheduler):
             raise ValueError(f"need at least two nodes, got {node_count}")
         if c_t <= 0:
             raise ValueError(f"c_T must be positive, got {c_t}")
-        self._node_count = node_count
         self._c_t = c_t
         self._model = ProtocolModel(delta)
         self._range = c_t / math.sqrt(node_count)
@@ -179,31 +149,6 @@ class PolicySStar(Scheduler):
         )
         return Schedule(pairs=tuple(pairs), transmission_range=self._range)
 
-    def schedule_batch(
-        self,
-        positions: np.ndarray,
-        index: Optional[BatchedCellGridIndex] = None,
-    ) -> List[Schedule]:
-        if self._reference:
-            # the escape hatch stays the per-slice semantic spec
-            return super().schedule_batch(positions)
-        batches = self._model.strict_pairs_batch(
-            np.asarray(positions, dtype=float), self._range, index=index
-        )
-        return [
-            Schedule(pairs=tuple(pairs), transmission_range=self._range)
-            for pairs in batches
-        ]
-
-    def batch_signature(self) -> tuple:
-        return (
-            "sstar",
-            self._node_count,
-            self._range,
-            self._model.delta,
-            self._reference,
-        )
-
 
 class VariableRangeScheduler(Scheduler):
     """``S-bar``: the ``S*`` rule with an arbitrary fixed range (Theorem 2)."""
@@ -239,24 +184,6 @@ class VariableRangeScheduler(Scheduler):
             index=index,
         )
         return Schedule(pairs=tuple(pairs), transmission_range=self._range)
-
-    def schedule_batch(
-        self,
-        positions: np.ndarray,
-        index: Optional[BatchedCellGridIndex] = None,
-    ) -> List[Schedule]:
-        if self._reference:
-            return super().schedule_batch(positions)
-        batches = self._model.strict_pairs_batch(
-            np.asarray(positions, dtype=float), self._range, index=index
-        )
-        return [
-            Schedule(pairs=tuple(pairs), transmission_range=self._range)
-            for pairs in batches
-        ]
-
-    def batch_signature(self) -> tuple:
-        return ("sbar", self._range, self._model.delta, self._reference)
 
 
 class GreedyMatchingScheduler(Scheduler):
@@ -348,21 +275,6 @@ class GreedyMatchingScheduler(Scheduler):
         no dense row ever materialises.
         """
         pair_i, pair_j, pair_d = index.pairs_within(guard)
-        return self._select_from_pairs(
-            positions, pair_i, pair_j, pair_d, candidates, guard
-        )
-
-    def _select_from_pairs(
-        self,
-        positions: np.ndarray,
-        pair_i: np.ndarray,
-        pair_j: np.ndarray,
-        pair_d: np.ndarray,
-        candidates: Optional[Sequence[Link]],
-        guard: float,
-    ) -> List[Link]:
-        """The sparse greedy selection given one slice's guard-radius pairs
-        (shared between the per-slot and the batched entry points)."""
         node_count = positions.shape[0]
         strict = pair_d < guard
         indptr, indices = adjacency_lists(
@@ -403,46 +315,6 @@ class GreedyMatchingScheduler(Scheduler):
             blocked[indices[indptr[a] : indptr[a + 1]]] = True
             blocked[indices[indptr[b] : indptr[b + 1]]] = True
         return chosen
-
-    def schedule_batch(
-        self,
-        positions: np.ndarray,
-        index: Optional[BatchedCellGridIndex] = None,
-    ) -> List[Schedule]:
-        """Batched greedy matching over a ``(B, n, 2)`` stack.
-
-        Candidate generation (the guard-radius pair enumeration) runs once
-        through a :class:`~repro.geometry.neighbors.BatchedCellGridIndex`;
-        the greedy selection itself is inherently sequential and runs per
-        slice on the slice's pair run.  Restricted candidate sets are a
-        per-slice concern and are not supported here.
-        """
-        if self._reference:
-            return super().schedule_batch(positions)
-        positions = np.asarray(positions, dtype=float)
-        if index is None:
-            index = BatchedCellGridIndex(positions)
-        guard = self._model.guard_factor * self._range
-        b_idx, pair_i, pair_j, pair_d = index.pairs_within(guard)
-        bounds = np.searchsorted(b_idx, np.arange(positions.shape[0] + 1))
-        schedules = []
-        for b in range(positions.shape[0]):
-            lo, hi = bounds[b], bounds[b + 1]
-            chosen = self._select_from_pairs(
-                positions[b],
-                pair_i[lo:hi],
-                pair_j[lo:hi],
-                pair_d[lo:hi],
-                None,
-                guard,
-            )
-            schedules.append(
-                Schedule(pairs=tuple(chosen), transmission_range=self._range)
-            )
-        return schedules
-
-    def batch_signature(self) -> tuple:
-        return ("greedy", self._range, self._model.delta, self._reference)
 
     @staticmethod
     def _select_reference(

@@ -1,4 +1,4 @@
-"""Unit tests for the pluggable array-backend registry."""
+"""Unit tests for the float-precision backends."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,10 @@ from repro.backend import (
     available_backends,
     default_backend,
     get_backend,
-    register_backend,
     resolve_backend,
-    using_backend,
 )
+from repro.geometry.neighbors import masked_nearest
+from repro.geometry.torus import batched_pairwise_distances
 
 
 class TestRegistry:
@@ -37,17 +37,21 @@ class TestRegistry:
         with pytest.raises(KeyError, match="numpy64"):
             get_backend("no-such-backend")
 
-    def test_register_is_idempotent_by_name(self):
-        custom = ArrayBackend(name="numpy64", xp=np, float_dtype=np.float64, canonical=True)
-        register_backend(custom)
-        assert get_backend("numpy64") is custom
-        # restore the original instance for other tests
-        register_backend(default_backend())
+    def test_backends_are_a_name_a_dtype_and_a_tolerance(self):
+        """The registry is fixed and holds no array-namespace seam."""
+        import repro.backend as module
+
+        assert available_backends() == ("numpy32", "numpy64")
+        for name in ("register_backend", "using_backend"):
+            assert not hasattr(module, name)
+        for name in ("xp", "asarray", "to_device", "from_device"):
+            assert not hasattr(default_backend(), name)
+        assert ArrayBackend("x", np.float32).rtol == {}
 
 
 class TestResolve:
-    def test_none_resolves_to_current_default(self):
-        assert resolve_backend(None).name == "numpy64"
+    def test_none_resolves_to_numpy64(self):
+        assert resolve_backend(None) is default_backend()
 
     def test_name_resolves(self):
         assert resolve_backend("numpy32").name == "numpy32"
@@ -55,17 +59,6 @@ class TestResolve:
     def test_instance_passes_through(self):
         backend = get_backend("numpy32")
         assert resolve_backend(backend) is backend
-
-    def test_using_backend_overrides_none(self):
-        with using_backend("numpy32"):
-            assert resolve_backend(None).name == "numpy32"
-        assert resolve_backend(None).name == "numpy64"
-
-    def test_using_backend_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with using_backend("numpy32"):
-                raise RuntimeError("boom")
-        assert resolve_backend(None).name == "numpy64"
 
 
 class TestTolerance:
@@ -85,16 +78,19 @@ class TestTolerance:
 
 
 class TestDtypePolicy:
-    def test_asarray_casts_to_backend_dtype(self):
-        data = np.arange(6, dtype=np.float64).reshape(2, 3)
-        out = get_backend("numpy32").asarray(data)
-        assert out.dtype == np.float32
-        out64 = default_backend().asarray(data.astype(np.float32))
-        assert out64.dtype == np.float64
+    @pytest.mark.parametrize("name", ["numpy64", "numpy32"])
+    def test_distances_come_in_the_backend_dtype(self, name):
+        backend = get_backend(name)
+        points = np.random.default_rng(0).random((6, 2))
+        out = batched_pairwise_distances(points, dtype=backend.float_dtype)
+        assert out.dtype == backend.float_dtype
 
-    def test_from_device_returns_numpy(self):
-        data = np.ones((2, 2))
-        assert isinstance(get_backend("numpy32").from_device(data), np.ndarray)
+    def test_attach_distances_stay_float64(self):
+        rng = np.random.default_rng(1)
+        _nearest, distance = masked_nearest(
+            rng.random((9, 2)), rng.random((3, 2)), dtype=np.float32
+        )
+        assert distance.dtype == np.float64
 
 
 class TestOptionalBackends:

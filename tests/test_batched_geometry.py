@@ -1,18 +1,12 @@
-"""Bit-identity and tolerance tests for the batched geometry kernels."""
+"""Bit-identity and tolerance tests for the dtype-aware geometry kernels."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.backend import get_backend
-from repro.geometry.neighbors import (
-    BatchedCellGridIndex,
-    CellGridIndex,
-    batched_masked_nearest,
-    masked_nearest,
-)
+from repro.geometry.neighbors import masked_nearest
 from repro.geometry.torus import batched_pairwise_distances, pairwise_distances
 
 
@@ -52,9 +46,7 @@ class TestBatchedPairwiseDistances:
     def test_float32_within_declared_rtol(self, points):
         backend = get_backend("numpy32")
         exact = batched_pairwise_distances(points)
-        approx = backend.from_device(
-            batched_pairwise_distances(points, backend=backend)
-        )
+        approx = batched_pairwise_distances(points, dtype=backend.float_dtype)
         assert approx.dtype == np.float32
         # rtol gate is declared per kernel by the backend; torus distances
         # are bounded by sqrt(2)/2 so an absolute cushion of the same order
@@ -63,82 +55,47 @@ class TestBatchedPairwiseDistances:
         assert np.allclose(approx, exact, rtol=rtol, atol=1e-6)
 
 
-class TestBatchedCellGridIndex:
-    @pytest.mark.parametrize("radius", [0.02, 0.08, 0.3, 0.9])
-    def test_pairs_within_matches_serial(self, rng, radius):
-        points = rng.random((4, 60, 2))
-        index = BatchedCellGridIndex(points)
-        batch_idx, i, j, dist = index.pairs_within(radius)
-        for b in range(4):
-            si, sj, sd = CellGridIndex(points[b]).pairs_within(radius)
-            mask = batch_idx == b
-            assert np.array_equal(i[mask], si)
-            assert np.array_equal(j[mask], sj)
-            assert np.array_equal(dist[mask], sd)
-
-    def test_small_n_dense_fallback_matches(self, rng):
-        points = rng.random((3, 8, 2))
-        index = BatchedCellGridIndex(points)
-        batch_idx, i, j, dist = index.pairs_within(0.4)
-        for b in range(3):
-            si, sj, sd = CellGridIndex(points[b]).pairs_within(0.4)
-            mask = batch_idx == b
-            assert np.array_equal(i[mask], si)
-            assert np.array_equal(dist[mask], sd)
-
-    def test_zero_radius_rejected_like_serial(self, rng):
-        index = BatchedCellGridIndex(rng.random((2, 20, 2)))
-        with pytest.raises(ValueError, match="radius"):
-            index.pairs_within(0.0)
-
-    def test_rejects_non_batched_shape(self, rng):
-        with pytest.raises(ValueError):
-            BatchedCellGridIndex(rng.random((20, 2)))
-
-    def test_len_and_batch(self, rng):
-        index = BatchedCellGridIndex(rng.random((3, 15, 2)))
-        assert len(index) == 15
-        assert index.batch == 3
-
-
-class TestBatchedMaskedNearest:
-    def test_matches_serial_per_slice(self, rng):
-        batch, n, k = 4, 50, 9
-        points = rng.random((batch, n, 2))
-        others = rng.random((batch, k, 2))
-        point_labels = rng.integers(0, 3, size=(batch, n))
-        other_labels = rng.integers(0, 3, size=(batch, k))
-        nearest, distance = batched_masked_nearest(
-            points, others, point_labels, other_labels
+class TestMaskedNearestDtype:
+    def test_float64_is_the_default(self, rng):
+        points, others = rng.random((50, 2)), rng.random((9, 2))
+        point_labels = rng.integers(0, 3, size=50)
+        other_labels = rng.integers(0, 3, size=9)
+        default = masked_nearest(points, others, point_labels, other_labels)
+        explicit = masked_nearest(
+            points, others, point_labels, other_labels, dtype=np.float64
         )
-        for b in range(batch):
-            sn, sd = masked_nearest(
-                points[b], others[b], point_labels[b], other_labels[b]
-            )
-            assert np.array_equal(nearest[b], sn)
-            assert np.array_equal(distance[b], sd)
+        assert np.array_equal(default[0], explicit[0])
+        assert np.array_equal(default[1], explicit[1])
+
+    def test_float32_distances_are_the_float32_kernel(self, rng):
+        points, others = rng.random((40, 2)), rng.random((7, 2))
+        nearest, distance = masked_nearest(points, others, dtype=np.float32)
+        block = batched_pairwise_distances(points, others, dtype=np.float32)
+        assert np.array_equal(nearest, block.argmin(axis=1))
+        assert np.array_equal(
+            distance, block[np.arange(40), nearest].astype(np.float64)
+        )
+        rtol = get_backend("numpy32").tolerance("torus_distance")
+        exact = masked_nearest(points, others)[1]
+        assert np.allclose(distance, exact, rtol=rtol, atol=1e-6)
 
     def test_orphan_labels_surface_as_minus_one(self, rng):
-        batch, n, k = 2, 10, 4
-        points = rng.random((batch, n, 2))
-        others = rng.random((batch, k, 2))
-        point_labels = np.full((batch, n), 7)  # no BS carries label 7
-        other_labels = np.zeros((batch, k), dtype=int)
-        nearest, distance = batched_masked_nearest(
-            points, others, point_labels, other_labels
-        )
+        points, others = rng.random((10, 2)), rng.random((4, 2))
+        nearest, distance = masked_nearest(
+            points, others, np.full(10, 7), np.zeros(4, dtype=int),
+            dtype=np.float32,
+        )  # no BS carries label 7
         assert np.all(nearest == -1)
         assert np.all(np.isinf(distance))
 
     def test_tiny_chunks_change_nothing(self, rng):
-        batch, n, k = 3, 30, 5
-        points = rng.random((batch, n, 2))
-        others = rng.random((batch, k, 2))
-        labels_p = rng.integers(0, 2, size=(batch, n))
-        labels_o = rng.integers(0, 2, size=(batch, k))
-        full = batched_masked_nearest(points, others, labels_p, labels_o)
-        tiny = batched_masked_nearest(
-            points, others, labels_p, labels_o, chunk_size=4
-        )
-        assert np.array_equal(full[0], tiny[0])
-        assert np.array_equal(full[1], tiny[1])
+        points, others = rng.random((30, 2)), rng.random((5, 2))
+        labels_p = rng.integers(0, 2, size=30)
+        labels_o = rng.integers(0, 2, size=5)
+        for dtype in (np.float64, np.float32):
+            full = masked_nearest(points, others, labels_p, labels_o, dtype=dtype)
+            tiny = masked_nearest(
+                points, others, labels_p, labels_o, chunk_size=4, dtype=dtype
+            )
+            assert np.array_equal(full[0], tiny[0])
+            assert np.array_equal(full[1], tiny[1])

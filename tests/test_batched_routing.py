@@ -1,9 +1,10 @@
-"""Bit-identity tests for the trial-batched flow kernels (schemes B/C).
+"""Bit-identity tests for the per-batch flow entry points (schemes B/C).
 
-The batched sweep path never builds a :class:`SchemeB`/:class:`SchemeC`
-per trial; these tests pin the replacement kernels against the serial
-classes on real :class:`HybridNetwork` realisations, bit-for-bit on the
-canonical backend and rtol-gated on ``numpy32``.
+The batched sweep path never builds a :class:`SchemeB` per trial and
+injects scheme C's attachments; these tests pin the per-batch entry points
+against the serial classes and the masked access-matrix oracle on real
+:class:`HybridNetwork` realisations, bit-for-bit on the canonical backend
+and rtol-gated on ``numpy32``.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.backend import get_backend
 from repro.core.regimes import NetworkParameters
+from repro.geometry.neighbors import masked_nearest
 from repro.infrastructure.backbone import Backbone, BackboneTopology
 from repro.routing import (
     SchemeB,
@@ -45,102 +47,80 @@ def build_batch(params, n, batch, seed=123, **kwargs):
     ]
 
 
-def stacked_zones(nets):
+def member_access_args(nets):
+    """``batched_zone_access`` arguments for a list of networks."""
     zones = [net.scheme_b_zones() for net in nets]
     return (
-        np.stack([z[0] for z in zones]),
-        np.stack([z[1] for z in zones]),
+        [net.home_model.points for net in nets],
+        [net.bs_positions for net in nets],
+        [z[0] for z in zones],
+        [z[1] for z in zones],
+        nets[0].shape,
+        nets[0].realized.f,
+        [net.access_transmission_range() for net in nets],
     )
+
+
+def masked_oracle(home, stations, ms_zone, bs_zone, shape, f, radius):
+    """``mu_i^A`` as the masked row sum of the full ``n x k`` matrix."""
+    matrix = SchemeB.access_matrix(home, stations, shape, f, radius)
+    same_zone = ms_zone[:, None] == bs_zone[None, :]
+    return np.where(same_zone, matrix, 0.0).sum(axis=1)
+
+
+def member_oracles(args):
+    homes, stations, ms_zones, bs_zones, shape, f, radii = args
+    return [
+        masked_oracle(*member[:4], shape, f, member[4])
+        for member in zip(homes, stations, ms_zones, bs_zones, radii)
+    ]
 
 
 class TestBatchedZoneAccess:
     def test_slices_bit_identical_to_serial(self):
-        nets = build_batch(STRONG, 300, 4)
-        ms_zone, bs_zone = stacked_zones(nets)
-        access = batched_zone_access(
-            np.stack([net.home_model.points for net in nets]),
-            np.stack([net.bs_positions for net in nets]),
-            ms_zone,
-            bs_zone,
-            nets[0].shape,
-            nets[0].realized.f,
-            nets[0].access_transmission_range(),
-        )
-        assert access.shape == (4, 300)
-        for b, net in enumerate(nets):
-            serial = SchemeB.zone_access_vector(
-                net.home_model.points,
-                net.bs_positions,
-                ms_zone[b],
-                bs_zone[b],
-                net.shape,
-                net.realized.f,
-                net.access_transmission_range(),
-            )
-            assert np.array_equal(access[b], serial)
+        args = member_access_args(build_batch(STRONG, 300, 4))
+        access = batched_zone_access(*args)
+        assert len(access) == 4
+        for member, oracle in zip(access, member_oracles(args)):
+            assert member.shape == (300,)
+            assert np.array_equal(member, oracle)
 
     def test_chunk_size_invariance(self):
-        nets = build_batch(STRONG, 120, 3, seed=7)
-        ms_zone, bs_zone = stacked_zones(nets)
-        args = (
-            np.stack([net.home_model.points for net in nets]),
-            np.stack([net.bs_positions for net in nets]),
-            ms_zone,
-            bs_zone,
-            nets[0].shape,
-            nets[0].realized.f,
-            nets[0].access_transmission_range(),
-        )
-        assert np.array_equal(
-            batched_zone_access(*args),
-            batched_zone_access(*args, chunk_size=16),
-        )
+        args = member_access_args(build_batch(STRONG, 120, 3, seed=7))
+        for whole, chunked in zip(
+            batched_zone_access(*args), batched_zone_access(*args, chunk_size=16)
+        ):
+            assert np.array_equal(whole, chunked)
 
-    def test_shape_validation(self, rng):
-        with pytest.raises(ValueError, match="batched access"):
-            batched_zone_access(
-                rng.random((10, 2)),
-                rng.random((1, 4, 2)),
-                np.zeros((1, 10), dtype=int),
-                np.zeros((1, 4), dtype=int),
-                None,
-                1.0,
-                0.1,
-            )
-        with pytest.raises(ValueError, match="batch layout"):
-            batched_zone_access(
-                rng.random((2, 10, 2)),
-                rng.random((2, 4, 2)),
-                np.zeros(10, dtype=int),
-                np.zeros((2, 4), dtype=int),
-                None,
-                1.0,
-                0.1,
-            )
+    def test_ragged_bs_counts(self):
+        """Members with different BS counts (and so different strong-regime
+        ranges) each get their own per-trial vector."""
+        homes, stations, ms_zones, bs_zones, shape, f, radii = (
+            member_access_args(build_batch(STRONG, 200, 2, seed=3))
+        )
+        stations[1], bs_zones[1] = stations[1][:-3], bs_zones[1][:-3]
+        radii[1] *= 1.5
+        args = (homes, stations, ms_zones, bs_zones, shape, f, radii)
+        access = batched_zone_access(*args)
+        assert access[0].shape == access[1].shape == (200,)
+        for member, oracle in zip(access, member_oracles(args)):
+            assert np.array_equal(member, oracle)
 
     def test_numpy32_within_scheme_rtol(self):
-        nets = build_batch(STRONG, 150, 2, seed=11)
-        ms_zone, bs_zone = stacked_zones(nets)
-        args = (
-            np.stack([net.home_model.points for net in nets]),
-            np.stack([net.bs_positions for net in nets]),
-            ms_zone,
-            bs_zone,
-            nets[0].shape,
-            nets[0].realized.f,
-            nets[0].access_transmission_range(),
-        )
+        args = member_access_args(build_batch(STRONG, 150, 2, seed=11))
         backend = get_backend("numpy32")
-        exact = batched_zone_access(*args)
-        approx = backend.from_device(batched_zone_access(*args, backend=backend))
-        assert approx.dtype == np.float32
-        scale = max(float(exact.max()), 1e-30)
-        assert np.allclose(
-            approx,
-            exact,
-            rtol=backend.tolerance("scheme_rate"),
-            atol=backend.tolerance("scheme_rate") * scale,
-        )
+        for exact, approx in zip(
+            batched_zone_access(*args),
+            batched_zone_access(*args, dtype=backend.float_dtype),
+        ):
+            assert approx.dtype == np.float32
+            scale = max(float(exact.max()), 1e-30)
+            assert np.allclose(
+                approx,
+                exact,
+                rtol=backend.tolerance("scheme_rate"),
+                atol=backend.tolerance("scheme_rate") * scale,
+            )
 
 
 class TestZonePairSessions:
@@ -251,13 +231,14 @@ class TestSchemeBFlow:
 class TestBatchedSchemeCAttach:
     def test_injected_attach_reproduces_serial_flow(self):
         nets = build_batch(TRIVIAL_BS, 220, 3, seed=17, mobility="static")
-        cell, distance = batched_scheme_c_attach(
-            np.stack([net.process.positions() for net in nets]),
-            np.stack([net.bs_positions for net in nets]),
-            np.stack([net.home_model.assignment for net in nets]),
-            np.stack([net._bs_cluster_assignment() for net in nets]),
+        attach = batched_scheme_c_attach(
+            [net.process.positions() for net in nets],
+            [net.bs_positions for net in nets],
+            [net.home_model.assignment for net in nets],
+            [net._bs_cluster_assignment() for net in nets],
             chunk_size=SchemeC._CHUNK,
         )
+        assert len(attach) == 3
         for b, net in enumerate(nets):
             serial = net.scheme_c()
             injected = SchemeC(
@@ -267,7 +248,7 @@ class TestBatchedSchemeCAttach:
                 bs_cluster=net._bs_cluster_assignment(),
                 backbone=net.backbone,
                 delta=net.delta,
-                attach=(cell[b], distance[b]),
+                attach=attach[b],
             )
             traffic = net.sample_traffic()
             want = serial.sustainable_rate(traffic)
@@ -275,6 +256,31 @@ class TestBatchedSchemeCAttach:
             assert got.per_node_rate == want.per_node_rate
             assert got.bottleneck == want.bottleneck
             assert got.details == want.details
+
+    @pytest.mark.parametrize("sizes", [(150,), (120, 260)])
+    def test_each_member_is_its_own_nearest_search(self, sizes):
+        """A width-1 batch and members of different sizes (so different BS
+        counts) each get exactly the per-trial nearest-BS search."""
+        nets = [
+            build_batch(TRIVIAL_BS, n, 1, seed=23 + n, mobility="static")[0]
+            for n in sizes
+        ]
+        args = (
+            [net.process.positions() for net in nets],
+            [net.bs_positions for net in nets],
+            [net.home_model.assignment for net in nets],
+            [net._bs_cluster_assignment() for net in nets],
+        )
+        attach = batched_scheme_c_attach(*args, chunk_size=SchemeC._CHUNK)
+        assert len(attach) == len(sizes)
+        for got, member in zip(attach, zip(*args)):
+            points, others, labels, other_labels = member
+            cell, distance = masked_nearest(
+                points, others, point_labels=labels,
+                other_labels=other_labels, chunk_size=SchemeC._CHUNK,
+            )
+            assert np.array_equal(got[0], cell)
+            assert np.array_equal(got[1], distance)
 
     def test_attach_length_validated(self, rng):
         nets = build_batch(TRIVIAL_BS, 80, 1, seed=19, mobility="static")

@@ -12,10 +12,13 @@ import pytest
 from repro.backend import get_backend
 from repro.core.regimes import NetworkParameters
 from repro.experiments.scaling import (
+    _batched_sweep_trial,
+    _sweep_trial,
     _sweep_trial_keys,
     sweep_capacity,
     sweep_trial_payloads,
 )
+from repro.experiments.table1 import TABLE1_ROWS
 from repro.observability import RecordingTelemetry
 from repro.observability.events import (
     BackendSelected,
@@ -72,6 +75,49 @@ class TestDigestEquality:
             serial_sweep(batch_trials=2).digest()
             == serial_sweep(batch_trials=4).digest()
         )
+
+
+ROWS = {row.label: row for row in TABLE1_ROWS}
+
+
+class TestBatchWidthIndependence:
+    """A member's value is a function of its payload and backend alone --
+    never of the batch it ran in (a resume at another ``--batch-trials``
+    replays journaled values under the same cache key)."""
+
+    @pytest.mark.parametrize(
+        "label, scheme",
+        [("weak mobility, with BSs", "B"), ("trivial mobility, with BSs", "C")],
+    )
+    @pytest.mark.parametrize("backend", ["numpy64", "numpy32"])
+    def test_member_values_identical_at_widths_1_2_3(self, label, scheme, backend):
+        payloads = sweep_trial_payloads(
+            ROWS[label].parameters, [400], scheme, trials=3, generic=True, seed=7
+        )
+
+        def run(batch):
+            return _batched_sweep_trial(None, batch, backend=backend)
+
+        width_3 = run(payloads)
+        width_2 = run(payloads[:2]) + run(payloads[2:])
+        width_1 = [value for payload in payloads for value in run([payload])]
+        assert width_1 == width_2 == width_3
+        per_trial = [_sweep_trial(None, payload) for payload in payloads]
+        if backend == "numpy64":
+            assert width_1 == per_trial
+        elif scheme == "B":
+            # a width-1 numpy32 batch really runs in float32
+            assert width_1 != per_trial
+
+    def test_numpy32_sweep_digest_independent_of_batch_trials(self):
+        def digest(batch_trials):
+            return sweep_capacity(
+                ROWS["weak mobility, with BSs"].parameters, [400], "B",
+                trials=3, seed=7, generic=True,
+                batch_trials=batch_trials, backend="numpy32",
+            ).digest()
+
+        assert digest(2) == digest(3)
 
 
 class TestNonCanonicalBackend:

@@ -12,9 +12,15 @@ import pytest
 
 from repro.mobility.processes import IIDAroundHome, StaticProcess
 from repro.mobility.shapes import UniformDiskShape
+from repro.observability import RecordingTelemetry
+from repro.observability.events import SlotBatch, using_telemetry
 from repro.simulation.engine import PacketRouter, SlottedSimulator
 from repro.simulation.traffic import permutation_traffic
-from repro.wireless.scheduler import PolicySStar
+from repro.wireless.scheduler import (
+    GreedyMatchingScheduler,
+    PolicySStar,
+    VariableRangeScheduler,
+)
 
 
 class FIFORouter(PacketRouter):
@@ -22,7 +28,15 @@ class FIFORouter(PacketRouter):
         return queue[0] if queue else None
 
 
-def make_sim(seed, n=50, arrival=0.2, shared_rng=True, static=None, mobile=True):
+def make_sim(
+    seed,
+    n=50,
+    arrival=0.2,
+    shared_rng=True,
+    static=None,
+    mobile=True,
+    scheduler=None,
+):
     """One simulator; ``shared_rng`` shares the engine RNG with mobility."""
     rng = np.random.default_rng(seed)
     homes = rng.random((n, 2))
@@ -35,7 +49,7 @@ def make_sim(seed, n=50, arrival=0.2, shared_rng=True, static=None, mobile=True)
     traffic = permutation_traffic(rng, n)
     return SlottedSimulator(
         process=process,
-        scheduler=PolicySStar(node_count=total, c_t=0.4, delta=0.5),
+        scheduler=scheduler or PolicySStar(node_count=total, c_t=0.4, delta=0.5),
         router=FIFORouter(),
         traffic=traffic,
         arrival_prob=arrival,
@@ -96,14 +110,29 @@ class TestArrivalPrefetch:
         assert metrics_digest(split_metrics) == metrics_digest(whole_metrics)
 
 
+def scheduled_positions(sim):
+    """Record ``(array, snapshot)`` of the positions each slot schedules on."""
+    seen = []
+    schedule = sim._scheduler.schedule
+
+    def spy(positions, **kwargs):
+        seen.append((positions, positions.copy()))
+        return schedule(positions, **kwargs)
+
+    sim._scheduler.schedule = spy
+    return seen
+
+
 class TestCombinedBuffer:
     def test_static_rows_preserved_across_slots(self):
         static = np.random.default_rng(0).random((7, 2))
         sim = make_sim(8, static=static)
+        seen = scheduled_positions(sim)
         for _ in range(5):
-            positions, _moved = sim._begin_slot()
-            assert np.array_equal(positions[sim.ms_count :], static)
-            sim._apply_schedule(sim._scheduler.schedule(positions))
+            sim.step()
+        assert len(seen) == 5
+        for _positions, snapshot in seen:
+            assert np.array_equal(snapshot[sim.ms_count :], static)
 
     def test_run_with_static_matches_step_loop(self):
         static = np.random.default_rng(1).random((5, 2))
@@ -117,13 +146,56 @@ class TestCombinedBuffer:
     def test_buffer_is_reused(self):
         static = np.random.default_rng(2).random((4, 2))
         sim = make_sim(10, static=static)
-        first, _ = sim._begin_slot()
-        sim._apply_schedule(sim._scheduler.schedule(first))
-        second, _ = sim._begin_slot()
-        sim._apply_schedule(sim._scheduler.schedule(second))
+        seen = scheduled_positions(sim)
+        sim.step()
+        sim.step()
+        (first, _), (second, _) = seen
         assert first is second  # one preallocated MS+BS buffer
 
     def test_no_static_passthrough(self):
         sim = make_sim(11)
-        positions, _ = sim._begin_slot()
+        seen = scheduled_positions(sim)
+        sim.step()
+        (positions, _), = seen
         assert positions.shape == (sim.ms_count, 2)
+
+
+SCHEDULERS = {
+    "sstar": None,
+    "variable": lambda: VariableRangeScheduler(0.1, delta=0.5),
+    "greedy": lambda: GreedyMatchingScheduler(0.12, delta=0.5),
+}
+
+
+class TestIndependentSimulators:
+    """Simulators share no hidden state: stepping several of them slot by
+    slot in round robin gives each the metrics it gets running alone."""
+
+    @pytest.mark.parametrize("with_static", [False, True])
+    @pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+    def test_interleaved_steps_match_solo_runs(self, kind, with_static):
+        static = np.random.default_rng(99).random((6, 2)) if with_static else None
+        factory = SCHEDULERS[kind]
+
+        def sim(seed):
+            scheduler = factory() if factory else None
+            return make_sim(seed, static=static, scheduler=scheduler)
+
+        seeds = (1, 2, 3)
+        interleaved = [sim(seed) for seed in seeds]
+        for _ in range(20):
+            for each in interleaved:
+                each.step()
+        for seed, each in zip(seeds, interleaved):
+            solo = sim(seed).run(20)
+            assert metrics_digest(each._metrics()) == metrics_digest(solo)
+
+    def test_run_emits_one_slot_batch_per_call(self):
+        sim = make_sim(12)
+        sink = RecordingTelemetry()
+        with using_telemetry(sink):
+            sim.run(10)
+            sim.run(5)
+        batches = sink.of_type(SlotBatch)
+        assert [b.slots for b in batches] == [10, 5]
+        assert [b.total_slots for b in batches] == [10, 15]

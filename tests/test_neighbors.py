@@ -19,7 +19,6 @@ from repro.geometry.neighbors import (
     _SMALL_N,
     CellGridIndex,
     adjacency_lists,
-    iter_distance_chunks,
     masked_nearest,
     pair_distances,
 )
@@ -177,18 +176,18 @@ class TestIndexMechanics:
 
 
 class TestSharedChunkHelpers:
-    def test_iter_distance_chunks_covers_matrix(self):
+    def test_masked_nearest_ragged_last_chunk(self):
+        """101 rows in chunks of 17 (a short last chunk) match one chunk."""
         rng = np.random.default_rng(8)
         pts, others = rng.random((101, 2)), rng.random((13, 2))
-        blocks = list(iter_distance_chunks(pts, others, chunk_size=17))
-        assert [b[1].shape[0] for b in blocks] == [17] * 5 + [16]
-        np.testing.assert_array_equal(
-            np.vstack([b for _, b in blocks]), pairwise_distances(pts, others)
-        )
+        chunked = masked_nearest(pts, others, chunk_size=17)
+        whole = masked_nearest(pts, others, chunk_size=101)
+        np.testing.assert_array_equal(chunked[0], whole[0])
+        np.testing.assert_array_equal(chunked[1], whole[1])
 
-    def test_iter_distance_chunks_validates_chunk_size(self):
+    def test_masked_nearest_validates_chunk_size(self):
         with pytest.raises(ValueError):
-            next(iter_distance_chunks(np.zeros((2, 2)), chunk_size=0))
+            masked_nearest(np.zeros((2, 2)), np.zeros((2, 2)), chunk_size=0)
 
     @settings(max_examples=60, deadline=None)
     @given(pts=points, others=points, data=st.data())

@@ -100,6 +100,40 @@ class TestStrictPairs:
         assert model.strict_pairs(positions, 0.05, distances=distances) == \
             model.strict_pairs(positions, 0.05)
 
+    @pytest.mark.parametrize("radius", [0.03, 0.1, 0.4])
+    def test_every_path_matches_the_reference_definition(self, rng, radius):
+        """Sparse, dense and reference paths agree on independent slices."""
+        from repro.geometry.torus import pairwise_distances
+
+        model = ProtocolModel(delta=0.5)
+        for _ in range(5):
+            positions = rng.random((50, 2))
+            reference = model.strict_pairs(positions, radius, reference=True)
+            assert model.strict_pairs(positions, radius) == reference
+            distances = pairwise_distances(positions)
+            assert (
+                model.strict_pairs(positions, radius, distances=distances)
+                == reference
+            )
+
+    def test_nonpositive_range_enables_nothing(self, rng):
+        model = ProtocolModel(delta=0.5)
+        positions = rng.random((10, 2))
+        assert model.strict_pairs(positions, 0.0) == []
+        assert model.strict_pairs(positions, -0.1) == []
+
+    def test_shared_index_matches_fresh_index(self, rng):
+        """One per-slot index serves several ranges with unchanged pairs."""
+        from repro.geometry.neighbors import CellGridIndex
+
+        model = ProtocolModel(delta=0.5)
+        positions = rng.random((120, 2))
+        index = CellGridIndex(positions)
+        for radius in (0.02, 0.05, 0.1, 0.3):
+            assert model.strict_pairs(
+                positions, radius, index=index
+            ) == model.strict_pairs(positions, radius)
+
 
 class TestCrossClusterInterference:
     def test_far_clusters_do_not_interfere(self, rng):

@@ -173,3 +173,34 @@ class TestTDMACellScheduler:
             TDMACellScheduler(np.zeros(3, int), np.zeros(1, int), 4, 0.1)
         with pytest.raises(ValueError):
             TDMACellScheduler(np.zeros(3, int), np.zeros(1, int), 3, 0.0)
+
+
+SCHEDULERS = {
+    "sstar": lambda: PolicySStar(node_count=45, c_t=0.4, delta=0.5),
+    "variable": lambda: VariableRangeScheduler(0.12, delta=0.5),
+    "greedy": lambda: GreedyMatchingScheduler(0.15, delta=0.5),
+}
+
+
+class TestStatelessSchedulers:
+    """A range-based scheduler keeps no state between slots, so one
+    instance reused over independent position sets must schedule each
+    exactly as a fresh instance would."""
+
+    @pytest.mark.parametrize("kind", sorted(SCHEDULERS))
+    def test_reused_instance_matches_fresh(self, rng, kind):
+        reused = SCHEDULERS[kind]()
+        for _ in range(4):
+            positions = rng.random((45, 2))
+            got = reused.schedule(positions)
+            want = SCHEDULERS[kind]().schedule(positions)
+            assert got.pairs == want.pairs
+            assert got.transmission_range == want.transmission_range
+
+    def test_reference_sstar_matches_fast_on_successive_slots(self, rng):
+        fast = PolicySStar(node_count=20, c_t=0.4, delta=0.5)
+        reference = PolicySStar(node_count=20, c_t=0.4, delta=0.5, reference=True)
+        for _ in range(3):
+            positions = rng.random((20, 2))
+            want = reference.schedule(positions).pairs
+            assert fast.schedule(positions).pairs == want

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.infrastructure.backbone import Backbone
 from repro.mobility.shapes import UniformDiskShape
@@ -18,16 +20,70 @@ def make_inputs(rng, n=80, k=16, zones=2, f=3.0, r_t=0.05):
     return homes, bs, ms_zone, bs_zone, f, r_t
 
 
+def masked_matrix_oracle(homes, bs, ms_zone, bs_zone, f, r_t):
+    """Definition 12 literally: the full ``n x k`` matrix, zone-masked."""
+    matrix = SchemeB.access_matrix(homes, bs, SHAPE, f, r_t)
+    masked = np.where(ms_zone[:, None] == bs_zone[None, :], matrix, 0.0)
+    return masked.sum(axis=1)
+
+
 class TestZoneAccessVector:
     def test_matches_matrix_path(self, rng):
         homes, bs, ms_zone, bs_zone, f, r_t = make_inputs(rng)
-        matrix = SchemeB.access_matrix(homes, bs, SHAPE, f, r_t)
-        masked = np.where(ms_zone[:, None] == bs_zone[None, :], matrix, 0.0)
-        expected = masked.sum(axis=1)
         vector = SchemeB.zone_access_vector(
             homes, bs, ms_zone, bs_zone, SHAPE, f, r_t
         )
-        assert np.allclose(vector, expected)
+        assert np.array_equal(
+            vector, masked_matrix_oracle(homes, bs, ms_zone, bs_zone, f, r_t)
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 40),
+        k=st.integers(1, 24),
+        zones=st.integers(1, 6),
+        bs_free_zone=st.booleans(),
+        data=st.data(),
+    )
+    @example(seed=0, n=12, k=1, zones=3, bs_free_zone=True, data=None)
+    def test_property_bit_identical_to_masked_matrix(
+        self, seed, n, k, zones, bs_free_zone, data
+    ):
+        """Zone-blocking equals the masked ``n x k`` row sum bit-for-bit, at
+        any zone count and chunk size; MSs of a zone without BSs get
+        exactly 0.0."""
+        chunk = 1 if data is None else data.draw(st.integers(1, n + 1))
+        rng = np.random.default_rng(seed)
+        homes, bs = rng.random((n, 2)), rng.random((k, 2))
+        ms_zone = rng.integers(0, zones + int(bs_free_zone), size=n)
+        # with bs_free_zone, zone ``zones`` holds MSs but never a BS
+        bs_zone = rng.integers(0, zones, size=k)
+        f, r_t = 1.0 + 3.0 * rng.random(), 0.02 + 0.4 * rng.random()
+        vector = SchemeB.zone_access_vector(
+            homes, bs, ms_zone, bs_zone, SHAPE, f, r_t, chunk_size=chunk
+        )
+        oracle = masked_matrix_oracle(homes, bs, ms_zone, bs_zone, f, r_t)
+        assert vector.dtype == np.float64
+        assert np.array_equal(vector, oracle)
+        orphaned = ~np.isin(ms_zone, bs_zone)
+        assert np.all(vector[orphaned] == 0.0)
+
+    def test_chunk_size_must_be_positive(self, rng):
+        homes, bs, ms_zone, bs_zone, f, r_t = make_inputs(rng, n=10, k=3)
+        with pytest.raises(ValueError, match="chunk_size"):
+            SchemeB.zone_access_vector(
+                homes, bs, ms_zone, bs_zone, SHAPE, f, r_t, chunk_size=0
+            )
+
+    def test_float32_dtype(self, rng):
+        homes, bs, ms_zone, bs_zone, f, r_t = make_inputs(rng)
+        exact = SchemeB.zone_access_vector(homes, bs, ms_zone, bs_zone, SHAPE, f, r_t)
+        approx = SchemeB.zone_access_vector(
+            homes, bs, ms_zone, bs_zone, SHAPE, f, r_t, dtype=np.float32
+        )
+        assert approx.dtype == np.float32
+        assert np.allclose(approx, exact, rtol=1e-3, atol=1e-3 * exact.max())
 
     def test_chunking_invariant(self, rng):
         homes, bs, ms_zone, bs_zone, f, r_t = make_inputs(rng, n=100)
@@ -37,7 +93,7 @@ class TestZoneAccessVector:
         chunked = SchemeB.zone_access_vector(
             homes, bs, ms_zone, bs_zone, SHAPE, f, r_t, chunk_size=7
         )
-        assert np.allclose(whole, chunked)
+        assert np.array_equal(whole, chunked)
 
 
 class TestFromAccessVector:
@@ -54,8 +110,8 @@ class TestFromAccessVector:
         traffic = permutation_traffic(rng, 80)
         rate_matrix = via_matrix.sustainable_rate(traffic)
         rate_vector = via_vector.sustainable_rate(traffic)
-        assert rate_matrix.per_node_rate == pytest.approx(rate_vector.per_node_rate)
-        assert np.allclose(
+        assert rate_matrix.per_node_rate == rate_vector.per_node_rate
+        assert np.array_equal(
             via_matrix.ms_access_capacity(), via_vector.ms_access_capacity()
         )
 
