@@ -1,0 +1,217 @@
+"""Flow-kernel benchmark: scheme A's flow analysis, scheme B's access vector
+and scheme C's attach search, each against its reference, bit for bit.
+
+- **Scheme A flow** (Definition 11 / Lemma 5): :meth:`SchemeA.sustainable_rate`
+  (per-cell blocks and array route accounting) against the per-session loop
+  it replaced (``LoopOracle`` in ``tests/test_scheme_a_vector.py``), on
+  realisations of Table I's strong-mobility-with-BSs row -- the scheme-A
+  half of an ``optimal`` trial.
+- **Scheme B access** (Lemma 9): :meth:`SchemeB.zone_access_vector` with its
+  default element-budget chunks against the same kernel at the fixed
+  2048-row chunks it used before, on the same realisations.
+- **Scheme C attach**: :func:`~repro.geometry.neighbors.masked_nearest` the
+  same way, on realisations of the trivial-mobility-with-BSs row.
+
+Each pair must return bit-equal output at every ``n``.  The gate: at the
+smallest ``n`` of the grid, scheme A's flow must be at least
+``GATE_SPEEDUP``x faster than the loop.  The run writes ``BENCH_flow.json``
+with provenance (git SHA, host, grid).
+
+Run modes:
+
+- ``PYTHONPATH=src python benchmarks/bench_flow.py`` -- full grid
+  (checked-in artifact);
+- CI runs ``REPRO_FLOW_GRID=2000 python -m pytest benchmarks/bench_flow.py
+  -q -s -m bench`` (same gates at ``n = 2000``).
+"""
+
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from repro.experiments.table1 import TABLE1_ROWS  # noqa: E402
+from repro.geometry.neighbors import masked_nearest  # noqa: E402
+from repro.routing.scheme_b import SchemeB  # noqa: E402
+from repro.simulation.network import HybridNetwork  # noqa: E402
+from repro.store import TrialSeed  # noqa: E402
+from repro.store.provenance import collect_provenance  # noqa: E402
+from tests.test_scheme_a_vector import LoopOracle  # noqa: E402
+
+#: Node counts.
+N_VALUES = tuple(
+    int(value)
+    for value in os.environ.get("REPRO_FLOW_GRID", "2000,4000,8000,16000").split(",")
+)
+#: Timing repetitions per configuration (best-of, to shed scheduler noise).
+REPEATS = 3
+#: The scheme-A speedup gate, applied at the smallest n of the grid.
+GATE_SPEEDUP = 2.0
+#: The fixed row chunk of the B access and C attach kernels before the
+#: element-budget rule.
+ROW_CHUNK = 2048
+SEED = 1
+
+_ROWS = {row.label: row for row in TABLE1_ROWS}
+STRONG = _ROWS["strong mobility, with BSs"]
+TRIVIAL = _ROWS["trivial mobility, with BSs"]
+
+OUTPUT = ROOT / "BENCH_flow.json"
+
+
+def _best_of(call):
+    """Best-of-``REPEATS`` wall clock of ``call()``; returns (seconds, result)."""
+    best = float("inf")
+    result = None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def _pair(fast, reference, equal):
+    fast_seconds, fast_result = _best_of(fast)
+    reference_seconds, reference_result = _best_of(reference)
+    return {
+        "seconds": fast_seconds,
+        "reference_seconds": reference_seconds,
+        "speedup": reference_seconds / fast_seconds,
+        "bit_equal": bool(equal(fast_result, reference_result)),
+    }
+
+
+def _same_flow(got, want):
+    return (
+        got.per_node_rate == want.per_node_rate
+        and got.bottleneck == want.bottleneck
+        and got.details == want.details
+    )
+
+
+def _same_arrays(got, want):
+    return all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def run_point(n):
+    strong = HybridNetwork.build(STRONG.parameters, n, TrialSeed(SEED, 0).rng())
+    traffic = strong.sample_traffic()
+    scheme_a = _pair(
+        lambda: strong.scheme_a().sustainable_rate(traffic),
+        lambda: LoopOracle(strong.scheme_a()).sustainable_rate(traffic),
+        _same_flow,
+    )
+    ms_zone, bs_zone = strong.scheme_b_zones()
+    access_args = (
+        strong.home_model.points, strong.bs_positions, ms_zone, bs_zone,
+        strong.shape, strong.realized.f, strong.access_transmission_range(),
+    )
+    scheme_b = _pair(
+        lambda: SchemeB.zone_access_vector(*access_args),
+        lambda: SchemeB.zone_access_vector(*access_args, chunk_size=ROW_CHUNK),
+        np.array_equal,
+    )
+    trivial = HybridNetwork.build(TRIVIAL.parameters, n, TrialSeed(SEED, 0).rng())
+    attach_args = (
+        trivial.process.positions(), trivial.bs_positions,
+        trivial.home_model.assignment, trivial._bs_cluster_assignment(),
+    )
+    scheme_c = _pair(
+        lambda: masked_nearest(*attach_args),
+        lambda: masked_nearest(*attach_args, chunk_size=ROW_CHUNK),
+        _same_arrays,
+    )
+    return {
+        "n": n,
+        "scheme_a_cells_per_side": strong.scheme_a().tessellation.cells_per_side,
+        "strong_bs_count": int(strong.bs_positions.shape[0]),
+        "trivial_bs_count": int(trivial.bs_positions.shape[0]),
+        "scheme_a_flow": scheme_a,
+        "scheme_b_access": scheme_b,
+        "scheme_c_attach": scheme_c,
+    }
+
+
+def run_bench():
+    return {
+        "provenance": {
+            **collect_provenance(),
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+        },
+        "families": {
+            "scheme_a_flow": STRONG.label,
+            "scheme_b_access": STRONG.label,
+            "scheme_c_attach": TRIVIAL.label,
+        },
+        "references": {
+            "scheme_a_flow": "per-session loop (tests/test_scheme_a_vector.py LoopOracle)",
+            "scheme_b_access": f"zone_access_vector at chunk_size={ROW_CHUNK}",
+            "scheme_c_attach": f"masked_nearest at chunk_size={ROW_CHUNK}",
+        },
+        "grid": list(N_VALUES),
+        "seed": SEED,
+        "repeats": REPEATS,
+        "gate_speedup": GATE_SPEEDUP,
+        "points": [run_point(n) for n in N_VALUES],
+    }
+
+
+_KERNELS = ("scheme_a_flow", "scheme_b_access", "scheme_c_attach")
+
+
+def _render(result):
+    lines = []
+    for row in result["points"]:
+        cells = []
+        for kernel in _KERNELS:
+            entry = row[kernel]
+            cells.append(
+                f"{kernel} {entry['seconds'] * 1e3:7.1f} ms "
+                f"({entry['speedup']:4.1f}x, "
+                + ("bit-equal" if entry["bit_equal"] else "DIVERGED")
+                + ")"
+            )
+        lines.append(f"n={row['n']:>6}: " + "; ".join(cells))
+    return "\n".join(lines)
+
+
+def _check_gates(result):
+    for row in result["points"]:
+        for kernel in _KERNELS:
+            assert row[kernel]["bit_equal"], (
+                f"{kernel} diverged from its reference at n={row['n']} -- "
+                "bit-identity is the contract"
+            )
+    smallest = min(result["points"], key=lambda row: row["n"])
+    speedup = smallest["scheme_a_flow"]["speedup"]
+    assert speedup >= GATE_SPEEDUP, (
+        f"expected scheme A's flow >= {GATE_SPEEDUP}x the per-session loop at "
+        f"n={smallest['n']}, measured {speedup:.2f}x"
+    )
+
+
+@pytest.mark.bench
+@pytest.mark.slow
+def test_flow_kernels():
+    from conftest import report
+
+    result = run_bench()
+    OUTPUT.write_text(json.dumps(result, indent=2) + "\n")
+    report("flow kernels vs their references", _render(result))
+    _check_gates(result)
+
+
+if __name__ == "__main__":
+    outcome = run_bench()
+    OUTPUT.write_text(json.dumps(outcome, indent=2) + "\n")
+    print(_render(outcome))
+    _check_gates(outcome)

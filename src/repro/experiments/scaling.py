@@ -256,7 +256,6 @@ def _batched_sweep_trial(seed_seqs, payloads, backend: str = "numpy64") -> List[
         [net.bs_positions for net in nets],
         [net.home_model.assignment for net in nets],
         [net._bs_cluster_assignment() for net in nets],
-        chunk_size=SchemeC._CHUNK,
         dtype=dtype,
     )
     values = []

@@ -24,9 +24,9 @@ the wrap-around stencil would self-overlap) or the point set is tiny, the
 index transparently falls back to the dense matrix -- same results, bounded
 memory in the regimes that matter.
 
-Also hosted here are two shared helpers: the chunked, label-masked
-nearest-neighbour search :func:`masked_nearest` and the CSR builder
-:func:`adjacency_lists`.
+Also hosted here are the shared helpers: the row-chunk rule
+:func:`chunk_rows`, the chunked, label-masked nearest-neighbour search
+:func:`masked_nearest` and the CSR builder :func:`adjacency_lists`.
 """
 
 from __future__ import annotations
@@ -44,12 +44,14 @@ __all__ = [
     "pair_distances",
     "masked_nearest",
     "adjacency_lists",
-    "DEFAULT_CHUNK",
+    "chunk_rows",
+    "CHUNK_ELEMENTS",
 ]
 
-#: Row-chunk size used by the shared chunked-distance helpers: caps peak
-#: memory at ``DEFAULT_CHUNK * len(others)`` floats per block.
-DEFAULT_CHUNK = 2048
+#: Element budget of one block of the chunked row kernels
+#: (:func:`masked_nearest`, scheme B's access vector): 512 KiB of float64,
+#: small enough to stay in cache whatever the block's width.
+CHUNK_ELEMENTS = 65536
 
 #: Below this point count the dense matrix is both smaller and faster than
 #: bucket bookkeeping; the index silently uses it (identical results).
@@ -542,23 +544,38 @@ class IncrementalCellGridIndex(CellGridIndex):
 # ----------------------------------------------------------------------
 # shared chunked-distance helpers (memory capping in one place)
 # ----------------------------------------------------------------------
+def chunk_rows(width: int, chunk_size: Optional[int] = None) -> int:
+    """Rows per block of a row-chunked kernel whose blocks are ``width``
+    columns wide.
+
+    An explicit ``chunk_size`` wins (it must be >= 1); by default a block
+    holds about :data:`CHUNK_ELEMENTS` entries, and at least one row.
+    Every row of these kernels is reduced on its own, so the chunking
+    never changes a result.
+    """
+    if chunk_size is None:
+        return max(1, CHUNK_ELEMENTS // max(1, width))
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    return chunk_size
+
+
 def masked_nearest(
     points: np.ndarray,
     others: np.ndarray,
     point_labels: Optional[np.ndarray] = None,
     other_labels: Optional[np.ndarray] = None,
-    chunk_size: int = DEFAULT_CHUNK,
+    chunk_size: Optional[int] = None,
     dtype=np.float64,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Nearest ``others`` index per point, restricted to matching labels.
 
     Returns ``(nearest, distance)``; where no label-compatible candidate
     exists, ``nearest`` is ``-1`` and ``distance`` is ``inf``.  Rows are
-    taken ``chunk_size`` at a time, so memory stays
-    ``O(chunk_size * len(others))`` (the MS -> BS attachment pattern of the
-    cellular routing schemes).  Distances are computed in ``dtype``
-    (``np.float32`` for the ``numpy32`` backend); ``distance`` is always
-    float64.
+    taken :func:`chunk_rows` at a time, so memory stays bounded (the
+    MS -> BS attachment pattern of the cellular routing schemes).
+    Distances are computed in ``dtype`` (``np.float32`` for the
+    ``numpy32`` backend); ``distance`` is always float64.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     others = np.atleast_2d(np.asarray(others, dtype=float))
@@ -572,8 +589,7 @@ def masked_nearest(
     if point_labels is not None:
         point_labels = np.asarray(point_labels)
         other_labels = np.asarray(other_labels)
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    chunk_size = chunk_rows(others.shape[0], chunk_size)
     for begin in range(0, count, chunk_size):
         rows = slice(begin, min(begin + chunk_size, count))
         block = batched_pairwise_distances(points[rows], others, dtype=dtype)

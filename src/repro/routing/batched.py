@@ -21,11 +21,11 @@ canonical, ``np.float32`` the tolerance-gated ``numpy32`` backend.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.neighbors import DEFAULT_CHUNK, masked_nearest
+from ..geometry.neighbors import masked_nearest
 from ..infrastructure.backbone import Backbone
 from ..mobility.shapes import MobilityShape
 from .scheme_b import SchemeB, zone_pair_sessions
@@ -46,7 +46,7 @@ def batched_zone_access(
     shape: MobilityShape,
     f: float,
     transmission_range: Sequence[float],
-    chunk_size: int = DEFAULT_CHUNK,
+    chunk_size: Optional[int] = None,
     dtype=np.float64,
 ) -> List[np.ndarray]:
     """``mu_i^A`` of every member: one :meth:`SchemeB.zone_access_vector`
@@ -95,14 +95,15 @@ def batched_scheme_c_attach(
     bs_positions: Sequence[np.ndarray],
     ms_cluster: Sequence[np.ndarray],
     bs_cluster: Sequence[np.ndarray],
-    chunk_size: int = 2048,
+    chunk_size: Optional[int] = None,
     dtype=np.float64,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Scheme C's nearest-same-cluster-BS attach of every member.
 
     Returns one ``(cell_of_ms, attach_distance)`` pair per member, to pass
     to ``SchemeC(..., attach=...)``.  ``chunk_size`` defaults to
-    :attr:`SchemeC._CHUNK`, the per-trial scheme's own search.
+    :func:`~repro.geometry.neighbors.chunk_rows`, as in the per-trial
+    scheme's own search.
     """
     return [
         masked_nearest(

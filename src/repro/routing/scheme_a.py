@@ -13,18 +13,38 @@ between two adjacent squarelets is the sum of the Corollary-1 pair
 capacities across them, the load is ``lambda`` times the number of sessions
 routed through that squarelet boundary, and the sustainable rate is the
 worst capacity/load ratio (plus per-session first/last-hop constraints).
-Capacities are computed block-wise per squarelet pair, never as a full
-``n x n`` matrix, so the analysis scales to tens of thousands of nodes.
+
+Every capacity comes from one Corollary-1 block per squarelet and per
+squarelet pair: for each cell ``c`` the blocks ``(c, c)``, ``(c, east)`` and
+``(c, north)`` are built once, never an ``n x n`` matrix.
+
+- A node's capacity into a neighbouring squarelet is its row sum in the
+  block towards that squarelet.  West and south rows are the rows of the
+  contiguous transpose of the neighbour's east / north block: the torus
+  distance is exactly symmetric, so those rows hold the same floats in the
+  same order as a block built the other way round.  A node's capacity into
+  its own squarelet leaves the node out by removing the block's diagonal
+  (not zeroing it), which keeps the summation order of the other entries.
+- A squarelet boundary's capacity is half the sum of its whole block.
+  Float addition is not associative, so the ``(a, b)`` and ``(b, a)`` block
+  sums can differ in the last bit; each unordered cell pair is taken in
+  the orientation of the directed route edge across it that is used first
+  (session order, then route order).  That rule makes the rate a pure
+  function of the home-points and the traffic.
+
+Row sums are reduced over contiguous rows only, so each equals the sum of a
+``1 x m`` block built for that node alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
+from ..geometry.neighbors import pair_distances
 from ..geometry.tessellation import SquareTessellation
 from ..geometry.torus import pairwise_distances
 from ..mobility.shapes import MobilityShape
@@ -37,7 +57,11 @@ from .base import FlowResult, RoutingScheme
 
 __all__ = ["SchemeA"]
 
-CellEdge = Tuple[int, int]
+#: Neighbour directions: column +1 / -1, row +1 / -1 (with wrap-around).
+EAST, WEST, NORTH, SOUTH = range(4)
+_ROW_STEP = np.array([0, 0, 1, -1])
+_COL_STEP = np.array([1, -1, 0, 0])
+_OPPOSITE = np.array([WEST, EAST, SOUTH, NORTH])
 
 
 @dataclass(frozen=True)
@@ -90,7 +114,6 @@ class SchemeA(RoutingScheme):
         self._instance = _Instance(
             tessellation=tess, home_cell=home_cell, members=tess.members(self._home)
         )
-        self._edge_capacity_cache: Dict[CellEdge, float] = {}
 
     # ------------------------------------------------------------------
     # structure
@@ -133,33 +156,57 @@ class SchemeA(RoutingScheme):
         Sum of the pairwise Corollary-1 capacities between home-points of
         the two squarelets, halved: ``S*`` splits each enabled pair's
         bandwidth between the two directions, so the directed capacity is
-        ``mu / 2``.  Cached per unordered pair (it is symmetric).
+        ``mu / 2``.  The block is summed in the ``(cell_from, cell_to)``
+        orientation; the reverse orientation holds the same values and can
+        differ only in the last bit.
         """
-        key = (min(cell_from, cell_to), max(cell_from, cell_to))
-        cached = self._edge_capacity_cache.get(key)
-        if cached is not None:
-            return cached
         members_from = self._instance.members[cell_from]
         members_to = self._instance.members[cell_to]
         if members_from.size == 0 or members_to.size == 0:
-            value = 0.0
-        else:
-            block = self._mu_block(members_from, members_to)
-            if cell_from == cell_to:
-                # exclude self-pairs when both endpoints share the squarelet
-                np.fill_diagonal(block, 0.0)
-            value = 0.5 * float(block.sum())
-        self._edge_capacity_cache[key] = value
-        return value
-
-    def _endpoint_capacity(self, node: int, cell: int, outgoing: bool) -> float:
-        """Capacity from a node into (or out of) one squarelet's relays."""
-        members = self._instance.members[cell]
-        members = members[members != node]
-        if members.size == 0:
             return 0.0
-        block = self._mu_block(np.array([node]), members)
+        block = self._mu_block(members_from, members_to)
+        if cell_from == cell_to:
+            # exclude self-pairs when both endpoints share the squarelet
+            np.fill_diagonal(block, 0.0)
         return 0.5 * float(block.sum())
+
+    def _capacities(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every endpoint and boundary capacity, from each cell's own, east
+        and north blocks, each built once.
+
+        Returns ``(own, toward, boundary)``: ``own[i]`` is node ``i``'s
+        capacity into its own squarelet, ``toward[i, d]`` into the
+        neighbouring squarelet in direction ``d``, and ``boundary[c, d]``
+        the capacity of the edge from cell ``c`` to its neighbour in
+        direction ``d``, summed in that orientation.
+        """
+        tess = self._instance.tessellation
+        side = tess.cells_per_side
+        own = np.zeros(self.node_count)
+        toward = np.zeros((self.node_count, 4))
+        boundary = np.zeros((tess.cell_count, 4))
+        members = self._instance.members
+        for cell, rows in enumerate(members):
+            if rows.size == 0:
+                continue
+            own[rows] = 0.5 * _without_diagonal(self._mu_block(rows, rows)).sum(axis=1)
+            if side == 1:
+                continue  # every route stays in the one cell
+            row, col = divmod(cell, side)
+            for ahead, back, other in (
+                (EAST, WEST, tess.flat_index(row, col + 1)),
+                (NORTH, SOUTH, tess.flat_index(row + 1, col)),
+            ):
+                cols = members[other]
+                if cols.size == 0:
+                    continue
+                block = self._mu_block(rows, cols)
+                flipped = np.ascontiguousarray(block.T)
+                toward[rows, ahead] = 0.5 * block.sum(axis=1)
+                toward[cols, back] = 0.5 * flipped.sum(axis=1)
+                boundary[cell, ahead] = 0.5 * block.sum()
+                boundary[other, back] = 0.5 * flipped.sum()
+        return own, toward, boundary
 
     # ------------------------------------------------------------------
     # flow analysis (Lemma 5)
@@ -170,45 +217,44 @@ class SchemeA(RoutingScheme):
                 f"traffic has {traffic.session_count} sessions but the network "
                 f"has {self.node_count} MSs"
             )
-        edge_load: Dict[CellEdge, int] = {}
-        per_session_caps: List[float] = []
-        total_hops = 0
-        for source, dest in traffic.pairs():
-            route = self.cell_route(source, dest)
-            total_hops += max(1, len(route) - 1)
-            for cell_from, cell_to in zip(route, route[1:]):
-                edge = (cell_from, cell_to)
-                edge_load[edge] = edge_load.get(edge, 0) + 1
-            # first hop: source node into the first relay squarelet;
-            # last hop: relays in the squarelet before the destination's
-            if len(route) > 1:
-                first_cap = self._endpoint_capacity(source, route[1], outgoing=True)
-                last_cap = self._endpoint_capacity(dest, route[-2], outgoing=False)
-                per_session_caps.append(min(first_cap, last_cap))
-            else:
-                # source and destination share a squarelet: direct contact or
-                # a same-cell two-hop relay
-                direct = 0.5 * float(self._mu_block(
-                    np.array([source]), np.array([dest])
-                )[0, 0])
-                relayed = min(
-                    self._endpoint_capacity(source, route[0], outgoing=True),
-                    self._endpoint_capacity(dest, route[0], outgoing=False),
-                )
-                per_session_caps.append(max(direct, relayed))
+        tess = self._instance.tessellation
+        side = tess.cells_per_side
+        source = np.arange(self.node_count)
+        dest = np.asarray(traffic.destination, dtype=np.int64)
+        row, col = np.divmod(self._instance.home_cell, side)
+        # horizontal leg along the source's row, then vertical along the
+        # destination's column (Definition 11)
+        across, east = _axis_steps(col[source], col[dest], side)
+        up, north = _axis_steps(row[source], row[dest], side)
+        lateral = np.where(east, EAST, WEST)
+        vertical = np.where(north, NORTH, SOUTH)
+        hops = across + up
+        own, toward, boundary = self._capacities()
+
+        # per-session first/last-hop constraint: the source into the first
+        # relay squarelet, the destination from the one before its own
+        first = np.where(across > 0, lateral, vertical)
+        last = _OPPOSITE[np.where(up > 0, vertical, lateral)]
+        routed = np.minimum(toward[source, first], toward[dest, last])
+        # source and destination share a squarelet: direct contact or a
+        # same-cell two-hop relay
+        direct = 0.5 * contact_probability_ms_ms(
+            self._shape, self._f, self.node_count,
+            pair_distances(self._home, source, dest), self._c_t,
+        )
+        relayed = np.minimum(own[source], own[dest])
+        session_caps = np.where(hops > 0, routed, np.maximum(direct, relayed))
+        session_rate = float(session_caps.min()) if session_caps.size else math.inf
+
         # squarelet-boundary constraint
-        edge_rate = math.inf
-        worst_edge = None
-        for edge, load in edge_load.items():
-            capacity = self.cell_edge_capacity(*edge)
-            rate = capacity / load
-            if rate < edge_rate:
-                edge_rate, worst_edge = rate, edge
-        session_rate = min(per_session_caps) if per_session_caps else math.inf
+        edge_rate, worst_edge = _boundary_rate(
+            tess, boundary, row, col, dest, across, up, lateral, vertical
+        )
         rate = min(edge_rate, session_rate)
         if not math.isfinite(rate):
             rate = 0.0
         bottleneck = "cell-edge" if edge_rate <= session_rate else "session-endpoint"
+        total_hops = int(np.maximum(hops, 1).sum())
         return FlowResult(
             per_node_rate=max(0.0, rate),
             bottleneck=bottleneck,
@@ -217,6 +263,75 @@ class SchemeA(RoutingScheme):
                 "session_rate": session_rate,
                 "worst_edge": worst_edge,
                 "mean_route_hops": total_hops / max(1, traffic.session_count),
-                "cells_per_side": self._instance.tessellation.cells_per_side,
+                "cells_per_side": side,
             },
         )
+
+
+def _without_diagonal(block: np.ndarray) -> np.ndarray:
+    """Square ``block`` with its diagonal removed, shape ``(m, m - 1)``.
+
+    Each row keeps its off-diagonal entries in order (zeroing the diagonal
+    instead would add a ``0.0`` term and change the summation order).
+    """
+    m = block.shape[0]
+    return block.ravel()[1:].reshape(m - 1, m + 1)[:, :-1].reshape(m, m - 1)
+
+
+def _axis_steps(start: np.ndarray, end: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Step count along one torus axis and whether the steps go forward:
+    the short way around, forward on ties (as ``tessellation._axis_path``)."""
+    forward = (end - start) % size
+    backward = (start - end) % size
+    ahead = forward <= backward
+    return np.where(ahead, forward, backward), ahead
+
+
+def _boundary_rate(
+    tess: SquareTessellation,
+    boundary: np.ndarray,
+    row: np.ndarray,
+    col: np.ndarray,
+    dest: np.ndarray,
+    across: np.ndarray,
+    up: np.ndarray,
+    lateral: np.ndarray,
+    vertical: np.ndarray,
+) -> Tuple[float, object]:
+    """Worst capacity/load over the directed squarelet edges of all routes.
+
+    Session ``i`` runs from node ``i`` to ``dest[i]`` in ``across`` steps
+    towards ``lateral``, then ``up`` steps towards ``vertical``;
+    ``row``/``col`` are each node's home cell.  Returns
+    ``(edge_rate, worst_edge)``: ``inf`` and ``None`` when no route leaves
+    its squarelet.  Ties go to the edge used first.
+    """
+    side = tess.cells_per_side
+    cell_count = tess.cell_count
+    hops = across + up
+    total = int(hops.sum())
+    if total == 0:
+        return math.inf, None
+    # one entry per route step, session-major then along the route
+    owner = np.repeat(np.arange(hops.size), hops)
+    step = np.arange(total) - np.repeat(np.cumsum(hops) - hops, hops)
+    sideways = step < across[owner]
+    direction = np.where(sideways, lateral[owner], vertical[owner])
+    row_step, col_step = _ROW_STEP[direction], _COL_STEP[direction]
+    from_row = np.where(sideways, row[owner], row[owner] + row_step * (step - across[owner])) % side
+    from_col = np.where(sideways, col[owner] + col_step * step, col[dest[owner]]) % side
+    cell_from = from_row * side + from_col
+    cell_to = (from_row + row_step) % side * side + (from_col + col_step) % side
+    edge, first_use, load = np.unique(
+        cell_from * cell_count + cell_to, return_index=True, return_counts=True
+    )
+    order = np.argsort(first_use)
+    edge, first_use, load = edge[order], first_use[order], load[order]
+    edge_from, edge_to = np.divmod(edge, cell_count)
+    # each unordered cell pair in the orientation of its first-used edge
+    pair = np.minimum(edge_from, edge_to) * cell_count + np.maximum(edge_from, edge_to)
+    _, lead, of_pair = np.unique(pair, return_index=True, return_inverse=True)
+    capacity = boundary[edge_from[lead], direction[first_use[lead]]][of_pair]
+    rate = capacity / load
+    worst = int(np.argmin(rate))
+    return float(rate[worst]), (int(edge_from[worst]), int(edge_to[worst]))

@@ -21,11 +21,11 @@ iff no wire is overloaded.
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..geometry.neighbors import DEFAULT_CHUNK
+from ..geometry.neighbors import chunk_rows
 from ..geometry.tessellation import SquareTessellation
 from ..geometry.torus import batched_pairwise_distances, pairwise_distances
 from ..infrastructure.backbone import Backbone
@@ -197,7 +197,7 @@ class SchemeB(RoutingScheme):
         shape: MobilityShape,
         f: float,
         transmission_range: float,
-        chunk_size: int = DEFAULT_CHUNK,
+        chunk_size: Optional[int] = None,
         dtype=np.float64,
     ) -> np.ndarray:
         """``mu_i^A`` per MS, zone-blocked and chunked so no ``n x k``
@@ -205,21 +205,21 @@ class SchemeB(RoutingScheme):
 
         Only in-zone ``(MS, BS)`` pairs reach the distance and contact
         kernels: each zone's MSs meet that zone's BSs, ``chunk_size`` MSs
-        at a time.  A block's values are scattered into full-width
-        ``(rows, k)`` rows whose other entries are the exact ``0.0`` of the
-        zone mask, and the sum runs over those rows -- so every entry is
-        bit-identical to the masked row sum of :meth:`access_matrix`.  MSs
-        of a zone without BSs get ``0.0``.  Distances and the returned
-        vector are in ``dtype`` (``np.float32`` for the ``numpy32``
-        backend).
+        at a time (by default :func:`~repro.geometry.neighbors.chunk_rows`
+        of ``k``, so a padded block stays cache-sized).  A block's values
+        are scattered into full-width ``(rows, k)`` rows whose other
+        entries are the exact ``0.0`` of the zone mask, and the sum runs
+        over those rows -- so every entry is bit-identical to the masked
+        row sum of :meth:`access_matrix`.  MSs of a zone without BSs get
+        ``0.0``.  Distances and the returned vector are in ``dtype``
+        (``np.float32`` for the ``numpy32`` backend).
         """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         ms_home = np.atleast_2d(np.asarray(ms_home, dtype=float))
         bs_positions = np.atleast_2d(np.asarray(bs_positions, dtype=float))
         ms_zone = np.asarray(ms_zone, dtype=int)
         bs_zone = np.asarray(bs_zone, dtype=int)
         k = bs_zone.shape[0]
+        chunk_size = chunk_rows(k, chunk_size)
         access = np.zeros(ms_home.shape[0], dtype=dtype)
         for zone in np.unique(bs_zone):
             rows = np.nonzero(ms_zone == zone)[0]

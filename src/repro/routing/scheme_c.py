@@ -101,8 +101,6 @@ class SchemeC(RoutingScheme):
     # ------------------------------------------------------------------
     # cell construction
     # ------------------------------------------------------------------
-    _CHUNK = 2048
-
     def _attach(self) -> np.ndarray:
         """Nearest same-cluster BS for each MS (-1 when the cluster has none).
 
@@ -116,7 +114,6 @@ class SchemeC(RoutingScheme):
             self._bs,
             point_labels=self._ms_cluster,
             other_labels=self._bs_cluster,
-            chunk_size=self._CHUNK,
         )
         self._attach_distance = attach_distance
         return cell

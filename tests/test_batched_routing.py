@@ -236,7 +236,6 @@ class TestBatchedSchemeCAttach:
             [net.bs_positions for net in nets],
             [net.home_model.assignment for net in nets],
             [net._bs_cluster_assignment() for net in nets],
-            chunk_size=SchemeC._CHUNK,
         )
         assert len(attach) == 3
         for b, net in enumerate(nets):
@@ -271,13 +270,13 @@ class TestBatchedSchemeCAttach:
             [net.home_model.assignment for net in nets],
             [net._bs_cluster_assignment() for net in nets],
         )
-        attach = batched_scheme_c_attach(*args, chunk_size=SchemeC._CHUNK)
+        attach = batched_scheme_c_attach(*args)
         assert len(attach) == len(sizes)
         for got, member in zip(attach, zip(*args)):
             points, others, labels, other_labels = member
             cell, distance = masked_nearest(
                 points, others, point_labels=labels,
-                other_labels=other_labels, chunk_size=SchemeC._CHUNK,
+                other_labels=other_labels,
             )
             assert np.array_equal(got[0], cell)
             assert np.array_equal(got[1], distance)

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from repro.geometry.neighbors import (
     _SMALL_N,
+    CHUNK_ELEMENTS,
     CellGridIndex,
     adjacency_lists,
+    chunk_rows,
     masked_nearest,
     pair_distances,
 )
@@ -188,6 +190,27 @@ class TestSharedChunkHelpers:
     def test_masked_nearest_validates_chunk_size(self):
         with pytest.raises(ValueError):
             masked_nearest(np.zeros((2, 2)), np.zeros((2, 2)), chunk_size=0)
+
+    def test_chunk_rows_holds_the_element_budget(self):
+        assert chunk_rows(0) == chunk_rows(1) == CHUNK_ELEMENTS
+        assert chunk_rows(1000) == CHUNK_ELEMENTS // 1000
+        assert chunk_rows(10 * CHUNK_ELEMENTS) == 1
+
+    def test_chunk_rows_explicit_size_wins(self):
+        assert chunk_rows(1000, chunk_size=3) == 3
+        assert chunk_rows(1, chunk_size=CHUNK_ELEMENTS + 1) == CHUNK_ELEMENTS + 1
+        with pytest.raises(ValueError, match="chunk_size"):
+            chunk_rows(10, chunk_size=0)
+
+    def test_masked_nearest_default_chunks_match_one_block(self):
+        """1000 candidates: the default rule takes 65 rows per block."""
+        rng = np.random.default_rng(9)
+        pts, others = rng.random((300, 2)), rng.random((1000, 2))
+        labels_p, labels_o = rng.integers(0, 4, 300), rng.integers(0, 4, 1000)
+        chunked = masked_nearest(pts, others, labels_p, labels_o)
+        whole = masked_nearest(pts, others, labels_p, labels_o, chunk_size=300)
+        np.testing.assert_array_equal(chunked[0], whole[0])
+        np.testing.assert_array_equal(chunked[1], whole[1])
 
     @settings(max_examples=60, deadline=None)
     @given(pts=points, others=points, data=st.data())

@@ -95,6 +95,15 @@ class TestZoneAccessVector:
         )
         assert np.array_equal(whole, chunked)
 
+    def test_default_chunks_split_zones_bit_identically(self, rng):
+        """Wide enough that the element-budget rule cuts each zone into
+        several chunks (65536 // 300 = 218 rows)."""
+        homes, bs, ms_zone, bs_zone, f, r_t = make_inputs(rng, n=2000, k=300)
+        vector = SchemeB.zone_access_vector(homes, bs, ms_zone, bs_zone, SHAPE, f, r_t)
+        assert np.array_equal(
+            vector, masked_matrix_oracle(homes, bs, ms_zone, bs_zone, f, r_t)
+        )
+
 
 class TestFromAccessVector:
     def test_equivalent_to_matrix_constructor(self, rng):
