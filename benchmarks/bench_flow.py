@@ -1,5 +1,6 @@
 """Flow-kernel benchmark: scheme A's flow analysis, scheme B's access vector
-and scheme C's attach search, each against its reference, bit for bit.
+and scheme C's attach search, Phase II and cell colouring, each against its
+reference, bit for bit.
 
 - **Scheme A flow** (Definition 11 / Lemma 5): :meth:`SchemeA.sustainable_rate`
   (per-cell blocks and array route accounting) against the per-session loop
@@ -11,6 +12,13 @@ and scheme C's attach search, each against its reference, bit for bit.
   2048-row chunks it used before, on the same realisations.
 - **Scheme C attach**: :func:`~repro.geometry.neighbors.masked_nearest` the
   same way, on realisations of the trivial-mobility-with-BSs row.
+- **Scheme C Phase II** (Definition 13 / Theorem 9):
+  :meth:`SchemeC.sustainable_rate` on the full-mesh :class:`Backbone`, which
+  reads wire loads per BS class, against the same scheme on the per-wire
+  dict loop it replaced (``WireLoopOracle`` in
+  ``tests/test_backbone_loads.py``), on the trivial-mobility realisations.
+- **Scheme C colouring**: the CSR greedy colouring of the cell-interference
+  graph against networkx's ``greedy_color(strategy="largest_first")``.
 
 Each pair must return bit-equal output at every ``n``.  The gate: at the
 smallest ``n`` of the grid, scheme A's flow must be at least
@@ -41,9 +49,11 @@ sys.path.insert(0, str(ROOT))
 from repro.experiments.table1 import TABLE1_ROWS  # noqa: E402
 from repro.geometry.neighbors import masked_nearest  # noqa: E402
 from repro.routing.scheme_b import SchemeB  # noqa: E402
+from repro.routing.scheme_c import SchemeC  # noqa: E402
 from repro.simulation.network import HybridNetwork  # noqa: E402
 from repro.store import TrialSeed  # noqa: E402
 from repro.store.provenance import collect_provenance  # noqa: E402
+from tests.test_backbone_loads import WireLoopOracle, networkx_colours  # noqa: E402
 from tests.test_scheme_a_vector import LoopOracle  # noqa: E402
 
 #: Node counts.
@@ -129,6 +139,23 @@ def run_point(n):
         lambda: masked_nearest(*attach_args, chunk_size=ROW_CHUNK),
         _same_arrays,
     )
+    scheme_c_blocks = trivial.scheme_c()
+    scheme_c_loop = SchemeC(
+        *attach_args,
+        backbone=WireLoopOracle(trivial.backbone.bs_count, trivial.backbone.edge_capacity),
+        delta=trivial.delta,
+    )
+    trivial_traffic = trivial.sample_traffic()
+    phase_two = _pair(
+        lambda: scheme_c_blocks.sustainable_rate(trivial_traffic),
+        lambda: scheme_c_loop.sustainable_rate(trivial_traffic),
+        _same_flow,
+    )
+    colouring = _pair(
+        scheme_c_blocks._color_cells,
+        lambda: networkx_colours(scheme_c_blocks),
+        np.array_equal,
+    )
     return {
         "n": n,
         "scheme_a_cells_per_side": strong.scheme_a().tessellation.cells_per_side,
@@ -137,6 +164,8 @@ def run_point(n):
         "scheme_a_flow": scheme_a,
         "scheme_b_access": scheme_b,
         "scheme_c_attach": scheme_c,
+        "scheme_c_phase2": phase_two,
+        "scheme_c_colouring": colouring,
     }
 
 
@@ -151,11 +180,15 @@ def run_bench():
             "scheme_a_flow": STRONG.label,
             "scheme_b_access": STRONG.label,
             "scheme_c_attach": TRIVIAL.label,
+            "scheme_c_phase2": TRIVIAL.label,
+            "scheme_c_colouring": TRIVIAL.label,
         },
         "references": {
             "scheme_a_flow": "per-session loop (tests/test_scheme_a_vector.py LoopOracle)",
             "scheme_b_access": f"zone_access_vector at chunk_size={ROW_CHUNK}",
             "scheme_c_attach": f"masked_nearest at chunk_size={ROW_CHUNK}",
+            "scheme_c_phase2": "per-wire dict loop (tests/test_backbone_loads.py WireLoopOracle)",
+            "scheme_c_colouring": 'networkx greedy_color(strategy="largest_first")',
         },
         "grid": list(N_VALUES),
         "seed": SEED,
@@ -165,7 +198,13 @@ def run_bench():
     }
 
 
-_KERNELS = ("scheme_a_flow", "scheme_b_access", "scheme_c_attach")
+_KERNELS = (
+    "scheme_a_flow",
+    "scheme_b_access",
+    "scheme_c_attach",
+    "scheme_c_phase2",
+    "scheme_c_colouring",
+)
 
 
 def _render(result):

@@ -44,6 +44,12 @@ class Backbone:
 
     Tracks per-edge load so the flow analyses can locate the Phase II
     bottleneck of routing scheme B (proof of Theorem 5).
+
+    Sparse topologies keep an explicit per-wire load.  The full mesh records
+    one ``(source BSs, target BSs, share)`` block per call and reads loads
+    per *BS class* (BSs that every call lists equally often): one wire per
+    class pair replays the calls in order, adding each call's share once
+    per ``(src, dst)`` hit, so the loads keep per-wire accounting's bits.
     """
 
     def __init__(
@@ -66,7 +72,9 @@ class Backbone:
             if topology is BackboneTopology.FULL_MESH
             else self._build_graph()
         )
+        # sparse topologies: load per wire; full mesh: one block per call
         self._load: Dict[Edge, float] = {}
+        self._blocks: List[Tuple[np.ndarray, np.ndarray, float]] = []  # counts, share
 
     def _build_graph(self) -> nx.Graph:
         graph = nx.Graph()
@@ -156,9 +164,13 @@ class Backbone:
     def reset_load(self) -> None:
         """Forget all accumulated load."""
         self._load.clear()
+        self._blocks.clear()
 
     def add_flow(self, source_bs: int, target_bs: int, rate: float) -> None:
         """Accumulate ``rate`` on every wire of the route between two BSs."""
+        if self._graph is None:
+            self.spread_flow([source_bs], [target_bs], rate)
+            return
         if rate < 0:
             raise ValueError(f"rate must be non-negative, got {rate}")
         path = self.route(source_bs, target_bs)
@@ -171,26 +183,48 @@ class Backbone:
     ) -> None:
         """Scheme B Phase II: spread a zone-to-zone flow evenly over all
         (source BS, target BS) wires -- the load-balancing that makes the
-        ``Nb(S) Nb(D) c`` capacity available."""
-        source_set = list(source_set)
-        target_set = list(target_set)
-        if not source_set or not target_set:
+        ``Nb(S) Nb(D) c`` capacity available.  A BS listed twice carries
+        its share twice; self pairs ride no wire."""
+        if len(source_set) == 0 or len(target_set) == 0:
             raise ValueError("both BS sets must be non-empty")
-        pair_count = len(source_set) * len(target_set)
-        share = total_rate / pair_count
-        if self._topology is BackboneTopology.FULL_MESH:
-            # hot path: direct wires, plain dict accumulation
-            load = self._load
-            for src in source_set:
-                for dst in target_set:
-                    if src != dst:
-                        edge = (src, dst) if src < dst else (dst, src)
-                        load[edge] = load.get(edge, 0.0) + share
+        if total_rate < 0:
+            raise ValueError(f"rate must be non-negative, got {total_rate}")
+        sources = self._bs_indices(source_set)
+        targets = self._bs_indices(target_set)
+        share = total_rate / (sources.size * targets.size)
+        if self._graph is None:
+            k = self._k
+            self._blocks.append(
+                (np.bincount(sources, minlength=k), np.bincount(targets, minlength=k), share)
+            )
             return
-        for src in source_set:
-            for dst in target_set:
+        for src in sources.tolist():
+            for dst in targets.tolist():
                 if src != dst:
                     self.add_flow(src, dst, share)
+
+    def _mesh_loads(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full mesh: ``(class of each BS, hit class pairs p <= q, load on
+        each of their wires)``.  BSs share a class iff every call lists them
+        equally often as source and as target (a 1-D code refined call by
+        call)."""
+        classes = np.zeros(self._k, dtype=np.int64)
+        for out_count, in_count, _share in self._blocks:
+            code = (classes * (out_count.max() + 1) + out_count) * (in_count.max() + 1) + in_count
+            classes = np.unique(code, return_inverse=True)[1]
+        _, representative, size = np.unique(classes, return_index=True, return_counts=True)
+        loads = np.zeros((size.size, size.size))
+        total_hits = np.zeros(loads.shape, dtype=np.int64)
+        for out_count, in_count, share in self._blocks:
+            hits = np.outer(out_count[representative], in_count[representative])
+            hits = hits + hits.T
+            # float addition is not associative: add the share once per hit
+            for times in range(1, int(hits.max(initial=0)) + 1):
+                np.add(loads, share, out=loads, where=hits >= times)
+            total_hits += hits
+        wired = np.triu(total_hits > 0)
+        np.fill_diagonal(wired, wired.diagonal() & (size > 1))  # a lone BS has no wire to itself
+        return classes, np.argwhere(wired), loads[wired]
 
     def spread_scale(
         self,
@@ -250,15 +284,25 @@ class Backbone:
 
     def max_edge_load(self) -> float:
         """Largest accumulated load on any wire."""
-        return max(self._load.values(), default=0.0)
+        if self._graph is not None:
+            return max(self._load.values(), default=0.0)
+        return float(self._mesh_loads()[2].max(initial=0.0))
 
     def max_utilization(self) -> float:
         """``max edge load / c``; a schedule is feasible iff this is <= 1."""
         return self.max_edge_load() / self._capacity
 
     def overloaded_edges(self) -> List[Edge]:
-        """Wires whose load exceeds capacity."""
-        return [edge for edge, load in self._load.items() if load > self._capacity]
+        """Wires whose load exceeds capacity, as sorted ``(a, b)`` tuples
+        with ``a < b``, in ascending order."""
+        if self._graph is not None:
+            return sorted(edge for edge, load in self._load.items() if load > self._capacity)
+        classes, pairs, loads = self._mesh_loads()
+        members = [np.flatnonzero(classes == p).tolist() for p in range(classes.max() + 1)]
+        over = pairs[loads > self._capacity].tolist()
+        return sorted(
+            {(min(a, b), max(a, b)) for p, q in over for a in members[p] for b in members[q] if a != b}
+        )
 
     def sustainable_scale(self) -> float:
         """Largest multiplier ``t`` such that ``t *`` (current load) fits.
@@ -273,3 +317,11 @@ class Backbone:
     def _check_bs(self, index: int) -> None:
         if not (0 <= index < self._k):
             raise ValueError(f"BS index {index} out of range [0, {self._k})")
+
+    def _bs_indices(self, indices: Sequence[int]) -> np.ndarray:
+        """``indices`` as an array, each checked by :meth:`_check_bs`."""
+        array = np.asarray(indices)
+        outside = array[(array < 0) | (array >= self._k)]
+        if outside.size:
+            self._check_bs(int(outside[0]))
+        return array

@@ -48,10 +48,11 @@ def zone_pair_sessions(
     Session ``i`` runs from MS ``i`` to MS ``destination[i]``.  The
     returned dict lists each ``(source_zone, dest_zone)`` key in
     **first-occurrence order over the session index** -- the insertion
-    order of a loop over ``traffic.pairs()``.  That order matters:
-    :meth:`Backbone.spread_scale` on non-mesh topologies accumulates float
-    loads key by key (and scheme C's ``spread_flow`` calls run in it), and
-    float addition is not associative.
+    order of a loop over ``traffic.pairs()``.  That order matters because
+    float addition is not associative: :meth:`Backbone.spread_scale` on
+    non-mesh topologies accumulates float loads key by key, and scheme C
+    issues its ``spread_flow`` calls in it, which the full mesh replays in
+    call order on one wire per BS class pair.
     """
     ms_zone = np.asarray(ms_zone, dtype=np.int64)
     destination = np.asarray(destination, dtype=int)

@@ -10,6 +10,9 @@ bandwidth split into symmetric up- and downlink channels.  Phase II rides the
 wired backbone exactly as in scheme B.
 
 Theorem 9: this sustains ``lambda = Theta(min{k^2 c / n, k / n})``.
+Phase II calls :meth:`Backbone.spread_flow` once per ordered cluster pair;
+the full mesh reads the wire loads per BS class, bit for bit the per-wire
+sums.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..geometry.neighbors import masked_nearest
@@ -132,18 +134,27 @@ class SchemeC(RoutingScheme):
         a transmission in one could then land inside the guard zone of the
         other.  Bounded node degree keeps the colour count ``Theta(1)``
         (the "well-known fact about vertex colouring" in Theorem 9's proof).
+        The order and colour choice are networkx's ``greedy_color`` with
+        ``strategy="largest_first"``.
         """
         k = self._bs.shape[0]
         if k == 1 or self._cell_range == 0.0:
             return np.zeros(k, dtype=int)
         conflict_distance = (2.0 + self._delta) * self._cell_range
         distances = pairwise_distances(self._bs)
-        graph = nx.Graph()
-        graph.add_nodes_from(range(k))
         rows, cols = np.nonzero(np.triu(distances < conflict_distance, k=1))
-        graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
-        coloring = nx.greedy_color(graph, strategy="largest_first")
-        return np.array([coloring[i] for i in range(k)], dtype=int)
+        # CSR adjacency: the neighbours of i are neighbours[starts[i]:starts[i + 1]]
+        heads = np.concatenate([rows, cols])
+        degree = np.bincount(heads, minlength=k)
+        neighbours = np.concatenate([cols, rows])[np.argsort(heads, kind="stable")].tolist()
+        starts = np.concatenate([[0], np.cumsum(degree)]).tolist()
+        # largest degree first, ties by index; each BS takes the smallest
+        # colour that no coloured neighbour has
+        colours = [-1] * k
+        for node in np.argsort(-degree, kind="stable").tolist():
+            used = {colours[other] for other in neighbours[starts[node]:starts[node + 1]]}
+            colours[node] = next(c for c in range(len(used) + 1) if c not in used)
+        return np.array(colours, dtype=int)
 
     # ------------------------------------------------------------------
     # introspection
@@ -203,8 +214,8 @@ class SchemeC(RoutingScheme):
         )
         for (source_cluster, dest_cluster), count in pair_sessions.items():
             self._backbone.spread_flow(
-                bs_by_cluster[source_cluster].tolist(),
-                bs_by_cluster[dest_cluster].tolist(),
+                bs_by_cluster[source_cluster],
+                bs_by_cluster[dest_cluster],
                 float(count),
             )
         backbone_rate = self._backbone.sustainable_scale()

@@ -114,6 +114,33 @@ class TestSpreadFlow:
         with pytest.raises(ValueError):
             Backbone(3, 1.0).spread_flow([], [1], 1.0)
 
+    def test_negative_index_rejected(self):
+        backbone = Backbone(3, 1.0)
+        with pytest.raises(ValueError, match="BS index -1 out of range"):
+            backbone.spread_flow([-1], [1], 2.0)
+        assert backbone.overloaded_edges() == []
+        assert backbone.max_edge_load() == 0.0
+
+    def test_index_past_the_end_rejected(self):
+        with pytest.raises(ValueError, match="BS index 99 out of range"):
+            Backbone(3, 1.0).spread_flow([0], [99], 1.0)
+
+    @pytest.mark.parametrize("topology", list(BackboneTopology))
+    def test_indices_checked_on_every_topology(self, topology):
+        # a self pair rides no wire, but its index must still exist
+        with pytest.raises(ValueError, match="out of range"):
+            Backbone(4, 1.0, topology).spread_flow([5], [5], 1.0)
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Backbone(3, 1.0).spread_flow([0], [1], -1.0)
+
+    def test_overloaded_edges_are_sorted(self):
+        backbone = Backbone(5, 1.0)
+        backbone.spread_flow([4, 3], [1, 0], 8.0)
+        backbone.add_flow(2, 1, 0.5)
+        assert backbone.overloaded_edges() == [(0, 3), (0, 4), (1, 3), (1, 4)]
+
 
 class TestTheorem5PhaseII:
     """The k^2 c scaling of backbone cut capacity."""

@@ -4,7 +4,10 @@ A sweep digest hashes every trial value bit for bit, so these pins catch any
 change to the science kernels' floats -- summation order included -- not
 only to seeding.  The table covers Table I's infrastructure rows under the
 scheme each one sweeps: ``optimal`` (scheme A + scheme B) for strong
-mobility, scheme B for weak mobility and scheme C for trivial mobility.
+mobility, scheme B for weak mobility and scheme C for trivial mobility
+(generic-MS rates at three seeds, plus one per-node sweep).  The rows
+without BSs are pinned too: scheme A for strong mobility and the static
+multihop baseline for weak/trivial mobility.
 
 A change that is meant to move a value must update its entry here in the
 same change and say why (CHANGES.md), after checking that the fitted
@@ -30,13 +33,30 @@ GOLDEN = [
      "f2735de50bdbf26731b383b08cc569bbe024be8eee294ed43e714d0c62fc4db7"),
     (("trivial mobility, with BSs", "C", (500, 1000), 2, True, 1),
      "29b8eb931d74675302cd0bdfbb53743e4b2d62b550d5f52acfe1a41448e097aa"),
+    (("trivial mobility, with BSs", "C", (500, 1000), 2, True, 2),
+     "acf03d90efc53d9c673db08926258aa961c149e81986ab1b3dd3eeedec0803db"),
+    (("trivial mobility, with BSs", "C", (500, 1000), 2, True, 3),
+     "9a645a6f4f53e662bd52c092b33cc4a9074354042afb704ffc12bd31dea091f1"),
+    (("trivial mobility, with BSs", "C", (500, 1000), 2, False, 1),
+     "5ffec6b67693daf17285bcb5daf7c8d1197c2b637f4de3c2b9408dbd43ec3e65"),
+    (("strong mobility, no BSs", "A", (500, 1000), 2, False, 1),
+     "8b565529b64e16e311743fe5227518186cddfd1c3d1dafe9b2e162995e928134"),
+    (("weak/trivial mobility, no BSs", "static", (300, 600), 2, False, 1),
+     "8d49c205380286408488b6bfe9837d18079ab6cd8586b5342214e15f0b70e0a6"),
 ]
+
+
+def _sweep_id(sweep):
+    label, scheme, _grid, _trials, generic, seed = sweep
+    per_node = "-per-node" if scheme in ("B", "C") and not generic else ""
+    return f"{label.split()[0]}-{scheme}{per_node}-seed{seed}"
+
 
 
 @pytest.mark.parametrize(
     "sweep, digest",
     GOLDEN,
-    ids=[f"{label.split()[0]}-{scheme}-seed{seed}" for (label, scheme, *_, seed), _ in GOLDEN],
+    ids=[_sweep_id(sweep) for sweep, _ in GOLDEN],
 )
 def test_sweep_digest_is_golden(sweep, digest):
     label, scheme, grid, trials, generic, seed = sweep
