@@ -26,10 +26,7 @@ bit-identical at any worker count (see ``repro.parallel``).
 
 ``sweep`` additionally accepts ``--batch-trials N`` (run same-``n``
 scheme B/C trials in batches of at most ``N``, the unit the pool
-schedules and retries; results do not depend on ``N``) and ``--backend
-NAME`` (the float precision of the scheme B/C kernels, see
-``repro.backend``; ``numpy32`` is tolerance-gated, requires
-``--batch-trials`` and gets its own digest namespace).
+schedules and retries; results do not depend on ``N``).
 
 They also accept ``--store DIR`` to journal every completed trial into a
 persistent, content-addressed store (see ``repro.store``): re-invoking the
@@ -298,7 +295,6 @@ def _cmd_sweep(args) -> int:
         store=_store(args),
         resilience=_resilience(args),
         batch_trials=args.batch_trials,
-        backend=args.backend,
     )
     print(params.describe())
     for n, rate in zip(result.n_values, result.rates):
@@ -410,7 +406,6 @@ def _serve_spec(args):
         max_n=args.max_n,
         digest=args.digest,
         family=args.family,
-        backend=args.backend,
         latest_schema=args.latest_schema,
         limit=args.limit,
     )
@@ -639,12 +634,6 @@ def main(argv=None) -> int:
         "the unit the pool schedules and retries (results do not depend "
         "on N)",
     )
-    cmd.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="float precision of the scheme B/C kernels: numpy64 "
-        "(default, canonical) or numpy32 (tolerance-gated, own digests; "
-        "needs --batch-trials)",
-    )
     _add_store_arguments(cmd)
     _add_telemetry_arguments(cmd)
     _add_resilience_arguments(cmd)
@@ -727,8 +716,6 @@ def main(argv=None) -> int:
                      help="filter: result digest prefix")
     cmd.add_argument("--family", default=None, metavar="PREFIX",
                      help="filter: cache-key family prefix")
-    cmd.add_argument("--backend", default=None, metavar="NAME",
-                     help="filter: array backend recorded in the run config")
     cmd.add_argument("--latest-schema", action="store_true",
                      help="filter: only runs on the newest schema version "
                      "present in the index")

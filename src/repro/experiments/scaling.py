@@ -9,14 +9,12 @@ exponent of :mod:`repro.core.capacity`.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend import get_backend, resolve_backend
 from ..core.capacity import (
     infrastructure_capacity,
     mobility_capacity,
@@ -24,11 +22,7 @@ from ..core.capacity import (
 )
 from ..core.order import Order
 from ..core.regimes import NetworkParameters
-from ..observability.events import (
-    BackendSelected,
-    BatchDegradedToSerial,
-    get_telemetry,
-)
+from ..observability.events import BatchDegradedToSerial, get_telemetry
 from ..observability.log import get_logger
 from ..observability.timing import span
 from ..parallel import BatchedTrialPlan, TrialRunner, TrialStats
@@ -123,12 +117,6 @@ class SweepResult:
     #: Explicit per-trial seeds, aligned with the payload list (trial ``i``
     #: ran on ``trial_seeds[i]`` regardless of submission order or caching).
     trial_seeds: Optional[Tuple[TrialSeed, ...]] = None
-    #: Array backend the rates came from -- ``None`` for the canonical
-    #: ``numpy64`` path (bit-identical to serial, digest-compatible with
-    #: legacy results); the backend name for tolerance-gated backends,
-    #: which fold into :meth:`digest` so their rates never collide with
-    #: canonical ones.
-    backend: Optional[str] = None
 
     @property
     def exponent_error(self) -> float:
@@ -153,10 +141,6 @@ class SweepResult:
             "seed": self.seed,
             "rates": [float(rate) for rate in self.rates],
         }
-        if self.backend is not None:
-            # non-canonical backends are tolerance-gated, not bit-exact:
-            # keep their digests disjoint from the canonical namespace
-            identity["backend"] = self.backend
         return content_digest(identity)
 
     def row(self) -> list:
@@ -208,19 +192,17 @@ def _payload_rate(result: FlowResult, generic: bool) -> float:
     return float(result.per_node_rate)
 
 
-def _batched_sweep_trial(seed_seqs, payloads, backend: str = "numpy64") -> List[float]:
+def _batched_sweep_trial(seed_seqs, payloads) -> List[float]:
     """Execute one same-``n`` batch of scheme B or C sweep trials
     (module-level, picklable).
 
     Every member's network is built with its own payload seed and its flow
-    analysis runs the per-trial kernels in the backend's float dtype: one
-    :func:`batched_zone_access` call for scheme B, one
-    :func:`batched_scheme_c_attach` call for scheme C.  A member's value
-    therefore never depends on the batch width or on the other members;
-    on the canonical backend it is exactly the per-trial value.
+    analysis runs the per-trial kernels: one :func:`batched_zone_access`
+    call for scheme B, one :func:`batched_scheme_c_attach` call for
+    scheme C.  A member's value is therefore exactly its per-trial value,
+    whatever the batch width or the other members.
     """
     parameters, n, scheme, build_kwargs, generic, _seed = payloads[0]
-    dtype = get_backend(backend).float_dtype
     nets = [
         HybridNetwork.build(parameters, int(n), payload[5].rng(), **build_kwargs)
         for payload in payloads
@@ -236,7 +218,6 @@ def _batched_sweep_trial(seed_seqs, payloads, backend: str = "numpy64") -> List[
             nets[0].shape,
             nets[0].realized.f,
             [net.access_transmission_range() for net in nets],
-            dtype=dtype,
         )
         values = []
         for member, net in enumerate(nets):
@@ -256,7 +237,6 @@ def _batched_sweep_trial(seed_seqs, payloads, backend: str = "numpy64") -> List[
         [net.bs_positions for net in nets],
         [net.home_model.assignment for net in nets],
         [net._bs_cluster_assignment() for net in nets],
-        dtype=dtype,
     )
     values = []
     for member, net in enumerate(nets):
@@ -303,27 +283,15 @@ def sweep_trial_payloads(
     ]
 
 
-def _sweep_trial_keys(
-    payloads: Sequence[tuple], backend: Optional[str] = None
-) -> list:
-    """Content-hash cache key of each sweep payload.
-
-    ``backend`` (a non-canonical backend name) folds into the key so
-    tolerance-gated values live in their own cache namespace and can
-    never be replayed into a canonical sweep.
-    """
-    extra_backend = {} if backend is None else {"backend": backend}
+def _sweep_trial_keys(payloads: Sequence[tuple]) -> list:
+    """Content-hash cache key of each sweep payload."""
     return [
         trial_key(
             parameters,
             scheme,
             n,
             seed,
-            extra={
-                "build_kwargs": build_kwargs,
-                "generic": generic,
-                **extra_backend,
-            },
+            extra={"build_kwargs": build_kwargs, "generic": generic},
         )
         for parameters, n, scheme, build_kwargs, generic, seed in payloads
     ]
@@ -341,7 +309,6 @@ def sweep_capacity(
     store=None,
     resilience: Optional[ResilienceConfig] = None,
     batch_trials: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> SweepResult:
     """Measure ``lambda(n)`` over a grid of ``n`` and fit the exponent.
 
@@ -389,13 +356,7 @@ def sweep_capacity(
     schedules, retries, times out and fault-injects.  Each member still
     runs the per-trial kernels (:mod:`repro.routing.batched` calls them
     member by member), so its value -- and the sweep digest -- does not
-    depend on the width or the worker count.  ``backend`` selects the
-    float precision of those kernels
-    (:func:`repro.backend.available_backends`); non-canonical backends
-    (``numpy32``) are tolerance-gated, require ``batch_trials`` (the
-    per-trial path is always canonical), fold into the trial cache keys,
-    and stamp :attr:`SweepResult.backend` so their digests never collide
-    with canonical results.
+    depend on the width or the worker count.
     """
     if scheme not in SCHEME_SELECTORS:
         raise ValueError(
@@ -408,38 +369,27 @@ def sweep_capacity(
             f"batch_trials must be >= 2 (or None for per-trial execution), "
             f"got {batch_trials}"
         )
-    resolved_backend = resolve_backend(backend)
-    if not resolved_backend.canonical and batch_trials is None:
-        raise ValueError(
-            f"backend {resolved_backend.name!r} is only used by the batched "
-            "path; pass batch_trials >= 2 (the per-trial path is always "
-            "canonical numpy64)"
-        )
     store = open_store(store)
     n_values = np.asarray(sorted(n_values), dtype=int)
     payloads = sweep_trial_payloads(
         parameters, n_values, scheme, trials, build_kwargs, generic, seed=seed
     )
-    key_backend = None if resolved_backend.canonical else resolved_backend.name
-    keys = (
-        _sweep_trial_keys(payloads, backend=key_backend)
-        if store is not None
-        else None
-    )
-    sink = get_telemetry()
-    if sink.enabled:
-        sink.emit(
-            BackendSelected(
-                backend=resolved_backend.name,
-                canonical=resolved_backend.canonical,
-                batch_trials=batch_trials or 0,
-            )
-        )
+    keys = _sweep_trial_keys(payloads) if store is not None else None
+    config = {
+        "scheme": scheme,
+        "n_values": [int(n) for n in n_values],
+        "trials": trials,
+        "seed": seed,
+        "build_kwargs": build_kwargs or {},
+        "generic": generic,
+        "workers": workers,
+        "batch_trials": batch_trials,
+    }
     _log.info(
         "sweep_capacity: scheme=%s grid=%s trials=%d seed=%d workers=%s "
-        "store=%s batch_trials=%s backend=%s",
-        scheme, [int(n) for n in n_values], trials, seed, workers,
-        getattr(store, "root", None), batch_trials, resolved_backend.name,
+        "store=%s batch_trials=%s",
+        scheme, config["n_values"], trials, seed, workers,
+        getattr(store, "root", None), batch_trials,
     )
     resilience = resilience if resilience is not None else ResilienceConfig()
     batched = batch_trials is not None and scheme in ("B", "C")
@@ -454,6 +404,7 @@ def sweep_capacity(
             scheme,
             batch_trials,
         )
+        sink = get_telemetry()
         if sink.enabled:
             sink.emit(
                 BatchDegradedToSerial(
@@ -478,9 +429,7 @@ def sweep_capacity(
                 )
                 results = runner.run_batched(
                     payloads,
-                    functools.partial(
-                        _batched_sweep_trial, backend=resolved_backend.name
-                    ),
+                    _batched_sweep_trial,
                     plan,
                     seed=seed,
                     cache=store,
@@ -497,17 +446,7 @@ def sweep_capacity(
             store.close()
             store.record_run(
                 command="sweep",
-                config={
-                    "scheme": scheme,
-                    "n_values": [int(n) for n in n_values],
-                    "trials": trials,
-                    "seed": seed,
-                    "build_kwargs": build_kwargs or {},
-                    "generic": generic,
-                    "workers": workers,
-                    "batch_trials": batch_trials,
-                    "backend": resolved_backend.name,
-                },
+                config=config,
                 parameters=parameters,
                 trial_keys=keys,
                 status="interrupted",
@@ -551,22 +490,11 @@ def sweep_capacity(
         stats=runner.last_stats,
         seed=seed,
         trial_seeds=tuple(payload[5] for payload in payloads),
-        backend=key_backend,
     )
     if store is not None:
         store.record_run(
             command="sweep",
-            config={
-                "scheme": scheme,
-                "n_values": [int(n) for n in n_values],
-                "trials": trials,
-                "seed": seed,
-                "build_kwargs": build_kwargs or {},
-                "generic": generic,
-                "workers": workers,
-                "batch_trials": batch_trials,
-                "backend": resolved_backend.name,
-            },
+            config=config,
             parameters=parameters,
             trial_keys=keys,
             digest=sweep.digest(),

@@ -566,7 +566,6 @@ def masked_nearest(
     point_labels: Optional[np.ndarray] = None,
     other_labels: Optional[np.ndarray] = None,
     chunk_size: Optional[int] = None,
-    dtype=np.float64,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Nearest ``others`` index per point, restricted to matching labels.
 
@@ -574,8 +573,6 @@ def masked_nearest(
     exists, ``nearest`` is ``-1`` and ``distance`` is ``inf``.  Rows are
     taken :func:`chunk_rows` at a time, so memory stays bounded (the
     MS -> BS attachment pattern of the cellular routing schemes).
-    Distances are computed in ``dtype`` (``np.float32`` for the
-    ``numpy32`` backend); ``distance`` is always float64.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     others = np.atleast_2d(np.asarray(others, dtype=float))
@@ -592,7 +589,7 @@ def masked_nearest(
     chunk_size = chunk_rows(others.shape[0], chunk_size)
     for begin in range(0, count, chunk_size):
         rows = slice(begin, min(begin + chunk_size, count))
-        block = batched_pairwise_distances(points[rows], others, dtype=dtype)
+        block = batched_pairwise_distances(points[rows], others)
         if point_labels is not None:
             mask = point_labels[rows, None] == other_labels[None, :]
             block = np.where(mask, block, np.inf)

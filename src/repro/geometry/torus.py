@@ -73,15 +73,12 @@ def pairwise_distances(points: np.ndarray, others: Optional[np.ndarray] = None) 
 def batched_pairwise_distances(
     points: np.ndarray,
     others: Optional[np.ndarray] = None,
-    dtype=np.float64,
 ) -> np.ndarray:
     """Torus distances between point sets stacked along leading axes.
 
     ``points`` is ``(..., n, 2)`` and ``others`` (default ``points``) is
-    ``(..., k, 2)``; the result is ``(..., n, k)`` in ``dtype``.  On
-    ``np.float64`` every slice is the distance matrix of
-    :func:`pairwise_distances`; ``np.float32`` is the tolerance-gated
-    ``numpy32`` backend (within its ``rtol["torus_distance"]``).
+    ``(..., k, 2)``; the result is ``(..., n, k)``, and every slice is the
+    distance matrix of :func:`pairwise_distances`.
 
     The evaluation is per-axis (two temporaries) rather than one broadcast
     ``(..., n, k, 2)`` displacement tensor: it performs the same
@@ -89,8 +86,8 @@ def batched_pairwise_distances(
     results -- at roughly 4x the throughput, and this is the inner kernel
     of every per-slot scheduling decision.
     """
-    points = np.asarray(points, dtype=dtype)
-    others = points if others is None else np.asarray(others, dtype=dtype)
+    points = np.asarray(points, dtype=float)
+    others = points if others is None else np.asarray(others, dtype=float)
     dx = points[..., :, 0, None] - others[..., None, :, 0]
     dx -= np.round(dx)
     dx *= dx

@@ -36,7 +36,6 @@ emits as futures complete, so pool workers never touch the sink.
 """
 
 from .events import (
-    BackendSelected,
     BatchDegradedToSerial,
     CompositeTelemetry,
     DegradedToSerial,
@@ -68,7 +67,6 @@ from .timing import span
 from .trace import JsonlTraceSink, open_trace
 
 __all__ = [
-    "BackendSelected",
     "BatchDegradedToSerial",
     "CompositeTelemetry",
     "DegradedToSerial",

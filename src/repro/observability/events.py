@@ -36,7 +36,6 @@ __all__ = [
     "BatchDegradedToSerial",
     "SweepProgress",
     "SlotBatch",
-    "BackendSelected",
     "JournalAppended",
     "IndexRefreshed",
     "QueryExecuted",
@@ -209,22 +208,6 @@ class SlotBatch(TelemetryEvent):
     total_slots: int
     created: int
     delivered: int
-
-
-@dataclass(frozen=True)
-class BackendSelected(TelemetryEvent):
-    """Which float backend (and batch shape) a run's results came from.
-
-    Emitted once per sweep invocation so traces record whether numbers
-    are canonical (bit-identical ``numpy64``) or tolerance-gated, and
-    what ``--batch-trials`` width produced them (0 = per-trial serial
-    execution).
-    """
-
-    EVENT: ClassVar[str] = "backend_selected"
-    backend: str
-    canonical: bool
-    batch_trials: int
 
 
 @dataclass(frozen=True)

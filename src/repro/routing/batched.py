@@ -14,9 +14,6 @@ depends on the batch it ran in:
 - :func:`batched_scheme_c_attach` runs scheme C's nearest-same-cluster-BS
   search (:func:`~repro.geometry.neighbors.masked_nearest`) for each
   member (inject the results via ``SchemeC(..., attach=...)``).
-
-``dtype`` is the float type of the distance kernels: ``np.float64`` is
-canonical, ``np.float32`` the tolerance-gated ``numpy32`` backend.
 """
 
 from __future__ import annotations
@@ -47,19 +44,18 @@ def batched_zone_access(
     f: float,
     transmission_range: Sequence[float],
     chunk_size: Optional[int] = None,
-    dtype=np.float64,
 ) -> List[np.ndarray]:
     """``mu_i^A`` of every member: one :meth:`SchemeB.zone_access_vector`
     call per member.
 
-    Every argument but ``shape``, ``f``, ``chunk_size`` and ``dtype`` is a
+    Every argument but ``shape``, ``f`` and ``chunk_size`` is a
     per-member sequence; the transmission range is per member because the
     strong-regime range depends on the member's BS count.
     """
     return [
         SchemeB.zone_access_vector(
             home, stations, home_zone, station_zone, shape, f, radius,
-            chunk_size=chunk_size, dtype=dtype,
+            chunk_size=chunk_size,
         )
         for home, stations, home_zone, station_zone, radius in zip(
             ms_home, bs_positions, ms_zone, bs_zone, transmission_range
@@ -96,7 +92,6 @@ def batched_scheme_c_attach(
     ms_cluster: Sequence[np.ndarray],
     bs_cluster: Sequence[np.ndarray],
     chunk_size: Optional[int] = None,
-    dtype=np.float64,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Scheme C's nearest-same-cluster-BS attach of every member.
 
@@ -108,7 +103,7 @@ def batched_scheme_c_attach(
     return [
         masked_nearest(
             points, others, point_labels=labels, other_labels=other_labels,
-            chunk_size=chunk_size, dtype=dtype,
+            chunk_size=chunk_size,
         )
         for points, others, labels, other_labels in zip(
             ms_positions, bs_positions, ms_cluster, bs_cluster

@@ -199,7 +199,6 @@ class SchemeB(RoutingScheme):
         f: float,
         transmission_range: float,
         chunk_size: Optional[int] = None,
-        dtype=np.float64,
     ) -> np.ndarray:
         """``mu_i^A`` per MS, zone-blocked and chunked so no ``n x k``
         matrix is ever materialised.
@@ -212,8 +211,7 @@ class SchemeB(RoutingScheme):
         entries are the exact ``0.0`` of the zone mask, and the sum runs
         over those rows -- so every entry is bit-identical to the masked
         row sum of :meth:`access_matrix`.  MSs of a zone without BSs get
-        ``0.0``.  Distances and the returned vector are in ``dtype``
-        (``np.float32`` for the ``numpy32`` backend).
+        ``0.0``.
         """
         ms_home = np.atleast_2d(np.asarray(ms_home, dtype=float))
         bs_positions = np.atleast_2d(np.asarray(bs_positions, dtype=float))
@@ -221,16 +219,14 @@ class SchemeB(RoutingScheme):
         bs_zone = np.asarray(bs_zone, dtype=int)
         k = bs_zone.shape[0]
         chunk_size = chunk_rows(k, chunk_size)
-        access = np.zeros(ms_home.shape[0], dtype=dtype)
+        access = np.zeros(ms_home.shape[0])
         for zone in np.unique(bs_zone):
             rows = np.nonzero(ms_zone == zone)[0]
             cols = np.nonzero(bs_zone == zone)[0]
             stations = bs_positions[cols]
             for begin in range(0, rows.size, chunk_size):
                 block = rows[begin : begin + chunk_size]
-                distances = batched_pairwise_distances(
-                    ms_home[block], stations, dtype=dtype
-                )
+                distances = batched_pairwise_distances(ms_home[block], stations)
                 padded = np.zeros((block.size, k))
                 padded[:, cols] = contact_probability_ms_bs_at_range(
                     shape, f, transmission_range, distances

@@ -56,9 +56,10 @@ __all__ = [
 
 _log = get_logger(__name__)
 
-#: Bumped when the :class:`RunRecord` shape changes; a persisted index
-#: with a different version is discarded and rebuilt from the manifests.
-INDEX_VERSION = 1
+#: Bumped when the :class:`RunRecord` shape or :func:`family_key`
+#: changes; a persisted index with a different version is discarded and
+#: rebuilt from the manifests.
+INDEX_VERSION = 2
 
 #: Config keys that change *how fast* a run executes but never its value
 #: (results are bit-identical at any worker count or batch width),
@@ -68,13 +69,20 @@ INDEX_VERSION = 1
 #: localhost fabric scheduler) still group with new runs.
 VOLATILE_CONFIG_KEYS = frozenset({"workers", "batch_trials", "executor"})
 
+#: Sweeps no longer record a float backend: every sweep computes in
+#: float64.  Stored manifests from before carry ``"backend": "numpy64"``
+#: (the float64 default) and must still group with new runs, so that
+#: entry counts as absent; any other stored backend ran in another float
+#: precision and keeps its own family.
+_FLOAT64_BACKEND = ("backend", "numpy64")
+
 
 def family_key(manifest: dict) -> str:
     """Content hash naming the experiment a manifest is one run of.
 
     Folds in the command, the (already JSON-encoded) parameters and the
     config minus :data:`VOLATILE_CONFIG_KEYS`.  Two runs of the same
-    experiment -- same scheme, grid, trials, seed, backend -- share a
+    experiment -- same scheme, grid, trials, seed -- share a
     family even when executed with different worker counts or batch
     widths, which is exactly the population the regression detector
     compares digests and throughput across.
@@ -83,7 +91,7 @@ def family_key(manifest: dict) -> str:
     stable = {
         key: value
         for key, value in config.items()
-        if key not in VOLATILE_CONFIG_KEYS
+        if key not in VOLATILE_CONFIG_KEYS and (key, value) != _FLOAT64_BACKEND
     }
     return content_digest(
         {
@@ -141,7 +149,6 @@ class RunRecord:
     schema_version: Optional[int]
     git_sha: Optional[str]
     scheme: Optional[str]
-    backend: Optional[str]
     n_values: Tuple[int, ...]
     trials: int
     cache_hits: int
@@ -217,7 +224,6 @@ class RunRecord:
             schema_version=provenance.get("schema_version"),
             git_sha=provenance.get("git_sha"),
             scheme=config.get("scheme"),
-            backend=config.get("backend"),
             n_values=n_values,
             trials=int(stats.get("trials", len(trial_keys))),
             cache_hits=int(stats.get("cache_hits") or 0),

@@ -61,8 +61,6 @@ class QuerySpec:
     digest: Optional[str] = None
     #: Cache-key-family prefix (see :func:`repro.serve.index.family_key`).
     family: Optional[str] = None
-    #: Array backend recorded in the run config (``"numpy32"``, ...).
-    backend: Optional[str] = None
     #: Keep only runs stamped with the newest schema version in the index.
     latest_schema: bool = False
     #: Truncate the (newest-first) result list.
@@ -103,8 +101,6 @@ class QuerySpec:
         if self.scheme is not None and record.scheme != self.scheme:
             return False
         if self.status is not None and record.status != self.status:
-            return False
-        if self.backend is not None and record.backend != self.backend:
             return False
         if self.digest is not None:
             if not record.digest or not record.digest.startswith(self.digest):

@@ -50,7 +50,6 @@ def _family_section(family: str, members: List[RunRecord]) -> dict:
         "family": family,
         "command": newest.command,
         "scheme": newest.scheme,
-        "backend": newest.backend,
         "alpha": None if alpha is None else str(alpha),
         "n_values": list(newest.n_values),
         "runs": [_run_row(record) for record in members],

@@ -209,6 +209,21 @@ class TestColouring:
         )
         np.testing.assert_array_equal(scheme._groups, networkx_colours(scheme))
 
+    def test_bss_exactly_the_conflict_distance_apart_do_not_conflict(self):
+        # delta = 2 and R_cell = 1/16 put the conflict distance at 1/4: BSs
+        # 0 and 1 sit exactly 1/4 apart, BSs 1 and 2 conflict at 0.24
+        scheme = SchemeC(
+            ms_positions=np.array([[0.3125, 0.5]]),
+            bs_positions=np.array([[0.25, 0.5], [0.5, 0.5], [0.74, 0.5]]),
+            ms_cluster=np.zeros(1, dtype=int),
+            bs_cluster=np.zeros(3, dtype=int),
+            backbone=Backbone(3, 1.0),
+            delta=2.0,
+        )
+        assert scheme.cell_range == 1 / 16
+        np.testing.assert_array_equal(scheme._groups, [0, 0, 1])
+        np.testing.assert_array_equal(scheme._groups, networkx_colours(scheme))
+
     @pytest.mark.parametrize("n", [300, 2000])
     def test_regular_cluster_layout(self, n):
         # hexagonal BS lattices give many equal degrees: the tie order matters

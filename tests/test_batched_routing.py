@@ -3,8 +3,7 @@
 The batched sweep path never builds a :class:`SchemeB` per trial and
 injects scheme C's attachments; these tests pin the per-batch entry points
 against the serial classes and the masked access-matrix oracle on real
-:class:`HybridNetwork` realisations, bit-for-bit on the canonical backend
-and rtol-gated on ``numpy32``.
+:class:`HybridNetwork` realisations, bit for bit.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import get_backend
 from repro.core.regimes import NetworkParameters
 from repro.geometry.neighbors import masked_nearest
 from repro.infrastructure.backbone import Backbone, BackboneTopology
@@ -105,22 +103,6 @@ class TestBatchedZoneAccess:
         assert access[0].shape == access[1].shape == (200,)
         for member, oracle in zip(access, member_oracles(args)):
             assert np.array_equal(member, oracle)
-
-    def test_numpy32_within_scheme_rtol(self):
-        args = member_access_args(build_batch(STRONG, 150, 2, seed=11))
-        backend = get_backend("numpy32")
-        for exact, approx in zip(
-            batched_zone_access(*args),
-            batched_zone_access(*args, dtype=backend.float_dtype),
-        ):
-            assert approx.dtype == np.float32
-            scale = max(float(exact.max()), 1e-30)
-            assert np.allclose(
-                approx,
-                exact,
-                rtol=backend.tolerance("scheme_rate"),
-                atol=backend.tolerance("scheme_rate") * scale,
-            )
 
 
 class TestZonePairSessions:

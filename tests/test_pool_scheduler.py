@@ -265,7 +265,6 @@ class TestSweepRecords:
             "generic",
             "workers",
             "batch_trials",
-            "backend",
         }
         assert manifest["config"]["workers"] == 2
 

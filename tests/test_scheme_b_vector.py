@@ -76,15 +76,6 @@ class TestZoneAccessVector:
                 homes, bs, ms_zone, bs_zone, SHAPE, f, r_t, chunk_size=0
             )
 
-    def test_float32_dtype(self, rng):
-        homes, bs, ms_zone, bs_zone, f, r_t = make_inputs(rng)
-        exact = SchemeB.zone_access_vector(homes, bs, ms_zone, bs_zone, SHAPE, f, r_t)
-        approx = SchemeB.zone_access_vector(
-            homes, bs, ms_zone, bs_zone, SHAPE, f, r_t, dtype=np.float32
-        )
-        assert approx.dtype == np.float32
-        assert np.allclose(approx, exact, rtol=1e-3, atol=1e-3 * exact.max())
-
     def test_chunking_invariant(self, rng):
         homes, bs, ms_zone, bs_zone, f, r_t = make_inputs(rng, n=100)
         whole = SchemeB.zone_access_vector(

@@ -24,8 +24,8 @@ from repro.serve import (
     scan_records,
     write_report,
 )
-from repro.serve.index import RunRecord
-from repro.store import RunStore
+from repro.serve.index import VOLATILE_CONFIG_KEYS, RunRecord
+from repro.store import RunStore, content_digest
 
 
 def manifest(run_id, **overrides):
@@ -160,6 +160,35 @@ class TestRunIndex:
         index = RunIndex(tmp_path)
         stats = index.refresh()
         assert stats.parsed == 1 and len(index) == 1
+
+    def test_index_from_before_the_backend_removal_rebuilt(self, tmp_path):
+        # version-1 records carried ``backend`` and a family that still
+        # hashed ``"backend": "numpy64"``; a reload must recompute both
+        data = write_manifest(
+            tmp_path, "run-a", config={**manifest("run-a")["config"], "backend": "numpy64"}
+        )
+        RunIndex(tmp_path).refresh()
+        index_path = tmp_path / "serve" / "index.json"
+        persisted = json.loads(index_path.read_text())
+        version_1_family = content_digest(
+            {
+                "command": data["command"],
+                "parameters": data["parameters"],
+                "config": {
+                    key: value
+                    for key, value in data["config"].items()
+                    if key not in VOLATILE_CONFIG_KEYS
+                },
+            }
+        )
+        persisted["version"] = 1
+        persisted["entries"]["run-a"].update(backend="numpy64", family=version_1_family)
+        index_path.write_text(json.dumps(persisted))
+        index = RunIndex(tmp_path)
+        assert index.refresh().parsed == 1
+        (rec,) = index.records()
+        assert rec.family == family_key(manifest("run-a"))
+        assert "backend" not in rec.to_jsonable()
 
     def test_unparseable_manifest_excluded_and_remembered(self, tmp_path):
         write_manifest(tmp_path, "run-a")
