@@ -31,12 +31,6 @@ class TestBatchedPairwiseDistances:
         out = batched_pairwise_distances(points)
         assert np.array_equal(out[0], pairwise_distances(points[0]))
 
-    def test_float32_input_is_computed_in_float64(self, rng):
-        points = rng.random((6, 2)).astype(np.float32)
-        out = batched_pairwise_distances(points)
-        assert out.dtype == np.float64
-        assert np.array_equal(out, pairwise_distances(points.astype(np.float64)))
-
 
 class TestMaskedNearest:
     def test_distances_are_the_pairwise_kernel(self, rng):

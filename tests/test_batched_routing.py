@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.regimes import NetworkParameters
 from repro.geometry.neighbors import masked_nearest
+from repro.geometry.torus import batched_pairwise_distances
 from repro.infrastructure.backbone import Backbone, BackboneTopology
 from repro.routing import (
     SchemeB,
@@ -276,3 +277,79 @@ class TestBatchedSchemeCAttach:
                 delta=net.delta,
                 attach=(np.zeros(3, dtype=int), np.zeros(3)),
             )
+
+
+def pairwise_outputs(cast, **kwargs):
+    points = np.random.default_rng(0).random((3, 8, 2))
+    return [batched_pairwise_distances(cast(points), **kwargs)]
+
+
+def masked_nearest_outputs(cast, **kwargs):
+    rng = np.random.default_rng(1)
+    points, others = rng.random((40, 2)), rng.random((7, 2))
+    labels, other_labels = rng.integers(0, 2, size=40), rng.integers(0, 2, size=7)
+    return list(
+        masked_nearest(cast(points), cast(others), labels, other_labels, **kwargs)
+    )
+
+
+def zone_access_vector_outputs(cast, **kwargs):
+    (home,), (stations,), (ms_zone,), (bs_zone,), shape, f, (radius,) = (
+        member_access_args(build_batch(STRONG, 150, 1, seed=11))
+    )
+    return [
+        SchemeB.zone_access_vector(
+            cast(home), cast(stations), ms_zone, bs_zone, shape, f, radius,
+            **kwargs,
+        )
+    ]
+
+
+def zone_access_outputs(cast, **kwargs):
+    homes, stations, *rest = member_access_args(build_batch(STRONG, 150, 2, seed=11))
+    return batched_zone_access(
+        [cast(home) for home in homes], [cast(bs) for bs in stations], *rest,
+        **kwargs,
+    )
+
+
+def scheme_c_attach_outputs(cast, **kwargs):
+    nets = build_batch(TRIVIAL_BS, 220, 2, seed=17, mobility="static")
+    attach = batched_scheme_c_attach(
+        [cast(net.process.positions()) for net in nets],
+        [cast(net.bs_positions) for net in nets],
+        [net.home_model.assignment for net in nets],
+        [net._bs_cluster_assignment() for net in nets],
+        **kwargs,
+    )
+    return [array for member in attach for array in member]
+
+
+#: The distance and access kernels, each as ``(cast, **kwargs) -> arrays``
+#: with ``cast`` applied to every coordinate array it is given.
+FLOAT_KERNELS = {
+    "batched_pairwise_distances": pairwise_outputs,
+    "masked_nearest": masked_nearest_outputs,
+    "zone_access_vector": zone_access_vector_outputs,
+    "batched_zone_access": zone_access_outputs,
+    "batched_scheme_c_attach": scheme_c_attach_outputs,
+}
+
+
+@pytest.mark.parametrize("kernel", FLOAT_KERNELS.values(), ids=FLOAT_KERNELS)
+class TestFloat64Only:
+    """The kernels compute in float64, the precision of every canonical
+    digest: a ``dtype=`` argument is rejected, and float32 coordinates are
+    widened before any arithmetic."""
+
+    def test_takes_no_dtype(self, kernel):
+        with pytest.raises(TypeError, match="dtype"):
+            kernel(np.asarray, dtype=np.float32)
+
+    def test_float32_coordinates_are_computed_in_float64(self, kernel):
+        got = kernel(lambda x: np.asarray(x, dtype=np.float32))
+        want = kernel(lambda x: np.asarray(x, dtype=np.float32).astype(np.float64))
+        floats = [array.dtype for array in got if array.dtype.kind == "f"]
+        assert floats and set(floats) == {np.dtype(np.float64)}
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)

@@ -71,6 +71,37 @@ class TestDigestEquality:
         )
 
 
+class TestSharedCache:
+    """Batched and per-trial sweeps key every trial alike, so either one
+    warms the store for the other."""
+
+    SWEEPS = {
+        "B": dict(parameters=STRONG, scheme="B", seed=42, generic=True),
+        "C": dict(
+            parameters=TRIVIAL_BS, scheme="C", seed=7,
+            build_kwargs={"mobility": "static"},
+        ),
+    }
+
+    @pytest.mark.parametrize("scheme", ["B", "C"])
+    @pytest.mark.parametrize(
+        "first, second",
+        [(None, 3), (3, None)],
+        ids=["serial-then-batched", "batched-then-serial"],
+    )
+    def test_second_sweep_replays_every_trial(self, tmp_path, scheme, first, second):
+        def sweep(batch_trials):
+            return sweep_capacity(
+                n_values=GRID, trials=3, batch_trials=batch_trials,
+                store=tmp_path / "s", **self.SWEEPS[scheme],
+            )
+
+        cold, warm = sweep(first), sweep(second)
+        assert cold.stats.cache_hits == 0
+        assert warm.stats.cache_hits == len(GRID) * 3
+        assert warm.digest() == cold.digest()
+
+
 ROWS = {row.label: row for row in TABLE1_ROWS}
 
 

@@ -389,6 +389,26 @@ class TestQuery:
         spec = QuerySpec(command="sweep", min_n=4000)
         assert spec.to_jsonable() == {"command": "sweep", "min_n": 4000}
 
+    def test_spec_takes_no_backend(self):
+        with pytest.raises(TypeError):
+            QuerySpec(backend="numpy64")
+
+    def test_family_filter_spans_the_backend_removal(self, tmp_path):
+        config = manifest("run-new")["config"]
+        write_manifest(
+            tmp_path, "run-f64", created_ts=100.0,
+            config={**config, "backend": "numpy64"},
+        )
+        write_manifest(
+            tmp_path, "run-f32", created_ts=200.0,
+            config={**config, "backend": "numpy32"}, digest="f" * 64,
+        )
+        write_manifest(tmp_path, "run-new", created_ts=300.0)
+        index = RunIndex(tmp_path)
+        index.refresh()
+        spec = QuerySpec(family=family_key(manifest("run-new")))
+        assert self.ids(index, spec) == ["run-new", "run-f64"]
+
 
 class TestRegress:
     def test_identical_digests_report_ok(self):
@@ -418,6 +438,28 @@ class TestRegress:
                 "run-b", created_ts=200.0, digest="b" * 64,
                 config={"scheme": "B", "n_values": [100, 200], "seed": 3},
             ),
+        ])
+        assert report.ok and report.families == 0
+
+    def test_float64_run_from_before_the_backend_removal_compared(self):
+        base = manifest("x")["config"]
+        report = scan_records([
+            record(
+                "run-a", created_ts=100.0, digest="a" * 64,
+                config={**base, "backend": "numpy64"},
+            ),
+            record("run-b", created_ts=200.0, digest="b" * 64),
+        ])
+        assert len(report.of_kind("digest-drift")) == 1
+
+    def test_float32_run_never_compared_with_float64_runs(self):
+        base = manifest("x")["config"]
+        report = scan_records([
+            record(
+                "run-a", created_ts=100.0, digest="f" * 64,
+                config={**base, "backend": "numpy32"},
+            ),
+            record("run-b", created_ts=200.0, digest="b" * 64),
         ])
         assert report.ok and report.families == 0
 
