@@ -11,7 +11,8 @@ times the incremental slots.  It emits ``BENCH_million.json`` containing:
 - the per-slot cost curve vs. fraction moved, each point with its speedup
   over the from-scratch slot;
 - a bit-identity spot check at full scale (the incremental pair set after
-  the whole walk equals a fresh ``CellGridIndex`` build's).
+  the whole walk equals a fresh ``CellGridIndex`` build's);
+- provenance (git SHA, host) and the run's grid (``n``, fractions, slots).
 
 Run modes:
 
@@ -27,6 +28,7 @@ import cProfile
 import io
 import json
 import os
+import platform
 import pstats
 import time
 from pathlib import Path
@@ -35,6 +37,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.neighbors import CellGridIndex, IncrementalCellGridIndex
+from repro.store.provenance import collect_provenance
 
 #: Node count; CI overrides to 10^5 to fit the runner's time budget.
 N = int(os.environ.get("REPRO_MILLION_N", "1_000_000").replace("_", ""))
@@ -50,6 +53,12 @@ GATE_FRACTION = 0.01
 GATE_SPEEDUP = 3.0
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_million.json"
+
+
+class DiffOnlyIndex(IncrementalCellGridIndex):
+    """Never rebuilds, so every timed slot takes the diff path."""
+
+    REBUILD_FRACTION = 1.0
 
 
 def _move(rng, positions, fraction, scale):
@@ -99,7 +108,7 @@ def run_bench(n=N):
 
     # slot 1: what the seed paid every slot -- fresh grid + enumeration
     start = time.perf_counter()
-    index = IncrementalCellGridIndex(positions, rebuild_fraction=1.0)
+    index = DiffOnlyIndex(positions)
     pairs = index.pairs_within(radius)[0].size
     first_slot = time.perf_counter() - start
 
@@ -133,6 +142,15 @@ def run_bench(n=N):
     )
 
     return {
+        "provenance": {
+            **collect_provenance(),
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+        },
+        "grid": {
+            "n": n,
+            "fractions": list(FRACTIONS),
+        },
         "n": n,
         "radius": radius,
         "first_slot_seconds": first_slot,
@@ -170,7 +188,7 @@ def _check_gates(result):
         "incremental index diverged from the fresh build at scale"
     )
     assert result["rebuilds"] == 0, (
-        "rebuild_fraction=1.0 run must never take the rebuild path"
+        "a REBUILD_FRACTION = 1 run must never take the rebuild path"
     )
     by_fraction = {row["fraction_moved"]: row for row in result["curve"]}
     gate = by_fraction[GATE_FRACTION]

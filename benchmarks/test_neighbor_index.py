@@ -1,28 +1,48 @@
 """Cell-grid neighbor index scaling benchmark.
 
 ``PolicySStar.schedule`` is the per-slot hot path of every mobile sweep.
-The dense path rebuilds an ``n x n`` torus distance matrix per slot
-(``O(n^2)`` time and memory); the cell-grid index enumerates only the
-``Theta(1)``-per-node guard-radius candidates (``O(n)`` expected).  This
-benchmark times both paths at ``n in {1k, 4k, 16k}``, asserts the schedules
-stay bit-identical, writes ``BENCH_neighbors.json`` (slots/s per path, peak
-candidate counts) for the CI artifact, and enforces the acceptance bars:
+The dense formulation it replaced rebuilds an ``n x n`` torus distance
+matrix per slot (``O(n^2)`` time and memory; kept as the
+``strict_pairs_vectorized`` oracle in
+``tests/test_scheduler_equivalence.py``); the cell-grid index enumerates
+only the ``Theta(1)``-per-node guard-radius candidates (``O(n)``
+expected).  This benchmark times both at ``n in {1k, 4k, 16k}``, asserts
+the schedules stay bit-identical, writes ``BENCH_neighbors.json`` (slots/s
+per path, peak candidate counts, provenance: git SHA, host, grid) for the
+CI artifact, and enforces the acceptance bars:
 
 - the sparse path must not be slower than dense at ``n = 4000``;
 - the sparse path must be ``>= 5x`` faster at ``n = 16000``.
+
+Run modes:
+
+- CI runs ``python -m pytest benchmarks/test_neighbor_index.py -q -s
+  --benchmark-only`` (full grid, gates enforced);
+- ``PYTHONPATH=src python benchmarks/test_neighbor_index.py [n ...]``
+  writes the artifact for the listed points of ``GRID`` (all by default)
+  without the gates; the dense side at ``n = 16000`` needs ~6 GB for its
+  distance temporaries.
 """
 
 import json
+import os
+import platform
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.geometry.neighbors import CellGridIndex
-from repro.geometry.torus import pairwise_distances
-from repro.wireless.scheduler import PolicySStar
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
 
-from conftest import report
+from repro.geometry.neighbors import CellGridIndex  # noqa: E402
+from repro.geometry.torus import pairwise_distances  # noqa: E402
+from repro.store.provenance import collect_provenance  # noqa: E402
+from repro.wireless.scheduler import PolicySStar  # noqa: E402
+from tests.test_scheduler_equivalence import strict_pairs_vectorized  # noqa: E402
+
+from conftest import report  # noqa: E402
 
 #: (n, sparse slots, dense slots) -- fewer dense slots at large n keeps the
 #: O(n^2) side tractable; the sparse side is cheap enough to average more.
@@ -32,7 +52,7 @@ GRID = ((1_000, 16, 8), (4_000, 8, 4), (16_000, 4, 1))
 C_T = 0.5
 DELTA = 1.0
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_neighbors.json"
+OUTPUT = ROOT / "BENCH_neighbors.json"
 
 
 def _slot_positions(n, slots):
@@ -51,17 +71,18 @@ def _bench_size(n, sparse_slots, dense_slots):
     ]
     sparse_elapsed = time.perf_counter() - start
 
+    radius = policy.transmission_range()
     start = time.perf_counter()
-    dense_schedules = [
-        policy.schedule(p, distances=pairwise_distances(p))
+    dense_pairs = [
+        strict_pairs_vectorized(pairwise_distances(p), radius, DELTA)
         for p in positions[:dense_slots]
     ]
     dense_elapsed = time.perf_counter() - start
 
-    for fast, slow in zip(sparse_schedules, dense_schedules):
-        assert fast.pairs == slow.pairs  # bit-identical schedules
+    for fast, slow in zip(sparse_schedules, dense_pairs):
+        assert fast.pairs == tuple(slow)  # bit-identical schedules
 
-    guard = (1.0 + DELTA) * policy.transmission_range()
+    guard = (1.0 + DELTA) * radius
     candidates = int(CellGridIndex(positions[0]).pairs_within(guard)[0].size)
     sparse_rate = sparse_slots / sparse_elapsed
     dense_rate = dense_slots / dense_elapsed
@@ -77,22 +98,50 @@ def _bench_size(n, sparse_slots, dense_slots):
     }
 
 
-def test_neighbor_index_scaling(once):
-    rows = once(
-        lambda: [_bench_size(n, sparse, dense) for n, sparse, dense in GRID]
-    )
-    OUTPUT.write_text(json.dumps({"results": rows}, indent=2) + "\n")
-    lines = [
+def run_bench(grid=GRID):
+    """Time every ``(n, sparse slots, dense slots)`` point of ``grid``."""
+    return {
+        "provenance": {
+            **collect_provenance(),
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+        },
+        "dense_reference": (
+            "strict_pairs_vectorized on pairwise_distances "
+            "(tests/test_scheduler_equivalence.py)"
+        ),
+        "grid": [list(point) for point in grid],
+        "c_t": C_T,
+        "delta": DELTA,
+        "results": [_bench_size(*point) for point in grid],
+    }
+
+
+def _render(rows):
+    return "\n".join(
         f"n={row['n']:>6}: sparse {row['sparse_slots_per_s']:8.1f} slots/s, "
         f"dense {row['dense_slots_per_s']:8.1f} slots/s, "
         f"speedup {row['speedup']:6.1f}x "
         f"({row['sparse_candidates']} candidates, "
         f"{row['enabled_pairs']} enabled)"
         for row in rows
-    ]
-    report("cell-grid neighbor index scaling", "\n".join(lines))
+    )
+
+
+def test_neighbor_index_scaling(once):
+    result = once(run_bench)
+    OUTPUT.write_text(json.dumps(result, indent=2) + "\n")
+    rows = result["results"]
+    report("cell-grid neighbor index scaling", _render(rows))
     by_n = {row["n"]: row for row in rows}
     assert by_n[4_000]["speedup"] >= 1.0, "sparse path slower than dense at n=4k"
     assert by_n[16_000]["speedup"] >= 5.0, (
         f"expected >= 5x at n=16k, measured {by_n[16_000]['speedup']:.1f}x"
     )
+
+
+if __name__ == "__main__":
+    sizes = {int(arg) for arg in sys.argv[1:]}
+    outcome = run_bench([point for point in GRID if not sizes or point[0] in sizes])
+    OUTPUT.write_text(json.dumps(outcome, indent=2) + "\n")
+    print(_render(outcome["results"]))

@@ -26,7 +26,7 @@ from ..core.regimes import NetworkParameters
 from ..mobility.processes import IIDAroundHome
 from ..observability.log import get_logger
 from ..observability.timing import span
-from ..parallel import TrialRunner, share_arrays
+from ..parallel import TrialRunner
 from ..resilience import ResilienceConfig, successful_values
 from ..simulation.engine import SlottedSimulator
 from ..simulation.network import HybridNetwork
@@ -94,25 +94,19 @@ def _delay_trial(rng: np.random.Generator, payload: tuple) -> dict:
 
     Each discipline rebuilds the *same* realisation from the payload's seed
     (the comparison is on one network), so the runner-provided generator is
-    ignored and the trial is a pure function of the payload.
-
-    ``handles`` (when present) are the parent's shared-memory blocks for
-    the realisation's home-points and BS positions; the mobility process
-    and simulator map them read-only instead of re-pickling the arrays.
-    The rebuilt realisation produces bit-identical arrays from the same
-    seed, so using the shared copies changes nothing downstream.
+    ignored and the trial is a pure function of the payload.  The
+    payload carries only scalars and the parameters; the home-points and BS
+    positions come from the rebuilt network.
     """
-    label, parameters, n, seed, slots, arrival_prob, handles = payload
+    label, parameters, n, seed, slots, arrival_prob = payload
     router_factory, include_bs = _DISCIPLINES[label]
     rng = np.random.default_rng(seed)
     net = HybridNetwork.build(parameters, n, rng)
     traffic = permutation_traffic(rng, n)
-    home = handles["home"] if handles else net.home_model.points
-    process = IIDAroundHome(home, net.shape, 1.0 / net.realized.f, rng)
-    if include_bs:
-        static = handles["bs"] if handles else net.bs_positions
-    else:
-        static = None
+    process = IIDAroundHome(
+        net.home_model.points, net.shape, 1.0 / net.realized.f, rng
+    )
+    static = net.bs_positions if include_bs else None
     scheduler = net.scheduler()
     router = router_factory(net)
     sim = SlottedSimulator(
@@ -157,18 +151,8 @@ def compare_delays(
             backbone_exponent=1,
         )
     store = open_store(store)
-    # Realise the network once in the parent and share its arrays: the
-    # trials receive constant-size handles instead of pickled copies, and
-    # the runner unlinks the blocks however the run ends.
-    realisation = HybridNetwork.build(parameters, n, np.random.default_rng(seed))
-    shared = share_arrays(
-        "repro_delay",
-        home=realisation.home_model.points,
-        bs=realisation.bs_positions,
-    )
-    handles = shared.handles()
     payloads = [
-        (label, parameters, n, seed, slots, arrival_prob, handles)
+        (label, parameters, n, seed, slots, arrival_prob)
         for label in DELAY_SCHEMES
     ]
     keys = None
@@ -196,9 +180,7 @@ def compare_delays(
         _delay_trial, workers=workers, **resilience.runner_kwargs()
     )
     with span("delay.compare_delays", logger=_log):
-        results = runner.run(
-            payloads, seed=seed, cache=store, keys=keys, shared=shared
-        )
+        results = runner.run(payloads, seed=seed, cache=store, keys=keys)
     outcomes = successful_values(
         results, resilience.min_success_fraction, context="delay"
     )

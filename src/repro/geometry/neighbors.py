@@ -317,7 +317,7 @@ class IncrementalCellGridIndex(CellGridIndex):
     per-axis kernel of :func:`pair_distances`.
     ``tests/test_incremental_index.py`` drives this with Hypothesis.
 
-    When more than ``rebuild_fraction`` of the nodes move in one update
+    When more than :attr:`REBUILD_FRACTION` of the nodes move in one update
     (e.g. an :class:`~repro.mobility.processes.IIDAroundHome` full redraw),
     the diff would touch everything, so the index transparently falls back
     to a from-scratch rebuild -- identical results, no worse than a fresh
@@ -331,14 +331,13 @@ class IncrementalCellGridIndex(CellGridIndex):
     diffs the arrays, which is always safe).
     """
 
-    def __init__(self, points: np.ndarray, rebuild_fraction: float = 0.5):
-        if not (0.0 < rebuild_fraction <= 1.0):
-            raise ValueError(
-                f"rebuild_fraction must be in (0, 1], got {rebuild_fraction}"
-            )
+    #: Share of moved nodes above which an update rebuilds from scratch
+    #: (tests force the diff path with a subclass that sets it to 1).
+    REBUILD_FRACTION = 0.5
+
+    def __init__(self, points: np.ndarray):
         # own, writable copy: updates write moved rows in place
         super().__init__(np.array(np.atleast_2d(points), dtype=float))
-        self._rebuild_fraction = float(rebuild_fraction)
         self._cids: Dict[int, np.ndarray] = {}
         self._pair_cache: Dict[float, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         #: Counters for benchmarks and tests.
@@ -415,7 +414,7 @@ class IncrementalCellGridIndex(CellGridIndex):
         self.last_rebuild = False
         if moved_idx.size == 0:
             return self
-        if moved_idx.size > self._rebuild_fraction * n:
+        if moved_idx.size > self.REBUILD_FRACTION * n:
             self._reset(new_points)
             return self
         new_rows = new_points[moved_idx]

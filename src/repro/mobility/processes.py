@@ -26,7 +26,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..geometry.torus import wrap
-from ..parallel.shm import SharedArrayHandle
 from .shapes import MobilityShape
 
 __all__ = [
@@ -43,24 +42,11 @@ __all__ = [
 class MobilityProcess(abc.ABC):
     """A discrete-time mobility process for a population of nodes.
 
-    ``home_points`` may be a plain array (defensively copied) or a
-    :class:`~repro.parallel.shm.SharedArrayHandle` -- in a worker process
-    the handle maps the parent's shared block read-only and zero-copy, so a
-    sweep of trial replicas never pickles or duplicates the home-point
-    array.
+    ``home_points`` is copied, so the caller may go on using its array.
     """
 
     def __init__(self, home_points):
-        if isinstance(home_points, SharedArrayHandle):
-            self._home = np.atleast_2d(home_points.open())
-            if self._home.dtype != np.float64:
-                raise TypeError(
-                    f"shared home-points must be float64, got {self._home.dtype}"
-                )
-        else:
-            self._home = np.atleast_2d(
-                np.asarray(home_points, dtype=float)
-            ).copy()
+        self._home = np.atleast_2d(np.asarray(home_points, dtype=float)).copy()
 
     @property
     def home_points(self) -> np.ndarray:

@@ -9,24 +9,14 @@ from .runner import (
     TrialStats,
     run_trials,
 )
-from .shm import (
-    SharedArrayHandle,
-    SharedArrays,
-    resolve_array,
-    share_arrays,
-)
 
 __all__ = [
     "BatchedTrialPlan",
-    "SharedArrayHandle",
-    "SharedArrays",
     "TrialBatch",
     "TrialError",
     "TrialFailed",
     "TrialResult",
     "TrialRunner",
     "TrialStats",
-    "resolve_array",
     "run_trials",
-    "share_arrays",
 ]

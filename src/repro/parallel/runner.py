@@ -894,7 +894,6 @@ class TrialRunner:
         submission_order: Optional[Sequence[int]] = None,
         cache: Optional[Any] = None,
         keys: Optional[Sequence[Optional[str]]] = None,
-        shared: Optional[Any] = None,
     ) -> List[TrialResult]:
         """Run one trial per payload; results are ordered by trial index.
 
@@ -911,29 +910,16 @@ class TrialRunner:
         so a killed run keeps every finished trial.  Seeds are spawned for
         the full payload list regardless of hits, keeping results
         bit-identical to an uncached run at any worker count.
-
-        ``shared`` is a :class:`~repro.parallel.shm.SharedArrays` registry
-        whose blocks back the payloads (handles embedded instead of
-        arrays).  The runner takes ownership: ``shared.unlink_all()`` runs
-        in a ``finally``, so the ``/dev/shm`` segments are reclaimed on
-        success, on a worker crash that exhausts retries, on
-        ``KeyboardInterrupt`` and on SIGTERM (which the resilience layer's
-        :func:`~repro.resilience.drain.interruptible` converts into a
-        ``KeyboardInterrupt`` subclass that propagates through here).
         """
-        try:
-            return self._run_guarded(
-                payloads,
-                functools.partial(_each_member, self._trial_fn),
-                None,
-                seed,
-                submission_order,
-                cache,
-                keys,
-            )
-        finally:
-            if shared is not None:
-                shared.unlink_all()
+        return self._run_guarded(
+            payloads,
+            functools.partial(_each_member, self._trial_fn),
+            None,
+            seed,
+            submission_order,
+            cache,
+            keys,
+        )
 
     def run_batched(
         self,
@@ -943,7 +929,6 @@ class TrialRunner:
         seed: int = 0,
         cache: Optional[Any] = None,
         keys: Optional[Sequence[Optional[str]]] = None,
-        shared: Optional[Any] = None,
     ) -> List[TrialResult]:
         """Run trials grouped into same-shape batches; per-trial results.
 
@@ -968,13 +953,7 @@ class TrialRunner:
 
         if not isinstance(plan, BatchedTrialPlan):
             raise TypeError(f"plan must be a BatchedTrialPlan, got {type(plan)}")
-        try:
-            return self._run_guarded(
-                payloads, batch_fn, plan, seed, None, cache, keys
-            )
-        finally:
-            if shared is not None:
-                shared.unlink_all()
+        return self._run_guarded(payloads, batch_fn, plan, seed, None, cache, keys)
 
     def _run_guarded(
         self, payloads, batch_fn, plan, seed, submission_order, cache, keys
@@ -1056,12 +1035,9 @@ class TrialRunner:
         seed: int = 0,
         cache: Optional[Any] = None,
         keys: Optional[Sequence[Optional[str]]] = None,
-        shared: Optional[Any] = None,
     ) -> List[Any]:
         """Like :meth:`run` but unwrap values, raising on the first failure."""
-        results = self.run(
-            payloads, seed=seed, cache=cache, keys=keys, shared=shared
-        )
+        results = self.run(payloads, seed=seed, cache=cache, keys=keys)
         for result in results:
             if not result.ok:
                 raise TrialFailed(result.error)

@@ -21,9 +21,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..geometry.neighbors import CellGridIndex, IncrementalCellGridIndex
+from ..geometry.neighbors import IncrementalCellGridIndex
 from ..mobility.processes import MobilityProcess
-from ..parallel.shm import resolve_array
 from ..observability.events import SlotBatch, get_telemetry
 from ..observability.log import get_logger
 from ..wireless.scheduler import Scheduler
@@ -99,16 +98,15 @@ class SlottedSimulator:
     rng:
         Randomness for arrivals.
     static_positions:
-        Base-station positions appended after the MSs (optional); accepts a
-        plain array or a :class:`~repro.parallel.shm.SharedArrayHandle`.
-    reference:
-        ``True`` restores the seed behaviour of building a fresh
-        :class:`CellGridIndex` from scratch every slot.  The default keeps
-        one :class:`IncrementalCellGridIndex` per simulator and updates it
-        with the mobility process's per-slot moved mask -- bit-identical
-        output (the equivalence battery in ``tests/test_incremental_index``
-        enforces it) at a per-slot cost that scales with how many nodes
-        moved rather than with ``n``.
+        Base-station positions appended after the MSs (optional).
+
+    The scheduler queries one :class:`IncrementalCellGridIndex` per
+    simulator, updated with the mobility process's per-slot moved mask: its
+    output is bit-identical to a fresh
+    :class:`~repro.geometry.neighbors.CellGridIndex` per slot
+    (``tests/test_incremental_index.py`` and
+    ``tests/test_engine_index.py``) at a per-slot cost that scales with how
+    many nodes moved rather than with ``n``.
     """
 
     def __init__(
@@ -120,7 +118,6 @@ class SlottedSimulator:
         arrival_prob: float,
         rng: np.random.Generator,
         static_positions: Optional[np.ndarray] = None,
-        reference: bool = False,
     ):
         if not (0 <= arrival_prob <= 1):
             raise ValueError(f"arrival_prob must be in [0, 1], got {arrival_prob}")
@@ -135,16 +132,9 @@ class SlottedSimulator:
         self._traffic = traffic
         self._arrival_prob = arrival_prob
         self._rng = rng
-        # asarray keeps a shared handle's mapping zero-copy (float64 in,
-        # float64 out); anything else is converted as before
-        static = (
-            resolve_array(static_positions)
-            if static_positions is not None
-            else None
-        )
         self._static = (
-            np.atleast_2d(np.asarray(static, dtype=float))
-            if static is not None and len(static)
+            np.atleast_2d(np.asarray(static_positions, dtype=float))
+            if static_positions is not None and len(static_positions)
             else None
         )
         total = process.count + (0 if self._static is None else self._static.shape[0])
@@ -153,7 +143,6 @@ class SlottedSimulator:
         self._slot = 0
         self._delivered: List[Packet] = []
         self._elapsed = 0.0
-        self._reference = reference
         self._index: Optional[IncrementalCellGridIndex] = None
         # preallocated (ms + bs, 2) position buffer: the BS block is written
         # once, per-slot combining copies only the moved MS rows
@@ -233,13 +222,10 @@ class SlottedSimulator:
     def _slot_index(self, positions, moved):
         """The neighbor index for this slot's scheduler queries.
 
-        Reference mode rebuilds a fresh :class:`CellGridIndex`; otherwise
-        one persistent :class:`IncrementalCellGridIndex` is diffed forward
+        One persistent :class:`IncrementalCellGridIndex` is diffed forward
         using the mobility process's moved mask (padded with ``False`` for
         the static base stations, which never move).
         """
-        if self._reference:
-            return CellGridIndex(positions)
         if self._index is None:
             self._index = IncrementalCellGridIndex(positions)
         else:

@@ -153,18 +153,12 @@ class GreedySINRScheduler(Scheduler):
     def transmission_range(self, node_count: Optional[int] = None) -> float:
         return self._range
 
-    def schedule(
-        self,
-        positions: np.ndarray,
-        distances: Optional[np.ndarray] = None,
-        index=None,
-    ) -> Schedule:
+    def schedule(self, positions: np.ndarray, index=None) -> Schedule:
         # SINR feasibility aggregates interference from *every* transmitter,
         # so the dense gain matrix is inherent to the model; the cell-grid
         # ``index`` accepted by the Scheduler interface is unused here.
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        if distances is None:
-            distances = pairwise_distances(positions)
+        distances = pairwise_distances(positions)
         gains = self._model.gain(distances)
         rows, cols = np.nonzero(np.triu(distances <= self._range, k=1))
         candidates = sorted(

@@ -140,8 +140,6 @@ class ProtocolModel:
         self,
         positions: np.ndarray,
         transmission_range: float,
-        distances: np.ndarray = None,
-        reference: bool = False,
         index: Optional[CellGridIndex] = None,
     ) -> List[Link]:
         """All unordered pairs enabled by policy ``S*`` (Definition 10).
@@ -152,89 +150,25 @@ class ProtocolModel:
         exactly the two endpoints.  The returned pairs are automatically
         node-disjoint and interference-free.
 
-        Three evaluation paths, all producing identical pairs in identical
-        order (``tests/test_scheduler_equivalence.py``):
-
-        - default: sparse guard-radius candidates from a
-          :class:`~repro.geometry.neighbors.CellGridIndex` (``O(n)``
-          expected work and memory at the ``S*`` range; pass ``index`` to
-          reuse a per-slot index across policies);
-        - ``distances=``: the vectorized dense-matrix formulation (kept for
-          callers that already hold the matrix);
-        - ``reference=True``: the direct Python-loop transcription of
-          Definition 10 (``O(n^2 * pairs)``), the semantic spec.
+        The candidates come from a
+        :class:`~repro.geometry.neighbors.CellGridIndex` over ``positions``
+        (``O(n)`` expected work and memory at the ``S*`` range); pass
+        ``index`` to reuse a per-slot index across policies.  Every pair
+        that can influence the guard count lies within ``(1 + Delta) R_T``
+        of one of its endpoints, so one ``pairs_within(guard)`` query
+        yields both the in-range candidates and the per-node guard-disk
+        occupancies (via ``bincount``).  The candidates arrive
+        lexicographically sorted and their distances are bit-identical to
+        the dense kernel's, so the result equals the loop transcription of
+        Definition 10 and the dense-matrix formulation, which
+        ``tests/test_scheduler_equivalence.py`` keeps as oracles.
         """
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        if reference:
-            if distances is None:
-                distances = pairwise_distances(positions)
-            return self._strict_pairs_reference(distances, transmission_range)
-        if distances is not None:
-            return self._strict_pairs_vectorized(distances, transmission_range)
         if transmission_range <= 0:
             return []
         if index is None:
             index = CellGridIndex(positions)
-        return self._strict_pairs_sparse(
-            index, positions.shape[0], transmission_range
-        )
-
-    def _strict_pairs_reference(
-        self, distances: np.ndarray, transmission_range: float
-    ) -> List[Link]:
-        """Loop transcription of Definition 10, kept as the semantic spec."""
-        guard = self.guard_factor * transmission_range
-        count = distances.shape[0]
-        pairs: List[Link] = []
-        for i in range(count):
-            for j in range(i + 1, count):
-                if distances[i, j] >= transmission_range:
-                    continue
-                enabled = True
-                for other in range(count):
-                    if other == i or other == j:
-                        continue
-                    if distances[other, i] < guard or distances[other, j] < guard:
-                        enabled = False
-                        break
-                if enabled:
-                    pairs.append((i, j))
-        return pairs
-
-    def _strict_pairs_vectorized(
-        self, distances: np.ndarray, transmission_range: float
-    ) -> List[Link]:
-        """Vectorized Definition 10 on the pairwise-distance matrix.
-
-        ``guard_count[i]`` counts nodes strictly inside the guard disk of
-        ``i`` including ``i`` itself (distance zero); a pair is enabled iff
-        both endpoints count exactly two (themselves and each other -- the
-        in-range condition guarantees each endpoint lies in the other's
-        guard disk since ``guard > R_T``).
-        """
-        guard = self.guard_factor * transmission_range
-        guard_count = (distances < guard).sum(axis=1)
-        lonely = guard_count == 2
-        enabled = (
-            np.triu(distances < transmission_range, k=1)
-            & lonely[:, None]
-            & lonely[None, :]
-        )
-        return [(int(i), int(j)) for i, j in np.argwhere(enabled)]
-
-    def _strict_pairs_sparse(
-        self, index: CellGridIndex, count: int, transmission_range: float
-    ) -> List[Link]:
-        """Definition 10 over sparse guard-radius candidates.
-
-        Every pair that can influence the guard count lies within
-        ``(1 + Delta) R_T`` of one of its endpoints, so one
-        ``pairs_within(guard)`` query yields both the in-range candidates
-        and the per-node guard-disk occupancies (via ``bincount``); the
-        candidate arrays arrive lexicographically sorted, matching the
-        dense ``argwhere`` order, and the distances are bit-identical to
-        the dense kernel's.
-        """
+        count = positions.shape[0]
         guard = self.guard_factor * transmission_range
         i, j, dist = index.pairs_within(guard)
         inside = dist < guard

@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry.neighbors import CellGridIndex, adjacency_lists, pair_distances
-from ..geometry.torus import pairwise_distances
 from ..observability.log import get_logger
 from .protocol_model import Link, ProtocolModel
 
@@ -75,16 +74,14 @@ class Scheduler(abc.ABC):
     def schedule(
         self,
         positions: np.ndarray,
-        distances: Optional[np.ndarray] = None,
         index: Optional[CellGridIndex] = None,
     ) -> Schedule:
         """Select the enabled pairs for one slot from current positions.
 
         ``index`` optionally supplies a prebuilt
         :class:`~repro.geometry.neighbors.CellGridIndex` over ``positions``
-        (the simulator builds one per slot); ``distances`` optionally
-        injects the dense matrix, forcing the dense evaluation path.  Both
-        paths return bit-identical schedules.
+        (the simulator keeps one per run); without it a range-based policy
+        builds its own.  Either way the schedule is the same.
         """
 
 
@@ -101,13 +98,7 @@ class PolicySStar(Scheduler):
         Guard-zone constant.
     """
 
-    def __init__(
-        self,
-        node_count: int,
-        c_t: float = 1.0,
-        delta: float = 1.0,
-        reference: bool = False,
-    ):
+    def __init__(self, node_count: int, c_t: float = 1.0, delta: float = 1.0):
         if node_count < 2:
             raise ValueError(f"need at least two nodes, got {node_count}")
         if c_t <= 0:
@@ -115,12 +106,10 @@ class PolicySStar(Scheduler):
         self._c_t = c_t
         self._model = ProtocolModel(delta)
         self._range = c_t / math.sqrt(node_count)
-        self._reference = reference
         # Scheduling is the per-slot hot path, so instrumentation stays at
         # construction time: one DEBUG line, nothing per schedule() call.
         _log.debug(
-            "PolicySStar: n=%d R_T=%.5f delta=%s reference=%s",
-            node_count, self._range, delta, reference,
+            "PolicySStar: n=%d R_T=%.5f delta=%s", node_count, self._range, delta
         )
 
     @property
@@ -137,35 +126,22 @@ class PolicySStar(Scheduler):
     def schedule(
         self,
         positions: np.ndarray,
-        distances: Optional[np.ndarray] = None,
         index: Optional[CellGridIndex] = None,
     ) -> Schedule:
-        pairs = self._model.strict_pairs(
-            positions,
-            self._range,
-            distances=distances,
-            reference=self._reference,
-            index=index,
-        )
+        pairs = self._model.strict_pairs(positions, self._range, index=index)
         return Schedule(pairs=tuple(pairs), transmission_range=self._range)
 
 
 class VariableRangeScheduler(Scheduler):
     """``S-bar``: the ``S*`` rule with an arbitrary fixed range (Theorem 2)."""
 
-    def __init__(
-        self,
-        transmission_range: float,
-        delta: float = 1.0,
-        reference: bool = False,
-    ):
+    def __init__(self, transmission_range: float, delta: float = 1.0):
         if transmission_range <= 0:
             raise ValueError(
                 f"transmission range must be positive, got {transmission_range}"
             )
         self._range = transmission_range
         self._model = ProtocolModel(delta)
-        self._reference = reference
 
     def transmission_range(self, node_count: Optional[int] = None) -> float:
         return self._range
@@ -173,16 +149,9 @@ class VariableRangeScheduler(Scheduler):
     def schedule(
         self,
         positions: np.ndarray,
-        distances: Optional[np.ndarray] = None,
         index: Optional[CellGridIndex] = None,
     ) -> Schedule:
-        pairs = self._model.strict_pairs(
-            positions,
-            self._range,
-            distances=distances,
-            reference=self._reference,
-            index=index,
-        )
+        pairs = self._model.strict_pairs(positions, self._range, index=index)
         return Schedule(pairs=tuple(pairs), transmission_range=self._range)
 
 
@@ -197,31 +166,25 @@ class GreedyMatchingScheduler(Scheduler):
 
     Candidates are served in ``(distance, a, b)`` order -- the endpoint
     tie-break keeps the outcome deterministic however the candidate set was
-    enumerated (dense row-major scan or sparse cell-grid stencil).
+    enumerated.
 
-    ``reference=True`` keeps the original per-link feasibility scan over the
-    chosen set and forces the dense distance matrix; passing ``distances=``
-    selects the dense ``blocked``-mask path; the default consumes sparse
-    guard-radius candidates from a
-    :class:`~repro.geometry.neighbors.CellGridIndex` with per-endpoint
-    neighbor lists standing in for the dense guard rows.  All paths select
-    identical links in identical order
-    (``tests/test_scheduler_equivalence.py``).
+    One ``pairs_within(guard)`` query on a
+    :class:`~repro.geometry.neighbors.CellGridIndex` supplies both the
+    in-range candidate pairs (``guard >= R_T``) and, as CSR neighbor lists,
+    the strict-``< guard`` adjacency used to update the ``blocked`` mask --
+    no dense row ever materialises.  The original per-link feasibility scan
+    and the dense ``blocked``-mask loop are kept as oracles in
+    ``tests/test_scheduler_equivalence.py``, which checks that all three
+    select identical links in identical order.
     """
 
-    def __init__(
-        self,
-        transmission_range: float,
-        delta: float = 1.0,
-        reference: bool = False,
-    ):
+    def __init__(self, transmission_range: float, delta: float = 1.0):
         if transmission_range <= 0:
             raise ValueError(
                 f"transmission range must be positive, got {transmission_range}"
             )
         self._range = transmission_range
         self._model = ProtocolModel(delta)
-        self._reference = reference
 
     def transmission_range(self, node_count: Optional[int] = None) -> float:
         return self._range
@@ -229,51 +192,15 @@ class GreedyMatchingScheduler(Scheduler):
     def schedule(
         self,
         positions: np.ndarray,
-        distances: Optional[np.ndarray] = None,
-        candidates: Optional[Sequence[Link]] = None,
         index: Optional[CellGridIndex] = None,
+        candidates: Optional[Sequence[Link]] = None,
     ) -> Schedule:
+        """Greedy schedule over ``candidates`` (default: every in-range
+        pair), using ``index`` for the guard-zone queries if given."""
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        guard = self._model.guard_factor * self._range
-        if self._reference or distances is not None:
-            if distances is None:
-                distances = pairwise_distances(positions)
-            if candidates is None:
-                rows, cols = np.nonzero(np.triu(distances <= self._range, k=1))
-                candidates = list(zip(rows.tolist(), cols.tolist()))
-            else:
-                candidates = [
-                    (int(a), int(b))
-                    for a, b in candidates
-                    if distances[a, b] <= self._range
-                ]
-            candidates.sort(
-                key=lambda pair: (distances[pair[0], pair[1]], pair[0], pair[1])
-            )
-            if self._reference:
-                chosen = self._select_reference(candidates, distances, guard)
-            else:
-                chosen = self._select_vectorized(candidates, distances, guard)
-            return Schedule(pairs=tuple(chosen), transmission_range=self._range)
         if index is None:
             index = CellGridIndex(positions)
-        chosen = self._select_sparse(positions, index, candidates, guard)
-        return Schedule(pairs=tuple(chosen), transmission_range=self._range)
-
-    def _select_sparse(
-        self,
-        positions: np.ndarray,
-        index: CellGridIndex,
-        candidates: Optional[Sequence[Link]],
-        guard: float,
-    ) -> List[Link]:
-        """Greedy selection over sparse cell-grid candidates.
-
-        One ``pairs_within(guard)`` query supplies both the in-range
-        candidate pairs (``guard >= R_T``) and, as CSR neighbor lists, the
-        strict-``< guard`` adjacency used to update the ``blocked`` mask --
-        no dense row ever materialises.
-        """
+        guard = self._model.guard_factor * self._range
         pair_i, pair_j, pair_d = index.pairs_within(guard)
         node_count = positions.shape[0]
         strict = pair_d < guard
@@ -314,66 +241,7 @@ class GreedyMatchingScheduler(Scheduler):
             used[a] = used[b] = True
             blocked[indices[indptr[a] : indptr[a + 1]]] = True
             blocked[indices[indptr[b] : indptr[b + 1]]] = True
-        return chosen
-
-    @staticmethod
-    def _select_reference(
-        candidates: Sequence[Link], distances: np.ndarray, guard: float
-    ) -> List[Link]:
-        """Original greedy loop: scan every chosen link per candidate."""
-        chosen: List[Link] = []
-        used = np.zeros(distances.shape[0], dtype=bool)
-        transmitters: List[int] = []
-        for a, b in candidates:
-            if used[a] or used[b]:
-                continue
-            # Both directions are used (bandwidth split), so both endpoints
-            # act as transmitters for interference purposes.
-            conflict = False
-            for tx in transmitters:
-                if distances[tx, a] < guard or distances[tx, b] < guard:
-                    conflict = True
-                    break
-            if conflict:
-                continue
-            for other_a, other_b in chosen:
-                if (
-                    distances[a, other_a] < guard
-                    or distances[a, other_b] < guard
-                    or distances[b, other_a] < guard
-                    or distances[b, other_b] < guard
-                ):
-                    conflict = True
-                    break
-            if conflict:
-                continue
-            chosen.append((a, b))
-            transmitters.extend((a, b))
-            used[a] = used[b] = True
-        return chosen
-
-    @staticmethod
-    def _select_vectorized(
-        candidates: Sequence[Link], distances: np.ndarray, guard: float
-    ) -> List[Link]:
-        """Greedy loop with an O(1) feasibility test per candidate.
-
-        ``blocked[x]`` is true once some chosen transmitter sits within the
-        guard distance of ``x``; accepting a link updates the mask with two
-        vectorized row comparisons, replacing the per-candidate scan of the
-        whole chosen set.
-        """
-        chosen: List[Link] = []
-        used = np.zeros(distances.shape[0], dtype=bool)
-        blocked = np.zeros(distances.shape[0], dtype=bool)
-        for a, b in candidates:
-            if used[a] or used[b] or blocked[a] or blocked[b]:
-                continue
-            chosen.append((a, b))
-            used[a] = used[b] = True
-            blocked |= distances[a] < guard
-            blocked |= distances[b] < guard
-        return chosen
+        return Schedule(pairs=tuple(chosen), transmission_range=self._range)
 
 
 class TDMACellScheduler(Scheduler):
@@ -432,7 +300,6 @@ class TDMACellScheduler(Scheduler):
     def schedule(
         self,
         positions: np.ndarray,
-        distances: Optional[np.ndarray] = None,
         index: Optional[CellGridIndex] = None,
     ) -> Schedule:
         active_color = self._slot % self._group_count

@@ -8,8 +8,6 @@ interrupted mid-flight then resumed from its journal must converge to the
 same digest as an uninterrupted run.
 """
 
-import os
-
 import pytest
 
 from repro.core.regimes import NetworkParameters
@@ -67,12 +65,11 @@ class TestChaosDigestEquality:
         assert chaos.digest() == _clean_digest()
 
 
-class TestChaosWithIncrementalIndexAndShm:
-    """The PR 6 fast path under chaos: the delay-comparison sweep runs the
-    packet simulator on its default :class:`IncrementalCellGridIndex` and
-    ships the realisation's home-points / BS positions as shared-memory
-    handles.  Fault-injected parallel runs must reproduce the serial
-    result exactly, and the parent must unlink its blocks either way."""
+class TestChaosWithIncrementalIndex:
+    """The packet path under chaos: the delay-comparison sweep runs the
+    simulator on its persistent :class:`IncrementalCellGridIndex`.
+    Fault-injected parallel runs must reproduce the serial result
+    exactly."""
 
     N = 48
     SLOTS = 120
@@ -81,17 +78,6 @@ class TestChaosWithIncrementalIndexAndShm:
         return compare_delays(
             self.N, seed=SEED, slots=self.SLOTS, arrival_prob=0.01, **kwargs
         )
-
-    @staticmethod
-    def _shm_segments():
-        try:
-            return [
-                name
-                for name in os.listdir("/dev/shm")
-                if name.startswith("repro_delay")
-            ]
-        except FileNotFoundError:
-            return []
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_fault_injected_workers_match_serial_reference(self, workers):
@@ -104,7 +90,6 @@ class TestChaosWithIncrementalIndexAndShm:
             ),
         )
         assert chaos == reference
-        assert self._shm_segments() == []
 
 
 class _InterruptingStore(RunStore):

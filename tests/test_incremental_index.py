@@ -62,6 +62,13 @@ points = st.lists(point, min_size=1, max_size=90).map(
 radius = st.floats(min_value=1e-3, max_value=0.8, allow_nan=False)
 
 
+class DiffOnlyIndex(IncrementalCellGridIndex):
+    """Never rebuilds: forces the diff path even when most nodes move (the
+    rebuild path gets its own tests)."""
+
+    REBUILD_FRACTION = 1.0
+
+
 def _assert_bit_identical(incremental, pts, r):
     """Every query of the incremental index equals a fresh build's, bit
     for bit."""
@@ -87,9 +94,7 @@ class TestIncrementalMatchesFresh:
         boundary grazes, no-op moves, mask and diff reporting) leave the
         incremental index bit-identical to a fresh build."""
         n = pts.shape[0]
-        # rebuild_fraction = 1 forces the incremental path even when most
-        # nodes move; the rebuild path gets its own test below
-        index = IncrementalCellGridIndex(pts, rebuild_fraction=1.0)
+        index = DiffOnlyIndex(pts)
         _assert_bit_identical(index, pts, r)
         current = np.array(pts)
         for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
@@ -117,7 +122,7 @@ class TestIncrementalMatchesFresh:
     def test_full_rebuild_path(self, pts, r, seed):
         """Mass moves cross the rebuild threshold: the from-scratch rebuild
         must be just as bit-identical as the diff path."""
-        index = IncrementalCellGridIndex(pts, rebuild_fraction=0.5)
+        index = IncrementalCellGridIndex(pts)
         index.pairs_within(r)
         new = np.random.default_rng(seed).random(pts.shape)
         index.update(new)
@@ -134,7 +139,7 @@ class TestIncrementalMatchesFresh:
                 lambda rows: np.array(rows, dtype=float)
             )
         )
-        index = IncrementalCellGridIndex(small, rebuild_fraction=1.0)
+        index = DiffOnlyIndex(small)
         n = small.shape[0]
         for _ in range(3):
             new = small.copy()
@@ -162,7 +167,7 @@ class TestIncrementalMatchesFresh:
     def test_counters_track_update_modes(self):
         rng = np.random.default_rng(1)
         pts = rng.random((200, 2))
-        index = IncrementalCellGridIndex(pts, rebuild_fraction=0.5)
+        index = IncrementalCellGridIndex(pts)
         index.pairs_within(0.05)
         few = pts.copy()
         few[:3] += 1e-4
@@ -177,24 +182,23 @@ class TestMetropolisTrajectory:
     """The restricted-mobility workload, slot by slot for 50 slots."""
 
     @pytest.mark.parametrize(
-        "shape,rebuild_fraction",
+        "shape,index_class",
         [
             # the Gaussian shape rejects often -> genuine sparse moves on
-            # the diff path; the disk shape accepts most proposals, and a
-            # low threshold exercises the rebuild heuristic mid-trajectory
-            (TruncatedGaussianShape(), 1.0),
-            (UniformDiskShape(), 0.5),
+            # the diff path; the disk shape accepts most proposals, and the
+            # production threshold exercises the rebuild heuristic
+            # mid-trajectory
+            (TruncatedGaussianShape(), DiffOnlyIndex),
+            (UniformDiskShape(), IncrementalCellGridIndex),
         ],
     )
-    def test_every_slot_matches_fresh(self, shape, rebuild_fraction):
+    def test_every_slot_matches_fresh(self, shape, index_class):
         rng = np.random.default_rng(42)
         home = rng.random((150, 2))
         process = MetropolisWalkAroundHome(home, shape, 0.08, rng, burn_in=4)
         guard = 0.06
         positions = process.positions()
-        index = IncrementalCellGridIndex(
-            positions, rebuild_fraction=rebuild_fraction
-        )
+        index = index_class(positions)
         for _slot in range(50):
             positions, accepted = process.step_moved()
             # the accept mask is exactly the changed-row set
@@ -203,7 +207,7 @@ class TestMetropolisTrajectory:
             index.update(positions, moved=accepted)
             _assert_bit_identical(index, positions, guard)
         assert index.updates == 50
-        if rebuild_fraction < 1.0:
+        if index_class.REBUILD_FRACTION < 1.0:
             # the high-acceptance disk walk must actually exercise the
             # rebuild heuristic mid-trajectory
             assert index.rebuilds > 0

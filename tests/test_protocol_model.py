@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.geometry.torus import pairwise_distances
 from repro.wireless.protocol_model import ProtocolModel
+from tests.test_scheduler_equivalence import (
+    strict_pairs_reference,
+    strict_pairs_vectorized,
+)
 
 
 def square_positions():
@@ -91,30 +96,24 @@ class TestStrictPairs:
             pairs = model.strict_pairs(positions, 0.05)
             assert model.is_feasible_schedule(positions, pairs, 0.05)
 
-    def test_accepts_precomputed_distances(self, rng):
-        from repro.geometry.torus import pairwise_distances
-
+    def test_matches_the_dense_oracle(self, rng):
         positions = rng.random((30, 2))
         model = ProtocolModel()
         distances = pairwise_distances(positions)
-        assert model.strict_pairs(positions, 0.05, distances=distances) == \
+        assert strict_pairs_vectorized(distances, 0.05) == \
             model.strict_pairs(positions, 0.05)
 
     @pytest.mark.parametrize("radius", [0.03, 0.1, 0.4])
     def test_every_path_matches_the_reference_definition(self, rng, radius):
-        """Sparse, dense and reference paths agree on independent slices."""
-        from repro.geometry.torus import pairwise_distances
-
+        """The sparse path and the dense oracle agree with the loop oracle
+        on independent slices."""
         model = ProtocolModel(delta=0.5)
         for _ in range(5):
             positions = rng.random((50, 2))
-            reference = model.strict_pairs(positions, radius, reference=True)
-            assert model.strict_pairs(positions, radius) == reference
             distances = pairwise_distances(positions)
-            assert (
-                model.strict_pairs(positions, radius, distances=distances)
-                == reference
-            )
+            reference = strict_pairs_reference(distances, radius, 0.5)
+            assert model.strict_pairs(positions, radius) == reference
+            assert strict_pairs_vectorized(distances, radius, 0.5) == reference
 
     def test_nonpositive_range_enables_nothing(self, rng):
         model = ProtocolModel(delta=0.5)

@@ -12,6 +12,7 @@ from repro.wireless.scheduler import (
     PolicySStar,
     VariableRangeScheduler,
 )
+from tests.test_scheduler_equivalence import strict_pairs_reference
 
 
 class TestPolicySStar:
@@ -199,8 +200,11 @@ class TestStatelessSchedulers:
 
     def test_reference_sstar_matches_fast_on_successive_slots(self, rng):
         fast = PolicySStar(node_count=20, c_t=0.4, delta=0.5)
-        reference = PolicySStar(node_count=20, c_t=0.4, delta=0.5, reference=True)
         for _ in range(3):
             positions = rng.random((20, 2))
-            want = reference.schedule(positions).pairs
+            want = tuple(
+                strict_pairs_reference(
+                    pairwise_distances(positions), fast.transmission_range(), 0.5
+                )
+            )
             assert fast.schedule(positions).pairs == want
