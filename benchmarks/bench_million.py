@@ -12,7 +12,8 @@ times the incremental slots.  It emits ``BENCH_million.json`` containing:
   over the from-scratch slot;
 - a bit-identity spot check at full scale (the incremental pair set after
   the whole walk equals a fresh ``CellGridIndex`` build's);
-- provenance (git SHA, host) and the run's grid (``n``, fractions, slots).
+- provenance (git SHA, host) and the run's grid (``n``, moved fractions,
+  slots per fraction).
 
 Run modes:
 
@@ -30,14 +31,19 @@ import json
 import os
 import platform
 import pstats
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.geometry.neighbors import CellGridIndex, IncrementalCellGridIndex
-from repro.store.provenance import collect_provenance
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from repro.geometry.neighbors import CellGridIndex  # noqa: E402
+from repro.store.provenance import collect_provenance  # noqa: E402
+from tests.test_incremental_index import DiffOnlyIndex  # noqa: E402
 
 #: Node count; CI overrides to 10^5 to fit the runner's time budget.
 N = int(os.environ.get("REPRO_MILLION_N", "1_000_000").replace("_", ""))
@@ -52,13 +58,7 @@ SLOTS_PER_FRACTION = 3
 GATE_FRACTION = 0.01
 GATE_SPEEDUP = 3.0
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_million.json"
-
-
-class DiffOnlyIndex(IncrementalCellGridIndex):
-    """Never rebuilds, so every timed slot takes the diff path."""
-
-    REBUILD_FRACTION = 1.0
+OUTPUT = ROOT / "BENCH_million.json"
 
 
 def _move(rng, positions, fraction, scale):
@@ -106,7 +106,8 @@ def run_bench(n=N):
     radius = 0.5 / np.sqrt(n)
     positions = rng.random((n, 2))
 
-    # slot 1: what the seed paid every slot -- fresh grid + enumeration
+    # slot 1: what the seed paid every slot -- fresh grid + enumeration;
+    # the index never rebuilds afterwards, so every timed slot diffs
     start = time.perf_counter()
     index = DiffOnlyIndex(positions)
     pairs = index.pairs_within(radius)[0].size
@@ -150,12 +151,11 @@ def run_bench(n=N):
         "grid": {
             "n": n,
             "fractions": list(FRACTIONS),
+            "slots_per_fraction": SLOTS_PER_FRACTION,
         },
-        "n": n,
         "radius": radius,
         "first_slot_seconds": first_slot,
         "first_slot_pairs": int(pairs),
-        "slots_per_fraction": SLOTS_PER_FRACTION,
         "curve": curve,
         "profile_top": profile_rows,
         "updates": index.updates,
@@ -166,7 +166,7 @@ def run_bench(n=N):
 
 def _render(result):
     lines = [
-        f"n={result['n']}: first (from-scratch) slot "
+        f"n={result['grid']['n']}: first (from-scratch) slot "
         f"{result['first_slot_seconds']:.3f}s, "
         f"{result['first_slot_pairs']} pairs within r={result['radius']:.2e}"
     ]

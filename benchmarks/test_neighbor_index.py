@@ -14,14 +14,7 @@ CI artifact, and enforces the acceptance bars:
 - the sparse path must not be slower than dense at ``n = 4000``;
 - the sparse path must be ``>= 5x`` faster at ``n = 16000``.
 
-Run modes:
-
-- CI runs ``python -m pytest benchmarks/test_neighbor_index.py -q -s
-  --benchmark-only`` (full grid, gates enforced);
-- ``PYTHONPATH=src python benchmarks/test_neighbor_index.py [n ...]``
-  writes the artifact for the listed points of ``GRID`` (all by default)
-  without the gates; the dense side at ``n = 16000`` needs ~6 GB for its
-  distance temporaries.
+The dense side at ``n = 16000`` needs ~6 GB for its distance temporaries.
 """
 
 import json
@@ -98,9 +91,11 @@ def _bench_size(n, sparse_slots, dense_slots):
     }
 
 
-def run_bench(grid=GRID):
-    """Time every ``(n, sparse slots, dense slots)`` point of ``grid``."""
-    return {
+def test_neighbor_index_scaling(once):
+    rows = once(
+        lambda: [_bench_size(n, sparse, dense) for n, sparse, dense in GRID]
+    )
+    result = {
         "provenance": {
             **collect_provenance(),
             "machine": platform.machine(),
@@ -110,38 +105,23 @@ def run_bench(grid=GRID):
             "strict_pairs_vectorized on pairwise_distances "
             "(tests/test_scheduler_equivalence.py)"
         ),
-        "grid": [list(point) for point in grid],
+        "grid": [list(point) for point in GRID],
         "c_t": C_T,
         "delta": DELTA,
-        "results": [_bench_size(*point) for point in grid],
+        "results": rows,
     }
-
-
-def _render(rows):
-    return "\n".join(
+    OUTPUT.write_text(json.dumps(result, indent=2) + "\n")
+    lines = [
         f"n={row['n']:>6}: sparse {row['sparse_slots_per_s']:8.1f} slots/s, "
         f"dense {row['dense_slots_per_s']:8.1f} slots/s, "
         f"speedup {row['speedup']:6.1f}x "
         f"({row['sparse_candidates']} candidates, "
         f"{row['enabled_pairs']} enabled)"
         for row in rows
-    )
-
-
-def test_neighbor_index_scaling(once):
-    result = once(run_bench)
-    OUTPUT.write_text(json.dumps(result, indent=2) + "\n")
-    rows = result["results"]
-    report("cell-grid neighbor index scaling", _render(rows))
+    ]
+    report("cell-grid neighbor index scaling", "\n".join(lines))
     by_n = {row["n"]: row for row in rows}
     assert by_n[4_000]["speedup"] >= 1.0, "sparse path slower than dense at n=4k"
     assert by_n[16_000]["speedup"] >= 5.0, (
         f"expected >= 5x at n=16k, measured {by_n[16_000]['speedup']:.1f}x"
     )
-
-
-if __name__ == "__main__":
-    sizes = {int(arg) for arg in sys.argv[1:]}
-    outcome = run_bench([point for point in GRID if not sizes or point[0] in sizes])
-    OUTPUT.write_text(json.dumps(outcome, indent=2) + "\n")
-    print(_render(outcome["results"]))

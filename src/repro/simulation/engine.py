@@ -105,7 +105,7 @@ class SlottedSimulator:
     output is bit-identical to a fresh
     :class:`~repro.geometry.neighbors.CellGridIndex` per slot
     (``tests/test_incremental_index.py`` and
-    ``tests/test_engine_index.py``) at a per-slot cost that scales with how
+    ``tests/test_engine_batching.py``) at a per-slot cost that scales with how
     many nodes moved rather than with ``n``.
     """
 

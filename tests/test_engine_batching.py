@@ -1,17 +1,25 @@
-"""Engine vectorisation satellites: arrival prefetch + combined buffer.
+"""Engine vectorisation satellites: arrival prefetch, combined buffer and
+the persistent neighbor index.
 
 ``run()`` now draws the whole ``(slots, n)`` Bernoulli arrival matrix up
-front (when the simulator's RNG is not shared with the mobility process)
-and reuses one preallocated MS+BS position buffer per slot.  Both are
-pure optimisations: every test here pins bit-identity against the
-step-by-step path, which still draws arrivals per slot.
+front (when the simulator's RNG is not shared with the mobility process),
+reuses one preallocated MS+BS position buffer per slot, and keeps one
+:class:`~repro.geometry.neighbors.IncrementalCellGridIndex` for the whole
+run.  All are pure optimisations: every test here pins bit-identity
+against the step-by-step path, which still draws arrivals per slot, or
+against a scheduler handed a fresh ``CellGridIndex`` every slot.
 """
 
 import numpy as np
 import pytest
 
-from repro.mobility.processes import IIDAroundHome, StaticProcess
-from repro.mobility.shapes import UniformDiskShape
+from repro.geometry.neighbors import CellGridIndex
+from repro.mobility.processes import (
+    IIDAroundHome,
+    MetropolisWalkAroundHome,
+    StaticProcess,
+)
+from repro.mobility.shapes import TruncatedGaussianShape, UniformDiskShape
 from repro.observability import RecordingTelemetry
 from repro.observability.events import SlotBatch, using_telemetry
 from repro.simulation.engine import PacketRouter, SlottedSimulator
@@ -19,6 +27,7 @@ from repro.simulation.traffic import permutation_traffic
 from repro.wireless.scheduler import (
     GreedyMatchingScheduler,
     PolicySStar,
+    Scheduler,
     VariableRangeScheduler,
 )
 
@@ -26,6 +35,15 @@ from repro.wireless.scheduler import (
 class FIFORouter(PacketRouter):
     def select_transfer(self, queue, holder, peer):
         return queue[0] if queue else None
+
+
+PROCESSES = {
+    "iid": lambda homes, rng: IIDAroundHome(homes, UniformDiskShape(1.0), 0.3, rng),
+    # long proposals under a Gaussian shape: ~20% of nodes move per slot
+    "metropolis": lambda homes, rng: MetropolisWalkAroundHome(
+        homes, TruncatedGaussianShape(), 0.3, rng, step_fraction=1.0, burn_in=4
+    ),
+}
 
 
 def make_sim(
@@ -36,13 +54,14 @@ def make_sim(
     static=None,
     mobile=True,
     scheduler=None,
+    mobility="iid",
 ):
     """One simulator; ``shared_rng`` shares the engine RNG with mobility."""
     rng = np.random.default_rng(seed)
     homes = rng.random((n, 2))
     if mobile:
         process_rng = rng if shared_rng else np.random.default_rng(seed + 1000)
-        process = IIDAroundHome(homes, UniformDiskShape(1.0), 0.3, process_rng)
+        process = PROCESSES[mobility](homes, process_rng)
     else:
         process = StaticProcess(homes)
     total = n + (0 if static is None else len(static))
@@ -199,3 +218,52 @@ class TestIndependentSimulators:
         batches = sink.of_type(SlotBatch)
         assert [b.slots for b in batches] == [10, 5]
         assert [b.total_slots for b in batches] == [10, 15]
+
+
+class FreshIndexScheduler(Scheduler):
+    """Runs ``inner`` on a fresh :class:`CellGridIndex` every slot,
+    ignoring the index the simulator passes in."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def transmission_range(self, node_count=None):
+        return self._inner.transmission_range(node_count)
+
+    def schedule(self, positions, index=None):
+        return self._inner.schedule(positions, index=CellGridIndex(positions))
+
+
+class TestPersistentIndex:
+    """The simulator's one incremental index, diffed forward with the
+    mobility process's moved mask (padded for the static BSs), schedules
+    what a fresh index per slot schedules: IID redraws take the index's
+    rebuild path, the Metropolis walk its diff path."""
+
+    SLOTS = 150
+
+    @pytest.mark.parametrize("with_static", [False, True])
+    @pytest.mark.parametrize("mobility", sorted(PROCESSES))
+    @pytest.mark.parametrize("kind", ["sstar", "greedy"])
+    def test_matches_fresh_index_per_slot(self, kind, mobility, with_static):
+        static = np.random.default_rng(98).random((12, 2)) if with_static else None
+        factory = SCHEDULERS[kind]
+
+        def sim(fresh):
+            scheduler = factory() if factory else None
+            if fresh:
+                # make_sim's default S*, wrapped
+                total = 50 + (0 if static is None else len(static))
+                inner = scheduler or PolicySStar(node_count=total, c_t=0.4, delta=0.5)
+                scheduler = FreshIndexScheduler(inner)
+            return make_sim(13, static=static, scheduler=scheduler, mobility=mobility)
+
+        persistent_sim = sim(fresh=False)
+        persistent = persistent_sim.run(self.SLOTS)
+        fresh = sim(fresh=True).run(self.SLOTS)
+        index = persistent_sim._index
+        assert index.updates == self.SLOTS - 1
+        if mobility == "metropolis":
+            assert index.rebuilds < index.updates // 2  # mostly the diff path
+        assert persistent.delivered > 0  # the comparison is not vacuous
+        assert metrics_digest(persistent) == metrics_digest(fresh)

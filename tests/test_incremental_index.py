@@ -64,7 +64,8 @@ radius = st.floats(min_value=1e-3, max_value=0.8, allow_nan=False)
 
 class DiffOnlyIndex(IncrementalCellGridIndex):
     """Never rebuilds: forces the diff path even when most nodes move (the
-    rebuild path gets its own tests)."""
+    rebuild path gets its own tests).  ``benchmarks/bench_million.py`` times
+    its slots."""
 
     REBUILD_FRACTION = 1.0
 

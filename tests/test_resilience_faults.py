@@ -10,6 +10,10 @@ execution with the repeat-offender payloads quarantined, never hang.
 
 import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +249,31 @@ class TestCrashStormDegradation:
         assert sink.of_type(DegradedToSerial)
 
 
+_SIGTERM_SWEEP = r"""
+import pathlib, sys, time
+from repro.parallel import TrialRunner
+from repro.resilience import interruptible
+
+def slow_trial(rng, payload):
+    started, k = payload
+    pathlib.Path(started, str(k)).touch()
+    # long enough for the parent to SIGTERM mid-flight, short enough that
+    # interpreter exit (which joins the forked workers) stays fast
+    time.sleep(6.0)
+    return k
+
+runner = TrialRunner(slow_trial, workers=2)
+try:
+    with interruptible():
+        runner.run([(sys.argv[1], k) for k in range(2)])
+except KeyboardInterrupt:
+    print("DRAINED", flush=True)
+    sys.exit(0)
+print("UNREACHED", flush=True)
+sys.exit(1)
+"""
+
+
 class TestGracefulDrain:
     def test_interruptible_converts_sigterm(self):
         with pytest.raises(SweepInterrupted):
@@ -259,3 +288,36 @@ class TestGracefulDrain:
         with interruptible():
             assert signal.getsignal(signal.SIGTERM) is not before
         assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_sigterm_drains_a_parallel_sweep(self, tmp_path):
+        """SIGTERM while ``workers=2`` trials run takes the
+        interruptible -> KeyboardInterrupt drain path out of the pool: the
+        sweep process exits 0 instead of hanging on its workers."""
+        script = tmp_path / "sigterm_sweep.py"
+        script.write_text(_SIGTERM_SWEEP)
+        started = tmp_path / "started"
+        started.mkdir()
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), env.get("PYTHONPATH", "")]
+        )
+        child = subprocess.Popen(
+            [sys.executable, str(script), str(started)],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while not any(started.iterdir()) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert any(started.iterdir()), "no trial started in a worker"
+            child.send_signal(signal.SIGTERM)
+            out, _ = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+        assert "DRAINED" in out
+        assert child.returncode == 0
