@@ -307,6 +307,7 @@ class TestGracefulDrain:
             stdout=subprocess.PIPE,
             text=True,
             env=env,
+            start_new_session=True,  # one group to reap, workers included
         )
         try:
             deadline = time.monotonic() + 30.0
@@ -316,8 +317,10 @@ class TestGracefulDrain:
             child.send_signal(signal.SIGTERM)
             out, _ = child.communicate(timeout=60)
         finally:
-            if child.poll() is None:
-                child.kill()
-                child.communicate()
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:  # drained: the group already exited
+                pass
+            child.communicate()
         assert "DRAINED" in out
         assert child.returncode == 0
