@@ -51,9 +51,13 @@ Resilience (see ``repro.resilience``): ``sweep`` and ``reproduce`` accept
 fraction instead of aborting; the manifest records ``status="partial"``)
 and ``--inject-faults SPEC`` (deterministic chaos testing -- e.g.
 ``kill@0,raise@2-5,nan@7``; see ``repro.resilience.faults`` for the
-grammar).  SIGINT/SIGTERM drain gracefully: completed trials stay
-journaled, a ``status="interrupted"`` manifest is recorded, and the exit
-code is 130.
+grammar).  SIGINT/SIGTERM drain gracefully wherever trials run -- the
+``sweep``, and each Table I row, Figure 1 panel set and Figure 2 trace of
+``reproduce`` -- because every experiment driver (also the library's
+convergence, Figure 3 spot-check and delay drivers) shares one
+recorded-run path (``repro.experiments.recorded``): completed trials stay
+journaled, the interrupted driver records a ``status="interrupted"``
+manifest, and the exit code is 130.
 """
 
 from __future__ import annotations
@@ -181,12 +185,7 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _store_dirs(args) -> list:
     """The repeated ``--store`` values as a (possibly empty) list."""
-    stores = getattr(args, "store", None)
-    if stores is None:
-        return []
-    if isinstance(stores, str):
-        return [stores]
-    return list(stores)
+    return list(getattr(args, "store", None) or [])
 
 
 def _store(args):
@@ -675,12 +674,6 @@ def main(argv=None) -> int:
         "--drop-orphans", action="store_true",
         help="gc: also drop journal entries referenced by no kept manifest "
         "(default keeps them -- they are what makes killed runs resumable)",
-    )
-    cmd.add_argument(
-        "--compact", action="store_true",
-        help="gc: compact the journal, quarantining corrupt lines to the "
-        "journal.corrupt sidecar (gc always compacts; this flag makes a "
-        "compaction-only pass explicit: 'runs gc --compact')",
     )
     cmd.set_defaults(func=_cmd_runs)
 

@@ -10,30 +10,25 @@ quantitative footing for the tolerance used by the Table-I benchmarks.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..core.regimes import NetworkParameters
-from ..observability.log import get_logger
-from ..observability.timing import span
-from ..parallel import TrialRunner
-from ..resilience import ResilienceConfig, check_min_success, validate_rate
-from ..store import content_digest, open_store
+from ..resilience import ResilienceConfig, validate_rate
+from ..store import content_digest
 from ..utils.fitting import fit_power_law
+from .recorded import run_recorded
 from .scaling import (
     _sweep_trial,
-    _sweep_trial_keys,
+    _sweep_trial_key,
+    median_rates,
     sweep_trial_payloads,
     theory_order,
 )
 
 __all__ = ["ConvergenceStudy", "windowed_slopes"]
-
-_log = get_logger(__name__)
-
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
@@ -88,16 +83,15 @@ def windowed_slopes(
     ``window`` consecutive grid points feed each local fit; windows slide by
     one point.  Needs ``len(n_values) >= window >= 2``.  ``workers`` fans
     the trials out over a process pool with worker-count-independent seeding
-    (see :class:`repro.parallel.TrialRunner`).  ``store`` replays journaled
-    trials and journals fresh ones (see :mod:`repro.store`); a convergence
-    study shares its trial keys with :func:`~.scaling.sweep_capacity`, so a
-    sweep over the same family/grid/seed warms the study's cache and vice
-    versa.  ``resilience`` configures retries, fault injection and
-    ``min_success_fraction`` partial-result semantics (failed trials become
-    NaN samples excluded from the window medians; an interrupted study
-    records a resumable ``status="interrupted"`` manifest).
+    (see :class:`repro.parallel.TrialRunner`).  ``store`` and
+    ``resilience`` take the shared recorded-run path
+    (:func:`repro.experiments.recorded.run_recorded`), including its
+    resumable ``status="interrupted"`` manifest.  A convergence study
+    shares its trial keys with :func:`~.scaling.sweep_capacity`, so a sweep
+    over the same family/grid/seed warms the study's cache and vice versa;
+    failed trials tolerated under ``min_success_fraction`` are excluded
+    from the window medians.
     """
-    store = open_store(store)
     n_values = np.asarray(sorted(n_values), dtype=int)
     if window < 2 or window > n_values.shape[0]:
         raise ValueError(
@@ -105,18 +99,6 @@ def windowed_slopes(
         )
     payloads = sweep_trial_payloads(
         parameters, n_values, scheme, trials, build_kwargs, generic, seed=seed
-    )
-    keys = _sweep_trial_keys(payloads) if store is not None else None
-    _log.info(
-        "windowed_slopes: scheme=%s grid=%s window=%d trials=%d workers=%s",
-        scheme, [int(n) for n in n_values], window, trials, workers,
-    )
-    resilience = resilience if resilience is not None else ResilienceConfig()
-    runner = TrialRunner(
-        _sweep_trial,
-        workers=workers,
-        validator=validate_rate,
-        **resilience.runner_kwargs(),
     )
     config = {
         "scheme": scheme,
@@ -128,45 +110,22 @@ def windowed_slopes(
         "generic": generic,
         "workers": workers,
     }
-    try:
-        with span("convergence.windowed_slopes", logger=_log):
-            results = runner.run(payloads, seed=seed, cache=store, keys=keys)
-    except KeyboardInterrupt:
-        if store is not None:
-            store.close()
-            store.record_run(
-                command="convergence",
-                config=config,
-                parameters=parameters,
-                trial_keys=keys,
-                status="interrupted",
-            )
-        raise
-    failures = check_min_success(
-        results, resilience.min_success_fraction, context="windowed_slopes"
+    run = run_recorded(
+        _sweep_trial,
+        payloads,
+        _sweep_trial_key,
+        command="convergence",
+        config=config,
+        span_name="convergence.windowed_slopes",
+        seed=seed,
+        workers=workers,
+        store=store,
+        resilience=resilience,
+        parameters=parameters,
+        validator=validate_rate,
     )
-    matrix = np.asarray(
-        [result.value if result.ok else np.nan for result in results],
-        dtype=float,
-    ).reshape(n_values.shape[0], trials)
-    if failures:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rates = np.nan_to_num(np.nanmedian(matrix, axis=1), nan=0.0)
-    else:
-        rates = np.median(matrix, axis=1)
-    if store is not None:
-        store.record_run(
-            command="convergence",
-            config=config,
-            parameters=parameters,
-            trial_keys=keys,
-            digest=content_digest([float(rate) for rate in rates]),
-            durations=[result.duration for result in results],
-            cached=[result.cached for result in results],
-            stats=runner.last_stats,
-            status="partial" if failures else "completed",
-        )
+    rates = median_rates(run, n_values.shape[0])
+    run.record(digest=content_digest([float(rate) for rate in rates]))
     centers, slopes = [], []
     for start in range(n_values.shape[0] - window + 1):
         chunk_n = n_values[start:start + window]

@@ -24,19 +24,15 @@ import numpy as np
 
 from ..core.regimes import NetworkParameters
 from ..mobility.processes import IIDAroundHome
-from ..observability.log import get_logger
-from ..observability.timing import span
-from ..parallel import TrialRunner
-from ..resilience import ResilienceConfig, successful_values
+from ..resilience import ResilienceConfig
 from ..simulation.engine import SlottedSimulator
 from ..simulation.network import HybridNetwork
 from ..simulation.routers import SchemeARouter, SchemeBRouter, TwoHopRelayRouter
 from ..simulation.traffic import permutation_traffic
-from ..store import TrialSeed, open_store, trial_key
+from ..store import TrialSeed, trial_key
+from .recorded import run_recorded
 
 __all__ = ["DelayComparison", "compare_delays"]
-
-_log = get_logger(__name__)
 
 #: The three forwarding disciplines, in report order.
 DELAY_SCHEMES = ("scheme-A", "two-hop", "scheme-B")
@@ -124,6 +120,18 @@ def _delay_trial(rng: np.random.Generator, payload: tuple) -> dict:
     }
 
 
+def _delay_key(payload: tuple) -> str:
+    """Content-hash cache key of one discipline's packet simulation."""
+    label, parameters, n, seed, slots, arrival_prob = payload
+    return trial_key(
+        parameters,
+        label,
+        n,
+        TrialSeed(seed, 0),
+        extra={"experiment": "delay", "slots": slots, "arrival_prob": arrival_prob},
+    )
+
+
 def compare_delays(
     n: int,
     seed: int,
@@ -140,70 +148,43 @@ def compare_delays(
     The three disciplines are independent trials (each rebuilds the same
     realisation from ``seed``), so ``workers`` fans them out over a process
     pool -- the PR-1 rollout skipped this module -- with results identical
-    to the serial run.  ``store`` replays journaled discipline runs and
-    journals fresh ones (see :mod:`repro.store`).  ``resilience`` configures
-    retries/faults and ``min_success_fraction`` (below 1.0 a failed
-    discipline is dropped from the comparison instead of aborting it).
+    to the serial run.  ``store`` and ``resilience`` take the shared
+    recorded-run path (:func:`repro.experiments.recorded.run_recorded`):
+    journaled discipline runs replay, an interrupt leaves a resumable
+    ``status="interrupted"`` manifest, and below ``min_success_fraction``
+    1.0 a failed discipline is dropped from the comparison instead of
+    aborting it.
     """
     if parameters is None:
         parameters = NetworkParameters(
             alpha="1/4", cluster_exponent=1, bs_exponent="7/8",
             backbone_exponent=1,
         )
-    store = open_store(store)
     payloads = [
         (label, parameters, n, seed, slots, arrival_prob)
         for label in DELAY_SCHEMES
     ]
-    keys = None
-    if store is not None:
-        keys = [
-            trial_key(
-                parameters,
-                label,
-                n,
-                TrialSeed(seed, 0),
-                extra={
-                    "experiment": "delay",
-                    "slots": slots,
-                    "arrival_prob": arrival_prob,
-                },
-            )
-            for label in DELAY_SCHEMES
-        ]
-    _log.info(
-        "delay: comparing %s at n=%d over %d slot(s) (workers=%s)",
-        list(DELAY_SCHEMES), n, slots, workers,
+    run = run_recorded(
+        _delay_trial,
+        payloads,
+        _delay_key,
+        command="delay",
+        config={
+            "n": n,
+            "seed": seed,
+            "slots": slots,
+            "arrival_prob": arrival_prob,
+            "workers": workers,
+        },
+        span_name="delay.compare_delays",
+        seed=seed,
+        workers=workers,
+        store=store,
+        resilience=resilience,
+        parameters=parameters,
     )
-    resilience = resilience if resilience is not None else ResilienceConfig()
-    runner = TrialRunner(
-        _delay_trial, workers=workers, **resilience.runner_kwargs()
-    )
-    with span("delay.compare_delays", logger=_log):
-        results = runner.run(payloads, seed=seed, cache=store, keys=keys)
-    outcomes = successful_values(
-        results, resilience.min_success_fraction, context="delay"
-    )
-    if store is not None:
-        store.record_run(
-            command="delay",
-            config={
-                "n": n,
-                "seed": seed,
-                "slots": slots,
-                "arrival_prob": arrival_prob,
-                "workers": workers,
-            },
-            parameters=parameters,
-            trial_keys=keys,
-            # runner-side durations (aligned with trial_keys even on a
-            # partial run, unlike the per-outcome sim timings) plus the
-            # cached mask so throughput stats can exclude replayed trials
-            durations=[result.duration for result in results],
-            cached=[result.cached for result in results],
-            stats=runner.last_stats,
-            status="partial" if len(outcomes) < len(results) else "completed",
-        )
+    run.record()
+    outcomes = run.values
     mean_delay = {outcome["label"]: outcome["mean_delay"] for outcome in outcomes}
     mean_hops = {outcome["label"]: outcome["mean_hops"] for outcome in outcomes}
     delivered = {outcome["label"]: outcome["delivered"] for outcome in outcomes}

@@ -20,13 +20,9 @@ from ..core.density import DensityField, density_field
 from ..core.regimes import NetworkParameters
 from ..mobility.clustered import place_home_points
 from ..mobility.shapes import UniformDiskShape
-from ..observability.log import get_logger
-from ..observability.timing import span
-from ..parallel import TrialRunner
-from ..resilience import ResilienceConfig, successful_values
-from ..store import TrialSeed, open_store, trial_key
-
-_log = get_logger(__name__)
+from ..resilience import ResilienceConfig
+from ..store import TrialSeed, trial_key
+from .recorded import run_recorded
 
 __all__ = [
     "Figure1Panel",
@@ -96,14 +92,24 @@ def make_panel(
 def _panel_trial(rng: np.random.Generator, payload: tuple) -> Figure1Panel:
     """One Figure-1 panel realisation (module-level so it pickles).
 
-    The payload's explicit :class:`TrialSeed` (when present) rebuilds the
-    exact generator the runner would have spawned for this index, making
-    the panel a pure function of the payload (cacheable by content key).
+    The payload's explicit :class:`TrialSeed` rebuilds the exact generator
+    the runner would have spawned for this index, making the panel a pure
+    function of the payload (cacheable by content key).
     """
-    parameters, n, label, grid_side = payload[:4]
-    if len(payload) > 4 and payload[4] is not None:
-        rng = payload[4].rng()
-    return make_panel(parameters, n, rng, label, grid_side=grid_side)
+    parameters, n, label, grid_side, seed = payload
+    return make_panel(parameters, n, seed.rng(), label, grid_side=grid_side)
+
+
+def _panel_key(payload: tuple) -> str:
+    """Content-hash cache key of one panel payload."""
+    parameters, n, label, grid_side, seed = payload
+    return trial_key(
+        parameters,
+        None,
+        n,
+        seed,
+        extra={"experiment": "figure1", "label": label, "grid_side": grid_side},
+    )
 
 
 def make_panels(
@@ -120,54 +126,33 @@ def make_panels(
     Each ``(parameters, label)`` spec becomes one :class:`TrialRunner`
     trial with its own spawned seed, so panel contents do not depend on the
     worker count (unlike threading panels through one shared generator).
-    ``store`` replays journaled panels and journals fresh ones, recording a
-    provenance manifest (see :mod:`repro.store`).  ``resilience`` sets the
-    retry policy, fault plan and ``min_success_fraction`` (below 1.0 a
-    failed panel is dropped from the returned list instead of aborting).
+    ``store`` and ``resilience`` take the shared recorded-run path
+    (:func:`repro.experiments.recorded.run_recorded`): journaled panels
+    replay, an interrupt leaves a resumable ``status="interrupted"``
+    manifest, and below ``min_success_fraction`` 1.0 a failed panel is
+    dropped from the returned list instead of aborting.
     """
-    store = open_store(store)
     payloads = [
         (parameters, n, label, grid_side, TrialSeed(seed, index))
         for index, (parameters, label) in enumerate(specs)
     ]
-    keys = None
-    if store is not None:
-        keys = [
-            trial_key(
-                p_params,
-                None,
-                p_n,
-                p_seed,
-                extra={"experiment": "figure1", "label": p_label, "grid_side": p_grid},
-            )
-            for p_params, p_n, p_label, p_grid, p_seed in payloads
-        ]
-    _log.info(
-        "figure1: %d panel(s) at n=%d (workers=%s)", len(payloads), n, workers
+    run = run_recorded(
+        _panel_trial,
+        payloads,
+        _panel_key,
+        command="figure1",
+        config={
+            "labels": [label for _params, label in specs],
+            "n": n,
+            "seed": seed,
+            "grid_side": grid_side,
+            "workers": workers,
+        },
+        span_name="figure1.make_panels",
+        seed=seed,
+        workers=workers,
+        store=store,
+        resilience=resilience,
     )
-    resilience = resilience if resilience is not None else ResilienceConfig()
-    runner = TrialRunner(
-        _panel_trial, workers=workers, **resilience.runner_kwargs()
-    )
-    with span("figure1.make_panels", logger=_log):
-        results = runner.run(payloads, seed=seed, cache=store, keys=keys)
-    panels = successful_values(
-        results, resilience.min_success_fraction, context="figure1"
-    )
-    if store is not None:
-        store.record_run(
-            command="figure1",
-            config={
-                "labels": [label for _params, label in specs],
-                "n": n,
-                "seed": seed,
-                "grid_side": grid_side,
-                "workers": workers,
-            },
-            trial_keys=keys,
-            durations=[result.duration for result in results],
-            cached=[result.cached for result in results],
-            stats=runner.last_stats,
-            status="partial" if len(panels) < len(results) else "completed",
-        )
-    return panels
+    run.record()
+    return run.values

@@ -17,17 +17,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.regimes import NetworkParameters
-from ..observability.log import get_logger
-from ..observability.timing import span
-from ..parallel import TrialRunner
-from ..resilience import ResilienceConfig, successful_values
+from ..resilience import ResilienceConfig
 from ..simulation.network import HybridNetwork
 from ..simulation.traffic import permutation_traffic
-from ..store import TrialSeed, open_store, trial_key
+from ..store import TrialSeed, trial_key
+from .recorded import run_recorded
 
 __all__ = ["SchemeBTrace", "trace_scheme_b", "trace_scheme_b_sessions"]
-
-_log = get_logger(__name__)
 
 #: A strong-mobility, infrastructure-dominant family where scheme B carries
 #: the traffic (matches the spirit of the paper's illustration).
@@ -103,6 +99,19 @@ def _trace_trial(rng: np.random.Generator, payload: tuple) -> SchemeBTrace:
     )
 
 
+def _trace_key(payload: tuple) -> str:
+    """Content-hash cache key of one traced session (every session shares
+    the network seed, so the session index tells them apart)."""
+    parameters, n, network_seed, session_index = payload
+    return trial_key(
+        parameters,
+        "B",
+        n,
+        TrialSeed(network_seed, 0),
+        extra={"experiment": "figure2", "session_index": session_index},
+    )
+
+
 def trace_scheme_b_sessions(
     n: int,
     seed: int = 5,
@@ -118,55 +127,34 @@ def trace_scheme_b_sessions(
     parallel driver: each session index becomes one trial (``workers`` fans
     them out over a process pool), every trial rebuilds the *same* network
     from ``seed``, and ``trace_scheme_b_sessions(n, seed)[0]`` reproduces
-    ``trace_scheme_b(n, default_rng(seed))`` exactly.  ``store`` replays
-    journaled traces and journals fresh ones (see :mod:`repro.store`).
-    ``resilience`` configures retries/faults and ``min_success_fraction``
-    (below 1.0 a failed trace is dropped instead of aborting the figure).
+    ``trace_scheme_b(n, default_rng(seed))`` exactly.  ``store`` and
+    ``resilience`` take the shared recorded-run path
+    (:func:`repro.experiments.recorded.run_recorded`): journaled traces
+    replay, an interrupt leaves a resumable ``status="interrupted"``
+    manifest, and below ``min_success_fraction`` 1.0 a failed trace is
+    dropped instead of aborting the figure.
     """
-    store = open_store(store)
     payloads = [
         (parameters, n, seed, int(session_index))
         for session_index in session_indices
     ]
-    keys = None
-    if store is not None:
-        keys = [
-            trial_key(
-                parameters,
-                "B",
-                n,
-                TrialSeed(seed, 0),
-                extra={"experiment": "figure2", "session_index": int(session_index)},
-            )
-            for session_index in session_indices
-        ]
-    _log.info(
-        "figure2: tracing %d session(s) at n=%d seed=%d (workers=%s)",
-        len(payloads), n, seed, workers,
+    run = run_recorded(
+        _trace_trial,
+        payloads,
+        _trace_key,
+        command="figure2",
+        config={
+            "n": n,
+            "seed": seed,
+            "session_indices": [int(index) for index in session_indices],
+            "workers": workers,
+        },
+        span_name="figure2.trace_sessions",
+        seed=seed,
+        workers=workers,
+        store=store,
+        resilience=resilience,
+        parameters=parameters,
     )
-    resilience = resilience if resilience is not None else ResilienceConfig()
-    runner = TrialRunner(
-        _trace_trial, workers=workers, **resilience.runner_kwargs()
-    )
-    with span("figure2.trace_sessions", logger=_log):
-        results = runner.run(payloads, seed=seed, cache=store, keys=keys)
-    traces = successful_values(
-        results, resilience.min_success_fraction, context="figure2"
-    )
-    if store is not None:
-        store.record_run(
-            command="figure2",
-            config={
-                "n": n,
-                "seed": seed,
-                "session_indices": [int(index) for index in session_indices],
-                "workers": workers,
-            },
-            parameters=parameters,
-            trial_keys=keys,
-            durations=[result.duration for result in results],
-            cached=[result.cached for result in results],
-            stats=runner.last_stats,
-            status="partial" if len(traces) < len(results) else "completed",
-        )
-    return traces
+    run.record()
+    return run.values

@@ -22,16 +22,12 @@ import numpy as np
 
 from ..core.phase_diagram import PhaseDiagram, compute_phase_diagram, dominance
 from ..core.regimes import NetworkParameters
-from ..observability.log import get_logger
-from ..observability.timing import span
-from ..parallel import TrialRunner
-from ..resilience import ResilienceConfig, successful_values
+from ..resilience import ResilienceConfig
 from ..simulation.network import HybridNetwork
-from ..store import TrialSeed, open_store, trial_key
+from ..store import TrialSeed, trial_key
+from .recorded import run_recorded
 
 __all__ = ["Figure3", "compute_figure3", "simulated_spot_checks", "SpotCheck"]
-
-_log = get_logger(__name__)
 
 #: Panel parameters: access-limited (left) and backbone-limited (right).
 LEFT_PHI = Fraction(0)
@@ -125,6 +121,23 @@ def _spot_check_trial(rng: np.random.Generator, payload: tuple) -> SpotCheck:
     )
 
 
+def _spot_check_key(payload: tuple) -> str:
+    """Content-hash cache key of one spot check.
+
+    The point seed is the full randomness of a spot check (the trial
+    rebuilds its generator from it), so it doubles as the seed slot of the
+    key.
+    """
+    alpha, big_k, phi, n, point_seed = payload
+    return trial_key(
+        {"alpha": alpha, "K": big_k, "phi": phi},
+        "A-vs-B",
+        n,
+        TrialSeed(point_seed, 0),
+        extra={"experiment": "figure3-spot-check"},
+    )
+
+
 def simulated_spot_checks(
     points: List[Tuple[str, str, str]],
     n: int,
@@ -138,58 +151,34 @@ def simulated_spot_checks(
     Each point should sit strictly inside a region (not on a boundary).
     The points are independent trials, so ``workers`` fans them out over a
     process pool; per-point seeds are spawned by index from ``seed``, making
-    the checks identical at any worker count.  ``store`` replays journaled
-    spot checks keyed by ``(alpha, K, phi, n, point seed)`` and journals
-    fresh ones (see :mod:`repro.store`).  ``resilience`` configures retries,
-    fault injection and ``min_success_fraction`` (below 1.0 a failed point
-    is dropped instead of aborting the panel).
+    the checks identical at any worker count.  ``store`` and
+    ``resilience`` take the shared recorded-run path
+    (:func:`repro.experiments.recorded.run_recorded`): spot checks keyed by
+    ``(alpha, K, phi, n, point seed)`` replay, an interrupt leaves a
+    resumable ``status="interrupted"`` manifest, and below
+    ``min_success_fraction`` 1.0 a failed point is dropped instead of
+    aborting the panel.
     """
-    store = open_store(store)
     payloads = [
         (alpha, big_k, phi, n, seed + index)
         for index, (alpha, big_k, phi) in enumerate(points)
     ]
-    keys = None
-    if store is not None:
-        # the point seed is the full randomness of a spot check (the trial
-        # rebuilds its generator from it), so it doubles as the seed slot of
-        # the content key
-        keys = [
-            trial_key(
-                {"alpha": alpha, "K": big_k, "phi": phi},
-                "A-vs-B",
-                n,
-                TrialSeed(point_seed, 0),
-                extra={"experiment": "figure3-spot-check"},
-            )
-            for alpha, big_k, phi, n, point_seed in payloads
-        ]
-    _log.info(
-        "figure3: %d spot check(s) at n=%d (workers=%s)",
-        len(payloads), n, workers,
+    run = run_recorded(
+        _spot_check_trial,
+        payloads,
+        _spot_check_key,
+        command="figure3-spot-checks",
+        config={
+            "points": [list(point) for point in points],
+            "n": n,
+            "seed": seed,
+            "workers": workers,
+        },
+        span_name="figure3.spot_checks",
+        seed=seed,
+        workers=workers,
+        store=store,
+        resilience=resilience,
     )
-    resilience = resilience if resilience is not None else ResilienceConfig()
-    runner = TrialRunner(
-        _spot_check_trial, workers=workers, **resilience.runner_kwargs()
-    )
-    with span("figure3.spot_checks", logger=_log):
-        results = runner.run(payloads, seed=seed, cache=store, keys=keys)
-    checks = successful_values(
-        results, resilience.min_success_fraction, context="figure3"
-    )
-    if store is not None:
-        store.record_run(
-            command="figure3-spot-checks",
-            config={
-                "points": [list(point) for point in points],
-                "n": n,
-                "seed": seed,
-                "workers": workers,
-            },
-            trial_keys=keys,
-            durations=[result.duration for result in results],
-            cached=[result.cached for result in results],
-            stats=runner.last_stats,
-            status="partial" if len(checks) < len(results) else "completed",
-        )
-    return checks
+    run.record()
+    return run.values

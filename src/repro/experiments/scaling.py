@@ -24,9 +24,8 @@ from ..core.order import Order
 from ..core.regimes import NetworkParameters
 from ..observability.events import BatchDegradedToSerial, get_telemetry
 from ..observability.log import get_logger
-from ..observability.timing import span
-from ..parallel import BatchedTrialPlan, TrialRunner, TrialStats
-from ..resilience import ResilienceConfig, check_min_success, validate_rate
+from ..parallel import BatchedTrialPlan, TrialStats
+from ..resilience import ResilienceConfig, validate_rate
 from ..routing.base import FlowResult
 from ..routing.batched import (
     batched_scheme_c_attach,
@@ -35,8 +34,9 @@ from ..routing.batched import (
 )
 from ..routing.scheme_c import SchemeC
 from ..simulation.network import HybridNetwork
-from ..store import TrialSeed, content_digest, open_store, trial_key
+from ..store import TrialSeed, content_digest, trial_key
 from ..utils.fitting import PowerLawFit, fit_power_law
+from .recorded import RecordedRun, run_recorded
 
 _log = get_logger(__name__)
 
@@ -283,18 +283,34 @@ def sweep_trial_payloads(
     ]
 
 
-def _sweep_trial_keys(payloads: Sequence[tuple]) -> list:
-    """Content-hash cache key of each sweep payload."""
-    return [
-        trial_key(
-            parameters,
-            scheme,
-            n,
-            seed,
-            extra={"build_kwargs": build_kwargs, "generic": generic},
-        )
-        for parameters, n, scheme, build_kwargs, generic, seed in payloads
-    ]
+def _sweep_trial_key(payload: tuple) -> str:
+    """Content-hash cache key of one sweep payload."""
+    parameters, n, scheme, build_kwargs, generic, seed = payload
+    return trial_key(
+        parameters,
+        scheme,
+        n,
+        seed,
+        extra={"build_kwargs": build_kwargs, "generic": generic},
+    )
+
+
+def median_rates(run: RecordedRun, rows: int) -> np.ndarray:
+    """Per-``n`` median of a sweep's ``rows x trials`` trial values.
+
+    With failed trials (tolerated under ``min_success_fraction``) the
+    median runs over each row's survivors, and a row with none yields 0.0.
+    """
+    matrix = np.asarray(
+        [result.value if result.ok else np.nan for result in run.results],
+        dtype=float,
+    ).reshape(rows, -1)
+    if not run.failures:
+        # bit-compatible with the historical full-success path
+        return np.median(matrix, axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nan_to_num(np.nanmedian(matrix, axis=1), nan=0.0)
 
 
 def sweep_capacity(
@@ -329,27 +345,20 @@ def sweep_capacity(
     trial index from the master ``seed``, so any worker count -- including
     the inline default ``None`` -- produces bit-identical rates.
 
-    ``store`` (a :class:`repro.store.RunStore` or a directory path) makes
-    the sweep durable and resumable: completed trials already journaled
-    under the same content key are replayed from disk, only the missing
-    ones execute (and are journaled as they finish), and a run manifest
-    with full provenance is recorded.  The resulting rates -- and therefore
-    :meth:`SweepResult.digest` -- are bit-identical with or without the
-    cache, at any worker count.
-
-    ``resilience`` (a :class:`repro.resilience.ResilienceConfig`) governs
-    failure handling: the retry policy, deterministic fault injection, the
-    crash-storm degradation threshold, and ``min_success_fraction`` --
-    with a fraction below 1.0 the sweep tolerates failed trials, taking
-    per-``n`` medians over the surviving ones (an ``n`` with no survivors
-    contributes a zero rate, dropped by the positive filter before
-    fitting) and recording the manifest with ``status="partial"``.  Every
-    fresh value passes the NaN/inf/negative validation boundary
-    (:func:`repro.resilience.validate_rate`).  On SIGINT (or SIGTERM under
-    :func:`repro.resilience.interruptible`) the sweep drains: completed
-    trials are already journaled, a ``status="interrupted"`` manifest is
-    recorded, and the interrupt propagates -- re-invoking the same sweep
-    resumes from the journal and reproduces the uninterrupted digest.
+    ``store`` (a :class:`repro.store.RunStore` or a directory path) and
+    ``resilience`` (a :class:`repro.resilience.ResilienceConfig`) take the
+    recorded-run path every driver shares
+    (:func:`repro.experiments.recorded.run_recorded`): journaled trials
+    replay from disk, fresh ones are journaled as they finish, and the run
+    manifest is recorded -- ``status="interrupted"`` on SIGINT/SIGTERM,
+    after which re-invoking the same sweep resumes from the journal.  The
+    rates -- and therefore :meth:`SweepResult.digest` -- are bit-identical
+    with or without the cache, at any worker count.  With
+    ``min_success_fraction`` below 1.0 the sweep takes per-``n`` medians
+    over the surviving trials (an ``n`` with no survivors contributes a
+    zero rate, dropped by the positive filter before fitting) and records
+    ``status="partial"``.  Every fresh value passes the NaN/inf/negative
+    validation boundary (:func:`repro.resilience.validate_rate`).
 
     ``batch_trials`` (``>= 2``) groups same-``n`` scheme B or C trials
     into batches of at most that width: a batch is the unit the pool
@@ -369,12 +378,10 @@ def sweep_capacity(
             f"batch_trials must be >= 2 (or None for per-trial execution), "
             f"got {batch_trials}"
         )
-    store = open_store(store)
     n_values = np.asarray(sorted(n_values), dtype=int)
     payloads = sweep_trial_payloads(
         parameters, n_values, scheme, trials, build_kwargs, generic, seed=seed
     )
-    keys = _sweep_trial_keys(payloads) if store is not None else None
     config = {
         "scheme": scheme,
         "n_values": [int(n) for n in n_values],
@@ -385,15 +392,15 @@ def sweep_capacity(
         "workers": workers,
         "batch_trials": batch_trials,
     }
-    _log.info(
-        "sweep_capacity: scheme=%s grid=%s trials=%d seed=%d workers=%s "
-        "store=%s batch_trials=%s",
-        scheme, config["n_values"], trials, seed, workers,
-        getattr(store, "root", None), batch_trials,
-    )
-    resilience = resilience if resilience is not None else ResilienceConfig()
-    batched = batch_trials is not None and scheme in ("B", "C")
-    if batch_trials is not None and not batched:
+    batched = None
+    if batch_trials is not None and scheme in ("B", "C"):
+        plan = BatchedTrialPlan.group(
+            payloads,
+            shape_key=lambda payload: (int(payload[1]),),
+            batch_trials=batch_trials,
+        )
+        batched = (_batched_sweep_trial, plan)
+    elif batch_trials is not None:
         # only schemes B and C have a batched path: the user asked for
         # batching but every other scheme runs trial by trial.  Say so
         # rather than silently ignore the flag.
@@ -413,67 +420,24 @@ def sweep_capacity(
                     reason="no_batched_kernel",
                 )
             )
-    runner = TrialRunner(
+    run = run_recorded(
         _sweep_trial,
+        payloads,
+        _sweep_trial_key,
+        command="sweep",
+        config=config,
+        span_name="sweep_capacity",
+        seed=seed,
         workers=workers,
+        store=store,
+        resilience=resilience,
+        parameters=parameters,
         validator=validate_rate,
-        **resilience.runner_kwargs(),
+        batched=batched,
     )
-    try:
-        with span("sweep_capacity", logger=_log):
-            if batched:
-                plan = BatchedTrialPlan.group(
-                    payloads,
-                    shape_key=lambda payload: (int(payload[1]),),
-                    batch_trials=batch_trials,
-                )
-                results = runner.run_batched(
-                    payloads,
-                    _batched_sweep_trial,
-                    plan,
-                    seed=seed,
-                    cache=store,
-                    keys=keys,
-                )
-            else:
-                results = runner.run(
-                    payloads, seed=seed, cache=store, keys=keys
-                )
-    except KeyboardInterrupt:
-        # graceful drain: every completed trial is already journaled; leave
-        # a resumable manifest behind and let the interrupt propagate.
-        if store is not None:
-            store.close()
-            store.record_run(
-                command="sweep",
-                config=config,
-                parameters=parameters,
-                trial_keys=keys,
-                status="interrupted",
-            )
-            _log.warning(
-                "sweep interrupted; completed trials remain journaled in %s "
-                "-- re-running the same sweep resumes from them",
-                store.root,
-            )
-        raise
-    failures = check_min_success(
-        results, resilience.min_success_fraction, context="sweep_capacity"
-    )
-    matrix = np.asarray(
-        [result.value if result.ok else np.nan for result in results],
-        dtype=float,
-    ).reshape(n_values.shape[0], trials)
-    if failures:
-        # partial results: median over the surviving trials per n; an n with
-        # no survivors yields 0.0, dropped by the positive filter below.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rates = np.nanmedian(matrix, axis=1)
-        rates = np.nan_to_num(rates, nan=0.0)
-    else:
-        # bit-compatible with the historical full-success path
-        rates = np.median(matrix, axis=1)
+    # partial results: an n with no surviving trial has a zero rate,
+    # dropped by the positive filter below
+    rates = median_rates(run, n_values.shape[0])
     positive = rates > 0
     fit = None
     if int(positive.sum()) >= 2:
@@ -487,20 +451,9 @@ def sweep_capacity(
         trials=trials,
         theory_exponent=theory,
         fit=fit,
-        stats=runner.last_stats,
+        stats=run.stats,
         seed=seed,
         trial_seeds=tuple(payload[5] for payload in payloads),
     )
-    if store is not None:
-        store.record_run(
-            command="sweep",
-            config=config,
-            parameters=parameters,
-            trial_keys=keys,
-            digest=sweep.digest(),
-            durations=[trial_result.duration for trial_result in results],
-            cached=[trial_result.cached for trial_result in results],
-            stats=runner.last_stats,
-            status="partial" if failures else "completed",
-        )
+    run.record(digest=sweep.digest())
     return sweep

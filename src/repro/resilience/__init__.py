@@ -35,7 +35,7 @@ from .drain import SweepInterrupted, interruptible
 from .faults import FAULT_KINDS, FaultClause, FaultPlan, FaultSpecError
 from .retry import RETRYABLE_KINDS, RetryPolicy
 from .supervisor import PoolSupervisor
-from .validation import check_min_success, successful_values, validate_rate
+from .validation import check_min_success, validate_rate
 
 __all__ = [
     "FAULT_KINDS",
@@ -49,7 +49,6 @@ __all__ = [
     "SweepInterrupted",
     "check_min_success",
     "interruptible",
-    "successful_values",
     "validate_rate",
 ]
 

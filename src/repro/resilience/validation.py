@@ -3,9 +3,9 @@
 Validation runs at the runner boundary, in the parent, on every freshly
 computed trial value: a NaN, infinite or negative throughput becomes a
 structured ``TrialError(kind="invalid_result")`` *before* it can poison a
-sweep's medians or crash the store journal.  The ``min_success_fraction``
-helpers then let experiment drivers keep going on partial results instead
-of aborting an hours-long campaign over a handful of failed trials.
+sweep's medians or crash the store journal.  :func:`check_min_success`
+then lets experiment drivers keep going on partial results instead of
+aborting an hours-long campaign over a handful of failed trials.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from ..observability.log import get_logger
 __all__ = [
     "validate_rate",
     "check_min_success",
-    "successful_values",
 ]
 
 _log = get_logger(__name__)
@@ -83,17 +82,3 @@ def check_min_success(
     )
     return failures
 
-
-def successful_values(
-    results: Sequence[Any],
-    min_success_fraction: float = 1.0,
-    context: str = "run",
-) -> List[Any]:
-    """The values of the successful trials, in trial-index order.
-
-    Raises :class:`~repro.parallel.TrialFailed` when the success fraction
-    falls below ``min_success_fraction`` (so the default 1.0 preserves the
-    historical raise-on-first-failure behavior of ``run_values``).
-    """
-    check_min_success(results, min_success_fraction, context=context)
-    return [result.value for result in results if result.ok]

@@ -7,6 +7,11 @@ as oracles, the incremental index's rebuild threshold is a class constant,
 and the shared-memory trial state is gone.  Each removed option must raise
 ``TypeError``, and a delay comparison must leave nothing in ``/dev/shm``
 and start no resource-tracker process.
+
+The experiment drivers share one recorded-run path, so
+``repro.resilience.successful_values`` has no caller left and is gone; and
+``runs gc`` always compacts the journal, so its no-op ``--compact`` flag is
+gone too.
 """
 
 import importlib
@@ -19,9 +24,12 @@ import numpy as np
 import pytest
 
 import repro.parallel
+import repro.resilience
+from repro.__main__ import main
 from repro.experiments.delay import compare_delays
 from repro.geometry.neighbors import IncrementalCellGridIndex
 from repro.parallel import BatchedTrialPlan, TrialRunner
+from repro.store import RunStore
 from repro.simulation.engine import SlottedSimulator
 from repro.wireless.physical_model import GreedySINRScheduler
 from repro.wireless.protocol_model import ProtocolModel
@@ -151,3 +159,32 @@ class TestDelayComparisonSharesNothing:
             timeout=120,
         )
         assert out.stdout.strip().splitlines()[-1] == "True"
+
+
+class TestRemovedDriverPlumbing:
+    def test_successful_values_is_gone(self):
+        assert not hasattr(repro.resilience, "successful_values")
+        validation = importlib.import_module("repro.resilience.validation")
+        assert not hasattr(validation, "successful_values")
+
+
+class TestRemovedGcCompact:
+    def test_compact_flag_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["runs", "gc", "--compact", "--store", str(tmp_path / "s")])
+        assert exit_info.value.code == 2
+        assert "--compact" in capsys.readouterr().err
+
+    def test_gc_still_quarantines_a_corrupt_journal_line(self, tmp_path, capsys):
+        store = RunStore(tmp_path / "s")
+        store.put("k1", 1.0, 0.1)
+        store.close()
+        with open(store.journal_path, "a", encoding="utf-8") as handle:
+            handle.write("{truncated garbag\n")
+        assert main(["runs", "gc", "--store", str(tmp_path / "s")]) == 0
+        out = capsys.readouterr().out
+        assert "quarantine sidecar" in out
+        with open(store.journal_path, "r", encoding="utf-8") as handle:
+            assert "garbag" not in handle.read()
+        with open(store.corrupt_path, "r", encoding="utf-8") as handle:
+            assert handle.read().strip() == "{truncated garbag"
