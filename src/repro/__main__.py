@@ -14,12 +14,6 @@ Commands
                ``repro.serve``); ``runs list``/``runs show`` resolve
                through the same incremental index
 
-``runs`` and ``serve`` accept ``--store`` repeatedly to merge several
-store directories -- e.g. the stores of sweeps run on different hosts or
-at different times -- into one list/query/regression view; ``sweep``
-treats extra ``--store`` values as read-only cache replicas (writes go to
-the first).
-
 ``sweep`` and ``reproduce`` accept ``--workers N`` to fan Monte-Carlo
 trials out over ``N`` processes (``0`` = all cores); results are
 bit-identical at any worker count (see ``repro.parallel``).
@@ -33,7 +27,10 @@ persistent, content-addressed store (see ``repro.store``): re-invoking the
 same command -- including after an interruption -- replays the journaled
 trials and only executes the missing ones, with the final digest
 bit-identical to an uninterrupted cold run.  ``--no-cache`` forces
-recomputation while still refreshing the journal.
+recomputation while still refreshing the journal.  ``runs`` and ``serve``
+read the store named by ``--store DIR`` (default ``results``) and exit 2
+when ``DIR`` holds no store.  Every command opens at most one store:
+``--store`` given twice exits 2.
 
 Observability (see ``repro.observability``): the global ``--log-level`` /
 ``--log-json`` flags configure the package-wide structured logger on
@@ -64,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import pathlib
 import sys
 
 import numpy as np
@@ -167,61 +165,105 @@ def _workers(args):
     return TrialRunner.resolve_workers(args.workers)
 
 
-def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store", action="append", default=None, metavar="DIR",
-        help="journal completed trials into this persistent store and "
-        "replay any already journaled there (resumable runs); repeatable "
-        "-- extra stores are read-only replicas merged into the cache "
-        "lookup (e.g. a store copied from another host), writes go to "
-        "the first",
+class _StoreOnce(argparse.Action):
+    """``--store DIR``, accepted at most once.
+
+    A command reads and writes exactly one store; argparse's default
+    (last value wins) would silently drop every earlier directory.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(
+                self, "given more than once (a command uses one store)"
+            )
+        setattr(namespace, self.dest, values)
+
+
+def _run_options() -> argparse.ArgumentParser:
+    """Parent parser of the trial-running commands (``sweep``,
+    ``reproduce``): workers, store, telemetry and resilience flags."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="fan Monte-Carlo trials out over N processes (0 = all cores; "
+        "results are identical at any worker count)",
     )
-    parser.add_argument(
+    parent.add_argument(
+        "--store", action=_StoreOnce, default=None, metavar="DIR",
+        help="journal completed trials into this persistent store and "
+        "replay any already journaled there (resumable runs)",
+    )
+    parent.add_argument(
         "--no-cache", action="store_true",
         help="with --store: recompute every trial (no replay) but still "
         "refresh the journal",
     )
-
-
-def _store_dirs(args) -> list:
-    """The repeated ``--store`` values as a (possibly empty) list."""
-    return list(getattr(args, "store", None) or [])
-
-
-def _store(args):
-    """CLI --store/--no-cache values -> store (None without --store).
-
-    One ``--store`` opens a plain :class:`~repro.store.RunStore`; several
-    build a :class:`~repro.store.MergedStore` (first = writable primary,
-    rest = read-only replicas).
-    """
-    from .store import open_merged_store
-
-    return open_merged_store(_store_dirs(args), use_cache=not args.no_cache)
-
-
-def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    parent.add_argument(
+        "--trace", nargs="?", const="", default=None, metavar="DIR",
+        help="write a JSONL telemetry trace (one event per line: trial "
+        "lifecycle, progress, store appends, span timings) into DIR; "
+        "with no DIR the trace lands next to the --store run manifests "
+        "(or in ./results)",
+    )
+    parent.add_argument(
+        "--progress", action=argparse.BooleanOptionalAction, default=None,
+        help="render live progress (trials/s, ETA, cache hits) on stderr "
+        "(default: only when stderr is a TTY)",
+    )
+    parent.add_argument(
         "--retries", type=int, default=1, metavar="N",
         help="extra attempts granted to a failing trial (default 1)",
     )
-    parser.add_argument(
+    parent.add_argument(
         "--backoff", type=float, default=0.0, metavar="SECONDS",
         help="exponential backoff base between attempts (default 0: retry "
         "immediately); the schedule is deterministic per trial",
     )
-    parser.add_argument(
+    parent.add_argument(
         "--min-success", type=float, default=1.0, metavar="FRACTION",
         help="tolerate failed trials down to this success fraction "
         "instead of aborting (default 1.0: any failure aborts); partial "
         "runs record status=partial in their manifest",
     )
-    parser.add_argument(
+    parent.add_argument(
         "--inject-faults", default=None, metavar="SPEC",
         help="deterministic fault injection for chaos testing, e.g. "
         "'kill@0,raise@2-5,nan@7' (KIND@SELECT[xN]; kinds: raise, hang, "
         "kill, nan, io)",
     )
+    return parent
+
+
+def _store_options() -> argparse.ArgumentParser:
+    """Parent parser of the store-reading commands (``runs``, ``serve``)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--store", action=_StoreOnce, default=None, metavar="DIR",
+        help="store directory (default: results)",
+    )
+    return parent
+
+
+def _store(args):
+    """CLI --store/--no-cache values -> RunStore (None without --store)."""
+    from .store import open_store
+
+    return open_store(args.store, use_cache=not args.no_cache)
+
+
+def _existing_store(args):
+    """The store ``runs``/``serve`` read; never creates one.
+
+    Raises :class:`FileNotFoundError` (exit 2) when the directory holds no
+    store, so a mistyped ``--store`` cannot pass as an empty store.
+    """
+    from .store import RunStore
+
+    root = args.store if args.store is not None else "results"
+    if not (pathlib.Path(root) / RunStore.RUNS_DIR).is_dir():
+        raise FileNotFoundError(f"no store at {root}")
+    return RunStore(root)
 
 
 def _resilience(args):
@@ -238,21 +280,6 @@ def _resilience(args):
     )
 
 
-def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace", nargs="?", const="", default=None, metavar="DIR",
-        help="write a JSONL telemetry trace (one event per line: trial "
-        "lifecycle, progress, store appends, span timings) into DIR; "
-        "with no DIR the trace lands next to the --store run manifests "
-        "(or in ./results)",
-    )
-    parser.add_argument(
-        "--progress", action=argparse.BooleanOptionalAction, default=None,
-        help="render live progress (trials/s, ETA, cache hits) on stderr "
-        "(default: only when stderr is a TTY)",
-    )
-
-
 def _telemetry(args):
     """CLI --trace/--progress values -> (sink or None, trace path or None).
 
@@ -264,8 +291,7 @@ def _telemetry(args):
     trace_path = None
     trace = getattr(args, "trace", None)
     if trace is not None:
-        stores = _store_dirs(args)
-        directory = trace if trace else (stores[0] if stores else "results")
+        directory = trace or args.store or "results"
         trace_sink = open_trace(directory)
         trace_path = trace_sink.path
         sinks.append(trace_sink)
@@ -302,12 +328,11 @@ def _cmd_sweep(args) -> int:
     print(f"theory slope {result.theory_exponent:+.3f}, measured {measured}")
     if result.stats is not None:
         print(result.stats.summary())
-        stores = _store_dirs(args)
-        if stores:
+        if args.store is not None:
             print(
                 f"cache: {result.stats.cache_hits} hit(s), "
                 f"{result.stats.cache_misses} miss(es) "
-                f"(store: {', '.join(stores)})"
+                f"(store: {args.store})"
             )
     print(f"digest: {result.digest()}")
     return 0
@@ -315,12 +340,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_runs(args) -> int:
     """Inspect a persistent experiment store (list / show / gc)."""
-    from .store import open_merged_store
     from .utils.tables import render_table
 
-    store_dirs = _store_dirs(args) or ["results"]
-    store = open_merged_store(store_dirs)
-    store_label = ", ".join(store_dirs)
+    store = _existing_store(args)
     if args.action == "list":
         # rewired through the serve index: one stat per manifest instead of
         # one JSON parse, and newest-first by the created_ts epoch float.
@@ -328,7 +350,7 @@ def _cmd_runs(args) -> int:
         index.refresh()
         records = index.records()
         if not records:
-            print(f"no runs recorded in {store_label}")
+            print(f"no runs recorded in {store.root}")
             return 0
         rows = []
         for record in records:
@@ -366,21 +388,11 @@ def _cmd_runs(args) -> int:
             return 2
         print(json.dumps(manifest, indent=2))
         return 0
-    if args.action == "gc":
-        # gc is a mutator: run it per member store, never across them --
-        # a manifest in one store must not pin journal entries in another
-        from .store import MergedStore
-
-        members = store.stores if isinstance(store, MergedStore) else [store]
-        for member in members:
-            stats = member.gc(keep=args.keep, drop_orphans=args.drop_orphans)
-            prefix = f"{member.root}: " if len(members) > 1 else ""
-            print(f"{prefix}{stats.summary()}")
-            if member.corrupt_path.exists():
-                print(f"{prefix}quarantine sidecar: {member.corrupt_path}")
-        return 0
-    print(f"unknown runs action {args.action!r}", file=sys.stderr)
-    return 2
+    stats = store.gc(keep=args.keep, drop_orphans=args.drop_orphans)
+    print(stats.summary())
+    if store.corrupt_path.exists():
+        print(f"quarantine sidecar: {store.corrupt_path}")
+    return 0
 
 
 def _serve_spec(args):
@@ -419,12 +431,9 @@ def _cmd_serve(args) -> int:
     import json as json_module
 
     from .serve import build_report, detect_regressions, run_query, write_report
-    from .store import open_merged_store
     from .utils.tables import render_table
 
-    store_dirs = _store_dirs(args) or ["results"]
-    store = open_merged_store(store_dirs)
-    store_label = ", ".join(store_dirs)
+    store = _existing_store(args)
     index = store.serve_index()
     spec = _serve_spec(args)
 
@@ -436,7 +445,7 @@ def _cmd_serve(args) -> int:
             ))
             return 0
         if not records:
-            print(f"no runs in {store_label} match the query")
+            print(f"no runs in {store.root} match the query")
             return 0
         rows = []
         for record in records:
@@ -472,22 +481,18 @@ def _cmd_serve(args) -> int:
                 print(f"  {finding.summary()}")
         return 0 if report.ok else 3
 
-    if args.action == "report":
-        report = build_report(
-            index, spec, slowdown_threshold=args.slowdown,
-            title=f"repro results: {store_label}",
-        )
-        out = args.out
-        if out is None:
-            suffix = "html" if args.format != "json" else "json"
-            out = str(store.root / "serve" / f"report.{suffix}")
-        path = write_report(report, out, fmt=args.format)
-        print(report["summary"])
-        print(f"wrote {path}")
-        return 0
-
-    print(f"unknown serve action {args.action!r}", file=sys.stderr)
-    return 2
+    report = build_report(
+        index, spec, slowdown_threshold=args.slowdown,
+        title=f"repro results: {store.root}",
+    )
+    out = args.out
+    if out is None:
+        suffix = "html" if args.format != "json" else "json"
+        out = str(store.root / "serve" / f"report.{suffix}")
+    path = write_report(report, out, fmt=args.format)
+    print(report["summary"])
+    print(f"wrote {path}")
+    return 0
 
 
 def _cmd_reproduce(args) -> int:
@@ -496,8 +501,6 @@ def _cmd_reproduce(args) -> int:
     ``--quick`` uses small grids (a couple of minutes); the full benchmark
     suite (``pytest benchmarks/ --benchmark-only``) remains the reference.
     """
-    import pathlib
-
     from .experiments.figure1 import CLUSTERED_PARAMS, UNIFORM_PARAMS, make_panels
     from .experiments.figure2 import trace_scheme_b_sessions
     from .experiments.figure3 import compute_figure3
@@ -593,6 +596,8 @@ def main(argv=None) -> int:
         help="emit log records as JSON lines instead of text",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    run_options = _run_options()
+    store_options = _store_options()
 
     cmd = commands.add_parser("analyze", help="closed-form capacity of a family")
     _add_family_arguments(cmd)
@@ -613,7 +618,8 @@ def main(argv=None) -> int:
     cmd.set_defaults(func=_cmd_simulate)
 
     cmd = commands.add_parser(
-        "sweep", help="measure lambda(n) over an n grid and fit the slope"
+        "sweep", parents=[run_options],
+        help="measure lambda(n) over an n grid and fit the slope",
     )
     _add_family_arguments(cmd)
     cmd.add_argument("--scheme", default="optimal",
@@ -623,23 +629,16 @@ def main(argv=None) -> int:
     cmd.add_argument("--trials", type=int, default=3)
     cmd.add_argument("--seed", type=int, default=0)
     cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="fan trials out over N processes (0 = all cores; "
-        "results are identical at any worker count)",
-    )
-    cmd.add_argument(
         "--batch-trials", type=int, default=None, metavar="N",
         help="schemes B and C: run same-n trials in batches of at most N, "
         "the unit the pool schedules and retries (results do not depend "
         "on N)",
     )
-    _add_store_arguments(cmd)
-    _add_telemetry_arguments(cmd)
-    _add_resilience_arguments(cmd)
     cmd.set_defaults(func=_cmd_sweep)
 
     cmd = commands.add_parser(
-        "reproduce", help="regenerate the paper's artifacts into --out"
+        "reproduce", parents=[run_options],
+        help="regenerate the paper's artifacts into --out",
     )
     cmd.add_argument("--out", default="results")
     cmd.add_argument(
@@ -650,24 +649,15 @@ def main(argv=None) -> int:
         "--grid", default=None,
         help="comma-separated n values overriding the built-in grids",
     )
-    cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="fan Monte-Carlo trials out over N processes (0 = all cores)",
-    )
-    _add_store_arguments(cmd)
-    _add_telemetry_arguments(cmd)
-    _add_resilience_arguments(cmd)
     cmd.set_defaults(func=_cmd_reproduce)
 
     cmd = commands.add_parser(
-        "runs", help="list/inspect/garbage-collect a persistent store"
+        "runs", parents=[store_options],
+        help="list/inspect/garbage-collect a persistent store",
     )
     cmd.add_argument("action", choices=["list", "show", "gc"])
     cmd.add_argument("run_id", nargs="?", default=None,
                      help="manifest id (or unambiguous prefix) for 'show'")
-    cmd.add_argument("--store", action="append", default=None, metavar="DIR",
-                     help="store directory (default: results); repeatable "
-                     "to merge several stores into one view")
     cmd.add_argument("--keep", type=int, default=None, metavar="N",
                      help="gc: keep only the newest N run manifests")
     cmd.add_argument(
@@ -678,14 +668,10 @@ def main(argv=None) -> int:
     cmd.set_defaults(func=_cmd_runs)
 
     cmd = commands.add_parser(
-        "serve", help="query stored runs, detect regressions, build reports"
+        "serve", parents=[store_options],
+        help="query stored runs, detect regressions, build reports",
     )
     cmd.add_argument("action", choices=["query", "regress", "report"])
-    cmd.add_argument("--store", action="append", default=None, metavar="DIR",
-                     help="store directory (default: results); repeatable "
-                     "to query/regress/report across several stores at "
-                     "once (e.g. the stores of sweeps run on different "
-                     "hosts)")
     cmd.add_argument("--command", dest="command_filter", default=None,
                      metavar="NAME",
                      help="filter: experiment command (sweep, figure1, ...)")
@@ -778,7 +764,8 @@ def main(argv=None) -> int:
         )
         return 130
     except OSError as error:
-        # e.g. --store pointing at a file, or an unwritable directory
+        # e.g. --store pointing at a file or at no store, or an unwritable
+        # directory
         print(f"store error: {error}", file=sys.stderr)
         return 2
     except ValueError as error:

@@ -29,7 +29,7 @@ from ..simulation.engine import SlottedSimulator
 from ..simulation.network import HybridNetwork
 from ..simulation.routers import SchemeARouter, SchemeBRouter, TwoHopRelayRouter
 from ..simulation.traffic import permutation_traffic
-from ..store import TrialSeed, trial_key
+from ..store import TrialSeed, content_digest, trial_key
 from .recorded import run_recorded
 
 __all__ = ["DelayComparison", "compare_delays"]
@@ -183,9 +183,11 @@ def compare_delays(
         resilience=resilience,
         parameters=parameters,
     )
-    run.record()
     outcomes = run.values
     mean_delay = {outcome["label"]: outcome["mean_delay"] for outcome in outcomes}
     mean_hops = {outcome["label"]: outcome["mean_hops"] for outcome in outcomes}
     delivered = {outcome["label"]: outcome["delivered"] for outcome in outcomes}
+    # the trial values also carry wall-clock seconds, which must not enter
+    # the result digest
+    run.record(digest=content_digest([mean_delay, mean_hops, delivered]))
     return DelayComparison(mean_delay, mean_hops, delivered)

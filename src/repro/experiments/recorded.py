@@ -21,7 +21,7 @@ from ..observability.log import get_logger
 from ..observability.timing import span
 from ..parallel import TrialResult, TrialRunner, TrialStats
 from ..resilience import ResilienceConfig, check_min_success
-from ..store import open_store
+from ..store import content_digest, open_store
 
 __all__ = ["RecordedRun", "run_recorded"]
 
@@ -44,9 +44,20 @@ class RecordedRun:
 
     def record(self, digest: Optional[str] = None) -> None:
         """Write the ``completed``/``partial`` manifest (no-op without a
-        store)."""
+        store).
+
+        With no ``digest``, the manifest records the content digest of
+        every trial's value in trial-index order (``None`` for a failed
+        trial), so ``serve regress`` can flag drift in any driver's
+        results.  Every stored value has already passed the journal's
+        strict encoder, so digesting it cannot fail.
+        """
         if self._manifest is None:
             return
+        if digest is None:
+            digest = content_digest(
+                [result.value if result.ok else None for result in self.results]
+            )
         self._manifest(
             digest=digest,
             durations=[result.duration for result in self.results],

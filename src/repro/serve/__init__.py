@@ -22,11 +22,11 @@ that can *ask* it things:
   figure/experiment family.
 
 The CLI exposes all of it as ``repro serve query|regress|report`` and
-routes ``repro runs list|show`` through the same index.
+routes ``repro runs list|show`` through the same index; each command
+reads the one store named by ``--store``.
 """
 
 from .index import (
-    MergedRunIndex,
     RefreshStats,
     RunIndex,
     RunRecord,
@@ -44,7 +44,6 @@ from .report import build_report, render_html, render_json, write_report
 
 __all__ = [
     "DEFAULT_SLOWDOWN_THRESHOLD",
-    "MergedRunIndex",
     "QuerySpec",
     "RefreshStats",
     "Regression",

@@ -8,7 +8,8 @@ reconciles a compact summary of every manifest -- a :class:`RunRecord` --
 against the ``runs/`` directory by *stat* (mtime + size), parsing only new
 or changed files, and persists itself to ``<store>/serve/index.json`` so
 later processes start from the previous reconciliation instead of a cold
-scan.
+scan.  One index covers one store directory, so records have one
+newest-first order and run ids resolve within that store.
 
 Each record carries the run's **cache-key family**
 (:func:`family_key`): a content hash of everything that determines the
@@ -38,7 +39,7 @@ import pathlib
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..observability.events import IndexRefreshed, get_telemetry
 from ..observability.log import get_logger
@@ -47,7 +48,6 @@ from ..store.runstore import RunStore, manifest_sort_key
 
 __all__ = [
     "INDEX_VERSION",
-    "MergedRunIndex",
     "RefreshStats",
     "RunIndex",
     "RunRecord",
@@ -449,101 +449,3 @@ class RunIndex:
             groups.setdefault(record.family, []).append(record)
         return groups
 
-
-class MergedRunIndex:
-    """One queryable index over several stores' run manifests.
-
-    Duck-types the :class:`RunIndex` surface the serve layer consumes
-    (``refresh`` / ``records`` / ``get`` / ``resolve`` / ``families`` /
-    ``__len__`` / ``root``) over an ordered list of member indexes, so
-    ``serve query|regress|report`` and ``runs list`` work unchanged when
-    ``--store`` is passed more than once -- e.g. the stores of sweeps run
-    on different hosts.
-
-    A run id is resolved across every member; records are interleaved
-    newest-first exactly as a single index orders them.  Regression
-    families therefore span stores: two runs of the same experiment land
-    in the same family no matter which store's manifest directory each
-    manifest lives in.
-    """
-
-    def __init__(self, indexes: Sequence[Union[RunIndex, str, pathlib.Path]]):
-        if not indexes:
-            raise ValueError("a merged index needs at least one store")
-        self.indexes: List[RunIndex] = [
-            index if isinstance(index, RunIndex) else RunIndex(index)
-            for index in indexes
-        ]
-
-    @property
-    def root(self) -> pathlib.Path:
-        """The primary (first) store's root, where single-store callers
-        expect paths to resolve."""
-        return self.indexes[0].root
-
-    @property
-    def roots(self) -> List[pathlib.Path]:
-        """Every member store root, in lookup order."""
-        return [index.root for index in self.indexes]
-
-    def refresh(self) -> RefreshStats:
-        """Reconcile every member index; returns the summed stats."""
-        start = time.perf_counter()
-        manifests = parsed = removed = 0
-        for index in self.indexes:
-            stats = index.refresh()
-            manifests += stats.manifests
-            parsed += stats.parsed
-            removed += stats.removed
-        return RefreshStats(
-            manifests=manifests,
-            parsed=parsed,
-            removed=removed,
-            elapsed_seconds=time.perf_counter() - start,
-        )
-
-    def __len__(self) -> int:
-        return sum(len(index) for index in self.indexes)
-
-    def records(self) -> List[RunRecord]:
-        """All member records merged newest-first (same ordering keys as
-        a single index: ``created_ts``, then the ``created`` string)."""
-        merged: List[RunRecord] = []
-        for index in self.indexes:
-            merged.extend(index.records())
-        merged.sort(key=lambda r: r.run_id)
-        merged.sort(key=lambda r: (r.created_ts, r.created), reverse=True)
-        return merged
-
-    def get(self, run_id: str) -> RunRecord:
-        """The record for an exact ``run_id``, searched in store order."""
-        for index in self.indexes:
-            try:
-                return index.get(run_id)
-            except KeyError:
-                continue
-        raise KeyError(f"no stored run matches {run_id!r}")
-
-    def resolve(self, prefix: str) -> str:
-        """The unique run id starting with ``prefix`` across all stores."""
-        matches = set()
-        for index in self.indexes:
-            try:
-                matches.add(index.resolve(prefix))
-            except KeyError as exc:
-                if "ambiguous" in str(exc):
-                    raise
-        if not matches:
-            raise KeyError(f"no stored run matches {prefix!r}")
-        if len(matches) > 1:
-            raise KeyError(
-                f"run id {prefix!r} is ambiguous: {', '.join(sorted(matches))}"
-            )
-        return matches.pop()
-
-    def families(self) -> Dict[str, List[RunRecord]]:
-        """Merged records grouped by family, oldest first per family."""
-        groups: Dict[str, List[RunRecord]] = {}
-        for record in reversed(self.records()):
-            groups.setdefault(record.family, []).append(record)
-        return groups

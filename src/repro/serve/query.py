@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 from ..observability.events import QueryExecuted, get_telemetry
 from ..observability.log import get_logger
@@ -40,7 +40,11 @@ def _as_fraction(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """One conjunction of run filters (``None`` / empty = don't care)."""
+    """One conjunction of run filters (``None`` / empty = don't care).
+
+    Raises :class:`ValueError` when ``alpha`` or a ``parameters`` value is
+    not a fraction.
+    """
 
     #: Exact experiment command (``"sweep"``, ``"figure1"``, ...).
     command: Optional[str] = None
@@ -76,14 +80,16 @@ class QuerySpec:
             if value not in (None, False, {}, ())
         }
 
-    def _parameter_filters(self) -> Dict[str, Fraction]:
+    def __post_init__(self) -> None:
+        # parse the fraction filters once, so a malformed one is rejected
+        # when the spec is built -- even against a store with no runs.
         filters = {
             name: _as_fraction(value)
             for name, value in dict(self.parameters).items()
         }
         if self.alpha is not None:
             filters["alpha"] = _as_fraction(self.alpha)
-        return filters
+        object.__setattr__(self, "_fraction_filters", filters)
 
     def matches(
         self,
@@ -110,7 +116,7 @@ class QuerySpec:
         if self.latest_schema and latest_schema_version is not None:
             if record.schema_version != latest_schema_version:
                 return False
-        for name, wanted in self._parameter_filters().items():
+        for name, wanted in self._fraction_filters.items():
             if record.parameter(name) != wanted:
                 return False
         if self.min_n is not None or self.max_n is not None:

@@ -19,13 +19,13 @@ Layers:
   content-hash :func:`trial_key`;
 - :mod:`repro.store.runstore` -- the on-disk :class:`RunStore` (JSONL trial
   journal with atomic appends + run manifests) consumed by
-  :class:`repro.parallel.TrialRunner` as its trial cache;
+  :class:`repro.parallel.TrialRunner` as its trial cache; one directory
+  is one store, with one writer, and a command opens at most one;
 - :mod:`repro.store.provenance` -- git SHA / package / interpreter
   fingerprint recorded in every run manifest.
 """
 
 from .keys import TrialSeed, canonical_json, content_digest, trial_key
-from .merged import MergedStore, open_merged_store
 from .provenance import collect_provenance
 from .runstore import (
     CachedTrial,
@@ -47,7 +47,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "CachedTrial",
     "GCStats",
-    "MergedStore",
     "RunStore",
     "TrialSeed",
     "UnserializableValue",
@@ -56,7 +55,6 @@ __all__ = [
     "content_digest",
     "from_jsonable",
     "manifest_sort_key",
-    "open_merged_store",
     "open_store",
     "register_payload",
     "schema_fingerprint",

@@ -376,11 +376,6 @@ class RunStore:
         self._ensure_index()
         return len(self._index)
 
-    def keys(self) -> List[str]:
-        """Every cached trial key (used by merged multi-store views)."""
-        self._ensure_index()
-        return list(self._index)
-
     # ------------------------------------------------------------------
     # run manifests
     # ------------------------------------------------------------------
@@ -599,8 +594,7 @@ def open_store(
     store: Union[None, str, pathlib.Path, RunStore], use_cache: bool = True
 ) -> Optional[RunStore]:
     """Normalise a ``store=`` argument: path-like values open a
-    :class:`RunStore`; ``None`` and existing store objects (including
-    :class:`~repro.store.merged.MergedStore`) pass through."""
+    :class:`RunStore`; ``None`` and existing store objects pass through."""
     if store is None or not isinstance(store, (str, pathlib.Path)):
         return store
     return RunStore(store, use_cache=use_cache)

@@ -123,8 +123,25 @@ class TestRuns:
         assert "1 run(s), 2 journaled trial(s)" in out
 
     def test_list_empty_store(self, tmp_path, capsys):
+        from repro.store import RunStore
+
+        RunStore(tmp_path / "empty")
         assert main(["runs", "list", "--store", str(tmp_path / "empty")]) == 0
         assert "no runs recorded" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["runs", "list"], ["runs", "show", "x"], ["runs", "gc"],
+         ["serve", "query"], ["serve", "regress"], ["serve", "report"]],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_missing_store_exits_2_and_creates_nothing(
+        self, tmp_path, capsys, argv
+    ):
+        missing = tmp_path / "typo"
+        assert main(argv + ["--store", str(missing)]) == 2
+        assert f"no store at {missing}" in capsys.readouterr().err
+        assert not missing.exists()
 
     def test_show_dumps_manifest(self, tmp_path, capsys):
         import json
@@ -208,6 +225,23 @@ class TestServe:
             "serve", "query", "--store", store, "--param", "alpha",
         ]) == 2
         assert "NAME=FRACTION" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runs", [1, 0], ids=["one-run", "empty"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--alpha", "notafraction"], ["--param", "bs_exponent=xyz"]],
+        ids=["alpha", "param"],
+    )
+    def test_malformed_fraction_filter_exits_2(
+        self, tmp_path, capsys, runs, flags
+    ):
+        from repro.store import RunStore
+
+        store = str(tmp_path / "results")
+        RunStore(store)
+        self.seed_store(tmp_path, capsys, runs=runs)
+        assert main(["serve", "query", "--store", store] + flags) == 2
+        assert "not a fraction" in capsys.readouterr().err
 
     def test_regress_clean_pair_exits_0(self, tmp_path, capsys):
         store = self.seed_store(tmp_path, capsys)
@@ -349,39 +383,3 @@ class TestObservability:
     def test_unknown_log_level_exits_2(self, capsys):
         assert main(["--log-level", "LOUD", "table1"]) == 2
         assert "unknown log level" in capsys.readouterr().err
-
-
-class TestMultiStore:
-    def test_sweep_reads_replica_and_writes_primary(self, tmp_path, capsys):
-        replica = str(tmp_path / "agent")
-        primary = str(tmp_path / "coord")
-        seeded = sweep_output(capsys, ["--store", replica])
-        merged = sweep_output(
-            capsys, ["--store", primary, "--store", replica]
-        )
-        assert "cache: 2 hit(s), 0 miss(es)" in merged
-        assert digest_line(merged) == digest_line(seeded)
-        from repro.store import RunStore
-
-        assert RunStore(primary).keys() == []  # replica served every hit
-        assert len(RunStore(primary).list_runs()) == 1  # manifest is primary's
-
-    def test_runs_list_merges_stores(self, tmp_path, capsys):
-        first = str(tmp_path / "a")
-        second = str(tmp_path / "b")
-        sweep_output(capsys, ["--store", first])
-        sweep_output(capsys, ["--store", second])
-        assert main(["runs", "list", "--store", first, "--store", second]) == 0
-        out = capsys.readouterr().out
-        assert "2 run(s)" in out
-
-    def test_serve_query_merges_stores(self, tmp_path, capsys):
-        first = str(tmp_path / "a")
-        second = str(tmp_path / "b")
-        sweep_output(capsys, ["--store", first])
-        sweep_output(capsys, ["--store", second])
-        assert main(
-            ["serve", "query", "--store", first, "--store", second]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "2 match(es)" in out or "2 run(s)" in out

@@ -8,8 +8,11 @@ The six Monte-Carlo drivers share the store/resilience/manifest sequence of
   has always had, so stored runs keep their cache hits and families;
 - **drain** -- a ``KeyboardInterrupt`` mid-run leaves exactly one
   ``status="interrupted"`` manifest carrying the full trial keys, and
-  re-running on the same store resumes from the journal to the values of
-  an uninterrupted run.
+  re-running on the same store resumes from the journal to the values
+  and manifest digest of an uninterrupted run.
+
+Every completed manifest carries a result digest, so ``serve regress``
+can flag drift in any driver's results.
 """
 
 import pytest
@@ -169,6 +172,7 @@ def test_manifest_identity_is_pinned(tmp_path, command):
     assert manifest["trial_keys"] == pinned["trial_keys"]
     assert manifest["cached"] == [False] * len(pinned["trial_keys"])
     assert family_key(manifest) == pinned["family"]
+    assert isinstance(manifest["digest"], str) and len(manifest["digest"]) == 64
 
 
 @pytest.mark.parametrize("command", list(DRIVERS))
@@ -189,3 +193,8 @@ def test_interrupt_records_manifest_and_resumes(tmp_path, command):
     resumed = next(run for run in store.list_runs() if run["status"] == "completed")
     assert resumed["stats"]["cache_hits"] >= 1
     assert any(resumed["cached"])
+
+    cold_store = RunStore(tmp_path / "cold")
+    driver(cold_store)
+    (cold,) = cold_store.list_runs()
+    assert resumed["digest"] == cold["digest"] is not None

@@ -12,6 +12,10 @@ The experiment drivers share one recorded-run path, so
 ``repro.resilience.successful_values`` has no caller left and is gone; and
 ``runs gc`` always compacts the journal, so its no-op ``--compact`` flag is
 gone too.
+
+Every command opens at most one store: the multi-store merge
+(``repro.store.merged``, ``MergedRunIndex``, ``RunStore.keys``) is gone,
+and a repeated ``--store`` exits 2 instead of letting the last value win.
 """
 
 import importlib
@@ -25,6 +29,8 @@ import pytest
 
 import repro.parallel
 import repro.resilience
+import repro.serve
+import repro.store
 from repro.__main__ import main
 from repro.experiments.delay import compare_delays
 from repro.geometry.neighbors import IncrementalCellGridIndex
@@ -188,3 +194,40 @@ class TestRemovedGcCompact:
             assert "garbag" not in handle.read()
         with open(store.corrupt_path, "r", encoding="utf-8") as handle:
             assert handle.read().strip() == "{truncated garbag"
+
+
+class TestRemovedMergedStore:
+    def test_merged_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.store.merged")
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            (repro.store, "MergedStore"),
+            (repro.store, "open_merged_store"),
+            (repro.serve, "MergedRunIndex"),
+            (importlib.import_module("repro.serve.index"), "MergedRunIndex"),
+            (RunStore, "keys"),
+        ],
+    )
+    def test_no_merge_surface(self, module, name):
+        assert not hasattr(module, name)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--grid", "100", "--trials", "1"],
+            ["reproduce", "--grid", "100"],
+            ["runs", "list"],
+            ["serve", "query"],
+        ],
+        ids=["sweep", "reproduce", "runs-list", "serve-query"],
+    )
+    def test_repeated_store_exits_2(self, tmp_path, capsys, argv):
+        first, second = tmp_path / "a", tmp_path / "b"
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--store", str(first), "--store", str(second)])
+        assert exit_info.value.code == 2
+        assert "--store" in capsys.readouterr().err
+        assert not first.exists() and not second.exists()

@@ -375,10 +375,16 @@ class TestQuery:
         index = self.populate(tmp_path)
         assert self.ids(index, QuerySpec(limit=2)) == ["run-c", "run-b"]
 
-    def test_malformed_fraction_raises(self, tmp_path):
-        index = self.populate(tmp_path)
+    @pytest.mark.parametrize("populated", [True, False], ids=["runs", "empty"])
+    @pytest.mark.parametrize(
+        "spec",
+        [{"alpha": "not-a-number"}, {"parameters": {"bs_exponent": "xyz"}}],
+        ids=["alpha", "param"],
+    )
+    def test_malformed_fraction_raises(self, tmp_path, populated, spec):
+        index = self.populate(tmp_path) if populated else RunIndex(tmp_path)
         with pytest.raises(ValueError, match="not a fraction"):
-            run_query(index, QuerySpec(alpha="not-a-number"))
+            run_query(index, QuerySpec(**spec))
 
     def test_query_sees_runs_recorded_after_indexing(self, tmp_path):
         index = self.populate(tmp_path)
