@@ -43,12 +43,13 @@ diagnostics go through the logger.
 
 Resilience (see ``repro.resilience``): ``sweep`` and ``reproduce`` accept
 ``--retries N`` (extra attempts per failing trial), ``--backoff SECONDS``
-(exponential backoff base between attempts, deterministic per trial),
-``--min-success FRACTION`` (tolerate failed trials down to this success
-fraction instead of aborting; the manifest records ``status="partial"``)
-and ``--inject-faults SPEC`` (deterministic chaos testing -- e.g.
-``kill@0,raise@2-5,nan@7``; see ``repro.resilience.faults`` for the
-grammar).  SIGINT/SIGTERM drain gracefully wherever trials run -- the
+(exponential backoff base between attempts, doubling per attempt up to
+30 s), ``--min-success FRACTION`` (tolerate failed trials down to this
+success fraction instead of aborting; the manifest records
+``status="partial"``) and ``--inject-faults SPEC`` (deterministic chaos
+testing -- e.g. ``kill@0,raise@2-5,nan@7``; see ``repro.resilience.faults``
+for the grammar).  A bad resilience flag exits 2 before any store exists.
+SIGINT/SIGTERM drain gracefully wherever trials run -- the
 ``sweep``, and each Table I row, Figure 1 panel set and Figure 2 trace of
 ``reproduce`` -- because every experiment driver (also the library's
 convergence, Figure 3 spot-check and delay drivers) shares one
@@ -218,7 +219,7 @@ def _run_options() -> argparse.ArgumentParser:
     parent.add_argument(
         "--backoff", type=float, default=0.0, metavar="SECONDS",
         help="exponential backoff base between attempts (default 0: retry "
-        "immediately); the schedule is deterministic per trial",
+        "immediately); the delay doubles per attempt, capped at 30 s",
     )
     parent.add_argument(
         "--min-success", type=float, default=1.0, metavar="FRACTION",
@@ -229,8 +230,8 @@ def _run_options() -> argparse.ArgumentParser:
     parent.add_argument(
         "--inject-faults", default=None, metavar="SPEC",
         help="deterministic fault injection for chaos testing, e.g. "
-        "'kill@0,raise@2-5,nan@7' (KIND@SELECT[xN]; kinds: raise, hang, "
-        "kill, nan, io)",
+        "'kill@0,raise@2-5,nan@7' (KIND@SELECT[xN]; kinds: raise, kill, "
+        "nan, io)",
     )
     return parent
 
@@ -310,6 +311,8 @@ def _cmd_sweep(args) -> int:
 
     params = _family(args)
     grid = [int(v) for v in args.grid.split(",")]
+    # flags are validated before the store directory is created
+    resilience = _resilience(args)
     result = sweep_capacity(
         params,
         grid,
@@ -318,7 +321,7 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         workers=_workers(args),
         store=_store(args),
-        resilience=_resilience(args),
+        resilience=resilience,
         batch_trials=args.batch_trials,
     )
     print(params.describe())
@@ -508,8 +511,8 @@ def _cmd_reproduce(args) -> int:
     from .utils.tables import render_table
 
     workers = _workers(args)
-    store = _store(args)
     resilience = _resilience(args)
+    store = _store(args)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.grid:

@@ -115,8 +115,6 @@ def _delay_trial(rng: np.random.Generator, payload: tuple) -> dict:
         "mean_delay": metrics.mean_delay,
         "mean_hops": metrics.mean_hops,
         "delivered": metrics.delivered,
-        # per-trial timing carried into the run manifest
-        "elapsed_seconds": metrics.elapsed_seconds,
     }
 
 
@@ -187,7 +185,7 @@ def compare_delays(
     mean_delay = {outcome["label"]: outcome["mean_delay"] for outcome in outcomes}
     mean_hops = {outcome["label"]: outcome["mean_hops"] for outcome in outcomes}
     delivered = {outcome["label"]: outcome["delivered"] for outcome in outcomes}
-    # the trial values also carry wall-clock seconds, which must not enter
-    # the result digest
+    # digest the statistics, not the raw values: values journaled by older
+    # runs also carry a wall-clock ``elapsed_seconds`` key
     run.record(digest=content_digest([mean_delay, mean_hops, delivered]))
     return DelayComparison(mean_delay, mean_hops, delivered)

@@ -100,7 +100,7 @@ class TrialFailedEvent(TelemetryEvent):
 
     ``elapsed_seconds`` is the wall-clock time at the point of failure
     (the last attempt's runtime), so an interrupted sweep's trace shows
-    whether a trial died instantly or after burning its timeout.
+    whether a trial died instantly or after a long run.
     """
 
     EVENT: ClassVar[str] = "trial_failed"

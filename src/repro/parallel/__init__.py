@@ -7,7 +7,6 @@ from .runner import (
     TrialResult,
     TrialRunner,
     TrialStats,
-    run_trials,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "TrialResult",
     "TrialRunner",
     "TrialStats",
-    "run_trials",
 ]

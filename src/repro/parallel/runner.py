@@ -14,8 +14,8 @@ panels, the convergence studies) is an average over independent trials.  The
   serial sweep exactly.
 - Results are returned ordered by trial index, not completion order.
 
-**The batch is the only unit of execution, retry, timeout, fault injection
-and crash accounting.**  :meth:`TrialRunner.run_batched` groups trials into
+**The batch is the only unit of execution, retry, fault injection and
+crash accounting.**  :meth:`TrialRunner.run_batched` groups trials into
 same-shape batches that one call executes together;
 :meth:`TrialRunner.run` is the same machinery over batches of one member,
 each calling ``trial_fn`` once.  A width-1 batch reports exactly what a
@@ -25,28 +25,21 @@ Fault handling (each mechanism is exercised by
 ``tests/test_trial_runner_faults.py``, ``tests/test_resilience_faults.py``
 and ``tests/test_batched_faults.py``):
 
-- A failing batch is retried under a configurable
-  :class:`~repro.resilience.RetryPolicy` (max attempts, exponential backoff
-  with deterministic per-trial jitter, retry-on predicates per error kind):
-  the retry re-submits the batch's still-unfinished members, each with its
-  own seed.  A member that fails for good surfaces as a structured
-  :class:`TrialError`.
-- A per-batch ``timeout`` is enforced *inside* the worker with ``SIGALRM``
-  (POSIX), so a stuck batch is interrupted without poisoning the pool;
-  a second, harder deadline in the parent terminates the worker processes
-  if the alarm itself is ignored.  Either way the batch is retried per the
-  policy and then reported with ``kind="timeout"``.
+- A failing batch is retried under a :class:`~repro.resilience.RetryPolicy`
+  (max attempts, capped exponential backoff): the retry re-submits the
+  batch's still-unfinished members, each with its own seed.  A member that
+  fails for good surfaces as a structured :class:`TrialError`.
 - A worker killed mid-batch breaks the pool
   (:class:`~concurrent.futures.process.BrokenProcessPool`); the runner
   rebuilds the pool, re-queues every in-flight batch and reports
   unrecoverable members with ``kind="worker-crash"`` instead of hanging.
   A :class:`~repro.resilience.PoolSupervisor` watches the rebuild rate:
-  once a **crash storm** is detected (``max_rebuilds`` rebuilds inside
-  ``rebuild_window_seconds``), trials implicated in repeated crashes are
-  quarantined (``kind="quarantined"``) and the remaining trials degrade
-  gracefully to inline serial execution instead of livelocking on
-  rebuilds -- emitting ``pool_rebuilt`` and ``degraded_to_serial``
-  telemetry along the way.
+  once a **crash storm** is detected (:attr:`TrialRunner.MAX_REBUILDS`
+  rebuilds inside :attr:`TrialRunner.REBUILD_WINDOW_SECONDS`), trials
+  implicated in repeated crashes are quarantined (``kind="quarantined"``)
+  and the remaining trials degrade gracefully to inline serial execution
+  instead of livelocking on rebuilds -- emitting ``pool_rebuilt`` and
+  ``degraded_to_serial`` telemetry along the way.
 - A ``validator`` runs in the parent on every fresh member value:
   NaN/inf/negative throughput becomes ``kind="invalid_result"`` (retried
   per the policy, that member alone) instead of polluting sweep
@@ -56,9 +49,14 @@ and ``tests/test_batched_faults.py``):
 - A :class:`~repro.resilience.FaultPlan` injects deterministic faults
   keyed by ``(trial index, attempt)`` for bit-reproducible chaos testing;
   a fault fires on the batch attempt that holds its trial.  ``raise`` /
-  ``hang`` / ``kill`` fail the whole batch, ``nan`` replaces that
-  member's value and ``io`` fails its journal append.  Each armed fault
-  is announced with a ``fault_injected`` event from the parent.
+  ``kill`` fail the whole batch, ``nan`` replaces that member's value and
+  ``io`` fails its journal append.  Each armed fault is announced with a
+  ``fault_injected`` event from the parent.
+
+Trials run without a deadline: their costs span milliseconds to minutes,
+and a signal cannot interrupt a numpy kernel mid-call.  A stuck sweep is
+stopped with SIGINT/SIGTERM, which drains it (see
+:mod:`repro.resilience.drain`).
 
 The trial callable must be picklable (a module-level function) with
 signature ``trial_fn(rng, payload) -> value`` and the value must be
@@ -104,7 +102,6 @@ __all__ = [
     "TrialResult",
     "TrialStats",
     "TrialRunner",
-    "run_trials",
 ]
 
 _log = get_logger(__name__)
@@ -115,18 +112,18 @@ class TrialError:
     """Structured description of one trial's unrecoverable failure."""
 
     trial_index: int
-    #: ``"exception"`` (trial raised), ``"timeout"`` (per-trial deadline
-    #: exceeded), ``"worker-crash"`` (the worker process died),
-    #: ``"invalid_result"`` (the value failed validation or could not be
-    #: journaled) or ``"quarantined"`` (payload pulled after a crash storm).
+    #: ``"exception"`` (trial raised), ``"worker-crash"`` (the worker
+    #: process died), ``"invalid_result"`` (the value failed validation or
+    #: could not be journaled) or ``"quarantined"`` (payload pulled after a
+    #: crash storm).
     kind: str
     message: str
     #: Total attempts made (first run + retries).
     attempts: int
     traceback: str = ""
     #: Wall-clock seconds of the final attempt at the point of failure
-    #: (how long a timeout burned, how far an exception got; 0.0 when the
-    #: worker died before reporting).
+    #: (how far an exception got; 0.0 when the worker died before
+    #: reporting).
     elapsed_seconds: float = 0.0
 
     def __str__(self) -> str:
@@ -175,7 +172,7 @@ class TrialStats:
     workers: Optional[int]
     #: Trials served from the cache instead of executed.
     cache_hits: int = 0
-    #: Worker-pool rebuilds forced by crashed workers or hard timeouts.
+    #: Worker-pool rebuilds forced by crashed workers.
     pool_rebuilds: int = 0
     #: Whether a crash storm forced degradation to inline execution.
     degraded: bool = False
@@ -213,14 +210,6 @@ class TrialStats:
         )
 
 
-class _TrialTimeout(Exception):
-    """Internal: raised in the worker when the SIGALRM deadline fires."""
-
-
-def _raise_trial_timeout(signum, frame):
-    raise _TrialTimeout()
-
-
 def _each_member(trial_fn, seed_seqs, payloads) -> list:
     """The batch function of :meth:`TrialRunner.run`: ``trial_fn`` once per
     member, on the generator of that member's own seed."""
@@ -230,32 +219,25 @@ def _each_member(trial_fn, seed_seqs, payloads) -> list:
     ]
 
 
-def _execute(batch_fn, seed_seqs, payloads, timeout, inject=None, nan=()):
+def _execute(batch_fn, seed_seqs, payloads, inject=None, nan=()):
     """Run one batch attempt (worker side); returns a structured outcome.
 
     ``("ok", values, seconds)`` on success, else ``(kind, message,
-    traceback, seconds)`` with kind ``"exception"``, ``"timeout"`` or
-    ``"invalid_result"`` (the batch returned the wrong number of values).
-    Exceptions are converted to tuples rather than raised so arbitrary
-    (possibly unpicklable) exception types never cross the process boundary.
+    traceback, seconds)`` with kind ``"exception"`` or ``"invalid_result"``
+    (the batch returned the wrong number of values).  Exceptions are
+    converted to tuples rather than raised so arbitrary (possibly
+    unpicklable) exception types never cross the process boundary.
 
     ``inject`` is ``(kind, trial index)`` of one deterministic fault (see
-    :class:`repro.resilience.FaultPlan`): ``raise`` / ``hang`` / ``kill``
-    replace the batch body.  ``nan`` lists member positions whose value is
-    replaced by NaN, which the parent-side validation boundary rejects.
+    :class:`repro.resilience.FaultPlan`): ``raise`` / ``kill`` replace the
+    batch body.  ``nan`` lists member positions whose value is replaced by
+    NaN, which the parent-side validation boundary rejects.
     """
     start = time.perf_counter()
-    previous_handler = None
-    if timeout is not None:
-        previous_handler = signal.signal(signal.SIGALRM, _raise_trial_timeout)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
         fault, index = inject if inject is not None else (None, None)
         if fault == "raise":
             raise RuntimeError(f"injected fault: trial {index} raises")
-        if fault == "hang":
-            # sleep far past the deadline; the in-worker alarm interrupts it
-            time.sleep((timeout or 0.0) + 3600.0)
         if fault == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
         values = batch_fn(seed_seqs, payloads)
@@ -269,13 +251,6 @@ def _execute(batch_fn, seed_seqs, payloads, timeout, inject=None, nan=()):
             )
         values = [float("nan") if p in nan else v for p, v in enumerate(values)]
         return ("ok", values, time.perf_counter() - start)
-    except _TrialTimeout:
-        return (
-            "timeout",
-            f"trial exceeded {timeout} s",
-            "",
-            time.perf_counter() - start,
-        )
     except Exception as exc:  # noqa: BLE001 - converted to structured error
         return (
             "exception",
@@ -283,10 +258,6 @@ def _execute(batch_fn, seed_seqs, payloads, timeout, inject=None, nan=()):
             traceback_module.format_exc(),
             time.perf_counter() - start,
         )
-    finally:
-        if timeout is not None:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous_handler)
 
 
 def _failed(error: "TrialError") -> "TrialResult":
@@ -537,7 +508,7 @@ class _Job:
         policy = self.runner._policy
         first = errors[0]
         if policy.should_retry(first.kind, first.attempts):
-            delay = policy.delay(first.attempts, self.seeds[first.trial_index])
+            delay = policy.delay(first.attempts)
             for error in errors:
                 self.emitter.retried(
                     error.trial_index, error.attempts, error.kind, delay
@@ -584,7 +555,6 @@ class _Job:
             self.batch_fn,
             [self.seeds[index] for index in members],
             [self.payloads[index] for index in members],
-            self.runner._timeout,
             inject,
             tuple(nan),
         )
@@ -614,31 +584,18 @@ class _Job:
         runner = self.runner
         pending: deque = deque((members, 0.0) for members in items)
         crash_counts: Dict[int, int] = {}
-        supervisor = PoolSupervisor(runner._max_rebuilds, runner._rebuild_window)
+        supervisor = PoolSupervisor(
+            runner.MAX_REBUILDS, runner.REBUILD_WINDOW_SECONDS
+        )
         window = runner.workers * runner.CHUNK_SIZE
         executor = ProcessPoolExecutor(max_workers=runner.workers)
-        # batches force-killed by the parent-side hard deadline: their pool
-        # breakage should be reported as a timeout, not a crash.
-        hard_timed_out: set = set()
 
         def crashed(members):
             for index in members:
                 crash_counts[index] = crash_counts.get(index, 0) + 1
-            if members in hard_timed_out:
-                hard_timed_out.discard(members)  # one crash consumes one flag
-                errors = self._fail(
-                    members,
-                    "timeout",
-                    f"trial ignored its {runner._timeout} s alarm and was "
-                    "terminated",
-                    # the worker burned the full deadline before the parent
-                    # shot it
-                    elapsed=float(runner._timeout) + runner.HARD_TIMEOUT_GRACE,
-                )
-            else:
-                errors = self._fail(
-                    members, "worker-crash", "worker process died mid-trial"
-                )
+            errors = self._fail(
+                members, "worker-crash", "worker process died mid-trial"
+            )
             requeue(self._retry_or_fail(errors))
 
         def requeue(retry):
@@ -647,7 +604,7 @@ class _Job:
                 pending.append((members, time.monotonic() + delay))
 
         try:
-            inflight = {}  # future -> (members, deadline or None)
+            inflight = {}  # future -> members
             while pending or inflight:
                 deferred = []
                 now = time.monotonic()
@@ -659,12 +616,7 @@ class _Job:
                     future = executor.submit(
                         _execute, *self._arm(members, inline=False)
                     )
-                    deadline = (
-                        now + runner._timeout + runner.HARD_TIMEOUT_GRACE
-                        if runner._timeout is not None
-                        else None
-                    )
-                    inflight[future] = (members, deadline)
+                    inflight[future] = members
                 pending.extend(deferred)
                 if not inflight:
                     # everything pending is backing off; nap until the
@@ -672,12 +624,11 @@ class _Job:
                     wake = min(ready for _members, ready in pending)
                     time.sleep(max(wake - time.monotonic(), 0.0))
                     continue
-                done, _ = wait(
-                    list(inflight), timeout=0.05, return_when=FIRST_COMPLETED
-                )
+                # poll every 50 ms so backed-off retries are resubmitted
+                done, _ = wait(list(inflight), 0.05, FIRST_COMPLETED)
                 broken = False
                 for future in done:
-                    members, _deadline = inflight.pop(future)
+                    members = inflight.pop(future)
                     try:
                         outcome = future.result()
                     except BrokenProcessPool:
@@ -685,14 +636,6 @@ class _Job:
                         crashed(members)
                         continue
                     requeue(self._settle(members, outcome))
-                if not done and _deadline_exceeded(inflight):
-                    # A worker ignored its in-worker alarm; terminate the
-                    # pool's processes so the broken-pool path recycles it.
-                    for members, deadline in inflight.values():
-                        if deadline is not None and time.monotonic() > deadline:
-                            hard_timed_out.add(members)
-                    runner._terminate_workers(executor)
-                    broken = True
                 if broken:
                     # The pool is unusable: every remaining in-flight batch
                     # died with it.  Re-queue or fail each, then rebuild.
@@ -702,7 +645,7 @@ class _Job:
                         len(inflight),
                     )
                     died = len(inflight)
-                    for members, _deadline in inflight.values():
+                    for members in inflight.values():
                         crashed(members)
                     inflight.clear()
                     executor.shutdown(wait=False, cancel_futures=True)
@@ -766,14 +709,6 @@ class _Job:
         self._run_inline(survivors)
 
 
-def _deadline_exceeded(inflight) -> bool:
-    now = time.monotonic()
-    return any(
-        deadline is not None and now > deadline
-        for _members, deadline in inflight.values()
-    )
-
-
 class TrialRunner:
     """Deterministic fan-out of independent trials over a process pool.
 
@@ -786,9 +721,6 @@ class TrialRunner:
         ``None`` runs trials inline (no subprocesses); an integer ``>= 1``
         uses a :class:`ProcessPoolExecutor` with that many workers.  The
         results are bit-identical either way.
-    timeout:
-        Optional per-batch wall-clock deadline in seconds (per trial for
-        :meth:`run`).
     telemetry:
         Optional :class:`~repro.observability.events.Telemetry` sink for
         the trial lifecycle events (``trial_started`` / ``trial_finished``
@@ -799,26 +731,16 @@ class TrialRunner:
         no-op unless the CLI (or a test) installed one.  Events are
         emitted from the parent process only.
     retry_policy:
-        A :class:`~repro.resilience.RetryPolicy` governing attempts,
-        backoff and per-kind retry predicates (default: two attempts, no
-        backoff).
+        A :class:`~repro.resilience.RetryPolicy` governing attempts and
+        backoff (default: two attempts, no backoff).
     fault_plan:
         A :class:`~repro.resilience.FaultPlan` of deterministic faults
-        keyed by ``(trial index, attempt)``.  ``hang`` faults require a
-        ``timeout``.
+        keyed by ``(trial index, attempt)``.
     validator:
         Optional parent-side ``validator(value) -> Optional[str]`` applied
         to every fresh trial value; a non-``None`` message fails the
         attempt with ``kind="invalid_result"`` (retryable per the policy).
-    max_rebuilds / rebuild_window_seconds:
-        Crash-storm threshold: after ``max_rebuilds`` pool rebuilds within
-        the window, crash-implicated payloads are quarantined and the run
-        degrades to inline serial execution.
     """
-
-    #: Extra parent-side slack (seconds) on top of ``timeout`` before the
-    #: pool is forcibly recycled because a worker ignored its alarm.
-    HARD_TIMEOUT_GRACE = 5.0
 
     #: In pool mode at most ``workers * CHUNK_SIZE`` batches are in flight
     #: at once, bounding memory for very long sweeps.
@@ -830,36 +752,29 @@ class TrialRunner:
     #: merely in flight when someone else's worker died.
     QUARANTINE_CRASHES = 2
 
+    #: Crash-storm threshold: after ``MAX_REBUILDS`` pool rebuilds within
+    #: ``REBUILD_WINDOW_SECONDS``, crash-implicated payloads are quarantined
+    #: and the run degrades to inline serial execution.
+    MAX_REBUILDS = 3
+    REBUILD_WINDOW_SECONDS = 60.0
+
     def __init__(
         self,
         trial_fn: Callable[[np.random.Generator, Any], Any],
         workers: Optional[int] = None,
-        timeout: Optional[float] = None,
         telemetry: Optional[_events.Telemetry] = None,
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         validator: Optional[Callable[[Any], Optional[str]]] = None,
-        max_rebuilds: int = 3,
-        rebuild_window_seconds: float = 60.0,
     ):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1 or None, got {workers}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        if fault_plan is not None and fault_plan.has_hang and timeout is None:
-            raise ValueError(
-                "hang faults require a timeout (they sleep past the deadline; "
-                "without one the sweep would genuinely hang)"
-            )
         self._trial_fn = trial_fn
         self._workers = workers
-        self._timeout = timeout
         self._policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._telemetry = telemetry
         self._fault_plan = fault_plan
         self._validator = validator
-        self._max_rebuilds = max_rebuilds
-        self._rebuild_window = rebuild_window_seconds
         self._last_stats: Optional[TrialStats] = None
 
     @property
@@ -1065,38 +980,3 @@ class TrialRunner:
             )
             return "raise"
         return fault
-
-    @staticmethod
-    def _terminate_workers(executor) -> None:
-        """Forcibly kill the pool's worker processes (hard-timeout path).
-
-        Best effort: a worker that cannot be terminated (already reaped,
-        permission lost) is logged and skipped so the remaining workers
-        still get killed -- but never silently, so a stuck shutdown is
-        diagnosable from the log.
-        """
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception as exc:  # best effort: keep killing the rest
-                _log.warning(
-                    "failed to terminate worker %s during pool shutdown: "
-                    "%s: %s",
-                    getattr(process, "pid", "?"),
-                    type(exc).__name__,
-                    exc,
-                    exc_info=True,
-                )
-
-
-def run_trials(
-    trial_fn: Callable[[np.random.Generator, Any], Any],
-    payloads: Sequence[Any],
-    seed: int = 0,
-    workers: Optional[int] = None,
-    timeout: Optional[float] = None,
-) -> List[Any]:
-    """One-shot convenience wrapper: run and unwrap, raising on failure."""
-    runner = TrialRunner(trial_fn, workers=workers, timeout=timeout)
-    return runner.run_values(payloads, seed=seed)

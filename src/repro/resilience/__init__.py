@@ -1,17 +1,16 @@
 """Resilience layer: retry policies, fault injection, graceful degradation.
 
 Large Monte-Carlo campaigns (the Table-I grids, the Figure-3 phase
-diagrams) are exactly the workloads where a single crashed worker, a hung
-trial or one NaN sample used to kill -- or silently poison -- an hours-long
-run.  This package makes those sweeps survive partial failure, and makes
-the surviving *provable* via deterministic chaos testing:
+diagrams) are exactly the workloads where a single crashed worker, a
+raising trial or one NaN sample used to kill -- or silently poison -- an
+hours-long run.  This package makes those sweeps survive partial failure,
+and makes the surviving *provable* via deterministic chaos testing:
 
-- :mod:`repro.resilience.retry` -- :class:`RetryPolicy`: max attempts,
-  exponential backoff with **deterministic jitter** derived from the
-  trial's seed, retry-on predicates per ``TrialError.kind``;
-- :mod:`repro.resilience.faults` -- :class:`FaultPlan`: raise / hang /
-  kill / NaN / journal-IO faults keyed by ``(trial index, attempt)`` so
-  chaos runs are bit-reproducible (CLI: ``--inject-faults SPEC``);
+- :mod:`repro.resilience.retry` -- :class:`RetryPolicy`: max attempts
+  and a deterministic, capped exponential backoff;
+- :mod:`repro.resilience.faults` -- :class:`FaultPlan`: raise / kill /
+  NaN / journal-IO faults keyed by ``(trial index, attempt)`` so chaos
+  runs are bit-reproducible (CLI: ``--inject-faults SPEC``);
 - :mod:`repro.resilience.supervisor` -- :class:`PoolSupervisor`:
   crash-storm detection over pool rebuilds, driving payload quarantine and
   graceful degradation to inline serial execution;
@@ -65,9 +64,6 @@ class ResilienceConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     fault_plan: Optional[FaultPlan] = None
     min_success_fraction: float = 1.0
-    #: Pool rebuilds within the window that trigger degradation to serial.
-    max_rebuilds: int = 3
-    rebuild_window_seconds: float = 60.0
 
     def __post_init__(self):
         if not 0 < self.min_success_fraction <= 1:
@@ -78,9 +74,4 @@ class ResilienceConfig:
 
     def runner_kwargs(self) -> dict:
         """Keyword arguments for :class:`repro.parallel.TrialRunner`."""
-        return {
-            "retry_policy": self.retry,
-            "fault_plan": self.fault_plan,
-            "max_rebuilds": self.max_rebuilds,
-            "rebuild_window_seconds": self.rebuild_window_seconds,
-        }
+        return {"retry_policy": self.retry, "fault_plan": self.fault_plan}

@@ -11,7 +11,7 @@ Spec grammar (the CLI ``--inject-faults`` argument)::
 
     SPEC    := CLAUSE ("," CLAUSE)*
     CLAUSE  := KIND "@" SELECT ["x" COUNT]
-    KIND    := "raise" | "hang" | "kill" | "nan" | "io"
+    KIND    := "raise" | "kill" | "nan" | "io"
     SELECT  := "*" | INDEX | START "-" STOP [":" STEP]    (STOP inclusive)
     COUNT   := positive int -- the fault fires on attempts 1..COUNT
                (default 1, so a single retry heals it)
@@ -28,8 +28,6 @@ Examples::
 Fault kinds:
 
 - ``raise``: the trial raises ``RuntimeError`` instead of running.
-- ``hang``: the trial sleeps past its deadline (requires a runner
-  ``timeout``; surfaced as ``kind="timeout"``).
 - ``kill``: the worker process SIGKILLs itself (``kind="worker-crash"``;
   downgraded to ``raise`` in inline mode, where there is no worker to kill).
 - ``nan``: the trial returns ``float("nan")`` without running, which the
@@ -54,7 +52,7 @@ __all__ = [
 ]
 
 #: Recognised fault kinds, in documentation order.
-FAULT_KINDS = ("raise", "hang", "kill", "nan", "io")
+FAULT_KINDS = ("raise", "kill", "nan", "io")
 
 
 class FaultSpecError(ValueError):
@@ -169,11 +167,6 @@ class FaultPlan:
             if clause.matches(index) and attempt <= clause.attempts:
                 return clause.kind
         return None
-
-    @property
-    def has_hang(self) -> bool:
-        """Whether any clause injects a hang (which needs a timeout)."""
-        return any(clause.kind == "hang" for clause in self.clauses)
 
     def describe(self) -> str:
         """The plan as spec text (parse/describe round-trips)."""

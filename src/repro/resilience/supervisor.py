@@ -4,7 +4,7 @@ The trial runner heals a broken process pool by rebuilding it -- correct for
 the occasional OOM-killed worker, but a *systematically* crashing payload
 (a native extension segfaulting on one input, a cgroup limit) turns that
 healing into a livelock: rebuild, resubmit, crash, rebuild, ...  The
-:class:`PoolSupervisor` watches the rebuild rate; once ``max_rebuilds``
+:class:`PoolSupervisor` watches the rebuild rate; once ``threshold``
 rebuilds land inside ``window_seconds`` it declares a **crash storm**, at
 which point the runner quarantines the payloads implicated in repeated
 crashes and degrades the rest of the sweep to inline serial execution.
@@ -24,7 +24,7 @@ class PoolSupervisor:
 
     Parameters
     ----------
-    max_rebuilds:
+    threshold:
         Rebuilds within the window that constitute a storm.
     window_seconds:
         Width of the sliding window.
@@ -34,17 +34,17 @@ class PoolSupervisor:
 
     def __init__(
         self,
-        max_rebuilds: int = 3,
-        window_seconds: float = 60.0,
+        threshold: int,
+        window_seconds: float,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if max_rebuilds < 1:
-            raise ValueError(f"max_rebuilds must be >= 1, got {max_rebuilds}")
+        if threshold < 1:
+            raise ValueError(f"threshold must be >= 1, got {threshold}")
         if window_seconds <= 0:
             raise ValueError(
                 f"window_seconds must be positive, got {window_seconds}"
             )
-        self.max_rebuilds = max_rebuilds
+        self.threshold = threshold
         self.window_seconds = window_seconds
         self._clock = clock
         self._recent: Deque[float] = deque()
@@ -63,9 +63,9 @@ class PoolSupervisor:
 
     def record_rebuild(self) -> bool:
         """Record one pool rebuild; ``True`` when the storm threshold is
-        reached (``max_rebuilds`` rebuilds inside the window)."""
+        reached (``threshold`` rebuilds inside the window)."""
         now = self._clock()
         self._recent.append(now)
         self.rebuilds += 1
         self._evict(now)
-        return len(self._recent) >= self.max_rebuilds
+        return len(self._recent) >= self.threshold

@@ -108,6 +108,27 @@ class TestSweepStore:
         refreshed = sweep_output(capsys, ["--store", store, "--no-cache"])
         assert "cache: 0 hit(s), 2 miss(es)" in refreshed
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--inject-faults", "bogus@0"], ["--min-success", "0"]],
+        ids=["inject-faults", "min-success"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--grid", "100", "--trials", "1"],
+            ["reproduce", "--grid", "100", "--out", "out"],
+        ],
+        ids=["sweep", "reproduce"],
+    )
+    def test_bad_resilience_flag_exits_2_before_any_store_exists(
+        self, tmp_path, monkeypatch, capsys, argv, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + flags + ["--store", "st"]) == 2
+        assert "invalid" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRuns:
     def seed_store(self, tmp_path, capsys):

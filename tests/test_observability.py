@@ -200,7 +200,7 @@ class TestProgressMath:
         renderer.emit(TrialFinished(index=0, attempts=1, duration=0.1))
         renderer.emit(TrialCached(index=1, duration=0.1))
         renderer.emit(
-            TrialFailedEvent(index=2, kind="timeout", message="m",
+            TrialFailedEvent(index=2, kind="exception", message="m",
                              attempts=2, elapsed_seconds=1.0)
         )
         assert (renderer.done, renderer.cached, renderer.failed) == (3, 1, 1)

@@ -11,7 +11,6 @@ scheduler.  These tests pin what that scheduler owes a sweep:
 - the pool keeps the only crash ledger: a trial is quarantined only after
   ``QUARANTINE_CRASHES`` crashes, a crash is charged to every member of the
   batch that was in flight, and a single crash is healed on a rebuilt pool;
-- a hung trial is interrupted by its deadline and healed by a retry;
 - a sweep that fails for good records a ``partial`` manifest whose missing
   trials a later run executes, and manifests group across worker counts;
 - the options of the removed second scheduler are gone from the API.
@@ -171,13 +170,16 @@ class TestCrashLedger:
         The crashed trial is quarantined only if one crash reaches the
         threshold; otherwise it runs inline with everything else."""
         sink = RecordingTelemetry()
-        runner = _runner_class(CHUNK_SIZE=1, QUARANTINE_CRASHES=threshold)(
+        runner = _runner_class(
+            CHUNK_SIZE=1,
+            QUARANTINE_CRASHES=threshold,
+            MAX_REBUILDS=1,
+            REBUILD_WINDOW_SECONDS=3600.0,
+        )(
             _trial,
             workers=1,
             telemetry=sink,
             fault_plan=FaultPlan.parse("kill@0"),
-            max_rebuilds=1,
-            rebuild_window_seconds=3600.0,
         )
         results = runner.run(PAYLOADS, seed=SEED)
         assert runner.last_stats.degraded
@@ -198,14 +200,14 @@ class TestCrashLedger:
         shares each crash and is quarantined with it, while the other
         batch completes on the pool."""
         sink = RecordingTelemetry()
-        runner = _runner_class(CHUNK_SIZE=1)(
+        runner = _runner_class(
+            CHUNK_SIZE=1, MAX_REBUILDS=2, REBUILD_WINDOW_SECONDS=3600.0
+        )(
             _trial,
             workers=1,
             telemetry=sink,
             fault_plan=FaultPlan.parse("kill@0x99"),
             retry_policy=RetryPolicy(max_attempts=10),
-            max_rebuilds=2,
-            rebuild_window_seconds=3600.0,
         )
         payloads = PAYLOADS[:4]
         plan = BatchedTrialPlan.group(payloads, lambda _p: "n", 2)
@@ -218,22 +220,6 @@ class TestCrashLedger:
         assert runner.last_stats.pool_rebuilds == 2
         (degraded,) = sink.of_type(DegradedToSerial)
         assert degraded.quarantined == (0, 1)
-
-
-class TestHangRecovery:
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_hung_trial_is_interrupted_and_healed_by_a_retry(self, workers):
-        runner = TrialRunner(
-            _value_trial,
-            workers=workers,
-            timeout=0.5,
-            fault_plan=FaultPlan.parse("hang@1"),
-        )
-        results = runner.run([10.0, 20.0, 30.0], seed=SEED)
-        assert [result.value for result in results] == [10.0, 20.0, 30.0]
-        assert [result.attempts for result in results] == [1, 2, 1]
-        assert runner.last_stats.retries == 1
-        assert runner.last_stats.failures == 0
 
 
 PARAMS = NetworkParameters(alpha="1/4", cluster_exponent=1)

@@ -16,6 +16,12 @@ gone too.
 Every command opens at most one store: the multi-store merge
 (``repro.store.merged``, ``MergedRunIndex``, ``RunStore.keys``) is gone,
 and a repeated ``--store`` exits 2 instead of letting the last value win.
+
+The runner keeps only the failure handling a sweep can reach: the
+per-trial timeout (and with it the ``hang`` fault kind) is gone, the
+backoff's growth factor and cap are constants, the crash-storm threshold
+is a pair of class constants, and the one-shot ``run_trials`` wrapper is
+gone.
 """
 
 import importlib
@@ -35,6 +41,7 @@ from repro.__main__ import main
 from repro.experiments.delay import compare_delays
 from repro.geometry.neighbors import IncrementalCellGridIndex
 from repro.parallel import BatchedTrialPlan, TrialRunner
+from repro.resilience import FaultPlan, FaultSpecError, ResilienceConfig, RetryPolicy
 from repro.store import RunStore
 from repro.simulation.engine import SlottedSimulator
 from repro.wireless.physical_model import GreedySINRScheduler
@@ -231,3 +238,74 @@ class TestRemovedMergedStore:
         assert exit_info.value.code == 2
         assert "--store" in capsys.readouterr().err
         assert not first.exists() and not second.exists()
+
+
+class TestRemovedTrialTimeout:
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"timeout": 1.0},
+            {"max_rebuilds": 3},
+            {"rebuild_window_seconds": 60.0},
+        ],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_trial_runner_takes_no_option(self, option):
+        with pytest.raises(TypeError):
+            TrialRunner(_trial, **option)
+
+    def test_storm_threshold_is_a_class_constant(self):
+        assert TrialRunner.MAX_REBUILDS == 3
+        assert TrialRunner.REBUILD_WINDOW_SECONDS == 60.0
+
+    @pytest.mark.parametrize(
+        "name", ["HARD_TIMEOUT_GRACE", "_terminate_workers"]
+    )
+    def test_no_hard_deadline(self, name):
+        assert not hasattr(TrialRunner, name)
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"jitter": 0.5},
+            {"retry_on": frozenset({"exception"})},
+            {"backoff_cap": 5.0},
+            {"backoff_multiplier": 3.0},
+        ],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_retry_policy_takes_no_option(self, option):
+        with pytest.raises(TypeError):
+            RetryPolicy(**option)
+
+    def test_delay_takes_no_seed_seq(self):
+        with pytest.raises(TypeError):
+            RetryPolicy(backoff_base=1.0).delay(1, np.random.SeedSequence(0))
+
+    @pytest.mark.parametrize(
+        "option",
+        [{"max_rebuilds": 3}, {"rebuild_window_seconds": 60.0}],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_resilience_config_takes_no_option(self, option):
+        with pytest.raises(TypeError):
+            ResilienceConfig(**option)
+
+    def test_hang_fault_is_gone(self):
+        with pytest.raises(FaultSpecError):
+            FaultPlan.parse("hang@0")
+        assert not hasattr(FaultPlan, "has_hang")
+
+    def test_sweep_rejects_hang_fault_and_creates_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--grid", "100", "--trials", "1", "--store", "st"]
+        assert main(argv + ["--inject-faults", "hang@0"]) == 2
+        assert "unknown fault kind 'hang'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_trials_is_gone(self):
+        runner = importlib.import_module("repro.parallel.runner")
+        assert not hasattr(repro.parallel, "run_trials")
+        assert not hasattr(runner, "run_trials")

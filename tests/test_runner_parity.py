@@ -12,7 +12,6 @@ only exist with a pool.  Inline, the same ``kill`` fault downgrades to a
 raise and surfaces as ``exception``.
 """
 
-import time
 from dataclasses import asdict
 
 import pytest
@@ -26,30 +25,21 @@ def _raise(rng, payload):
     raise ValueError("deliberate failure")
 
 
-def _sleep(rng, payload):
-    time.sleep(payload)
-    return payload
-
-
 def _value(rng, payload):
     return payload
 
 
-#: name -> (trial function, payload, runner keyword arguments)
+#: name -> (trial function, payload, runner keyword arguments, runner
+#: class attributes)
 CASES = {
-    "exception": (_raise, 0.0, {}),
-    "timeout": (_sleep, 5.0, {"timeout": 0.2}),
-    "invalid_result": (_value, -1.0, {"validator": validate_rate}),
-    "worker-crash": (_value, 1.0, {"fault_plan": "kill@0x9"}),
+    "exception": (_raise, 0.0, {}, {}),
+    "invalid_result": (_value, -1.0, {"validator": validate_rate}, {}),
+    "worker-crash": (_value, 1.0, {"fault_plan": "kill@0x9"}, {}),
     "quarantined": (
         _value,
         1.0,
-        {
-            "fault_plan": "kill@0x9",
-            "retry_policy": RetryPolicy(max_attempts=5),
-            "max_rebuilds": 2,
-            "rebuild_window_seconds": 3600.0,
-        },
+        {"fault_plan": "kill@0x9", "retry_policy": RetryPolicy(max_attempts=5)},
+        {"MAX_REBUILDS": 2, "REBUILD_WINDOW_SECONDS": 3600.0},
     ),
 }
 
@@ -60,13 +50,13 @@ _TIMING = ("elapsed_seconds", "duration")
 def observe(mode, name):
     """``(kind, message, attempts)`` of the failed trial and the event
     sequence, timing fields dropped."""
-    trial, payload, kwargs = CASES[name]
+    trial, payload, kwargs, attributes = CASES[name]
     kwargs = dict(kwargs)
     if "fault_plan" in kwargs:
         kwargs["fault_plan"] = FaultPlan.parse(kwargs["fault_plan"])
     kwargs.setdefault("retry_policy", RetryPolicy(max_attempts=2))
     sink = RecordingTelemetry()
-    runner = TrialRunner(
+    runner = type("ConfiguredRunner", (TrialRunner,), attributes)(
         trial,
         workers=None if mode == "inline" else 2,
         telemetry=sink,
@@ -94,7 +84,7 @@ _STORM = (
 
 
 def _retried_twice(kind, message):
-    """Two attempts, the first retried: the exception/timeout/invalid_result
+    """Two attempts, the first retried: the exception/invalid_result
     sequence, identical inline and on a pool."""
     return (
         (kind, message, 2),
@@ -112,7 +102,6 @@ def _retried_twice(kind, message):
 #: Recorded from the per-trial path before it became a width-1 batch.
 EXPECTED = {
     ("inline", "exception"): _retried_twice("exception", "ValueError: deliberate failure"),
-    ("inline", "timeout"): _retried_twice("timeout", "trial exceeded 0.2 s"),
     ("inline", "invalid_result"): _retried_twice("invalid_result", _NEGATIVE),
     ("inline", "worker-crash"): (
         ("exception", _RAISE, 2),
@@ -147,7 +136,6 @@ EXPECTED = {
         ],
     ),
     ("pool", "exception"): _retried_twice("exception", "ValueError: deliberate failure"),
-    ("pool", "timeout"): _retried_twice("timeout", "trial exceeded 0.2 s"),
     ("pool", "invalid_result"): _retried_twice("invalid_result", _NEGATIVE),
     ("pool", "worker-crash"): (
         ("worker-crash", "worker process died mid-trial", 2),

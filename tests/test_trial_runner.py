@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.regimes import NetworkParameters
 from repro.experiments.scaling import sweep_capacity
-from repro.parallel import TrialRunner, run_trials
+from repro.parallel import TrialRunner
 from repro.resilience import RetryPolicy
 
 
@@ -90,8 +90,9 @@ class TestSeedStability:
 
 class TestRunValuesAndStats:
     def test_run_values_unwraps_in_index_order(self):
-        values = run_trials(_sum_trial, [10.0, 20.0, 30.0], seed=5, workers=2)
-        inline = run_trials(_sum_trial, [10.0, 20.0, 30.0], seed=5)
+        payloads = [10.0, 20.0, 30.0]
+        values = TrialRunner(_sum_trial, workers=2).run_values(payloads, seed=5)
+        inline = TrialRunner(_sum_trial).run_values(payloads, seed=5)
         assert values == inline
         assert values[0] < values[1] < values[2]
 
@@ -114,8 +115,6 @@ class TestRunValuesAndStats:
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             TrialRunner(_sum_trial, workers=-1)
-        with pytest.raises(ValueError):
-            TrialRunner(_sum_trial, timeout=0)
         with pytest.raises(ValueError):
             TrialRunner(_sum_trial, retry_policy=RetryPolicy(max_attempts=0))
 

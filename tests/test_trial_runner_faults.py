@@ -1,9 +1,9 @@
 """Fault injection for :class:`repro.parallel.TrialRunner`.
 
 Each failure mode documented by the runner -- a trial that raises, a worker
-killed mid-trial, a per-trial timeout -- must produce the structured
-:class:`TrialError` (after exactly one retry) instead of hanging the pool,
-and a transient fault must be healed by the retry.
+killed mid-trial -- must produce the structured :class:`TrialError` (after
+exactly one retry) instead of hanging the pool, and a transient fault must
+be healed by the retry.
 """
 
 import os
@@ -12,8 +12,7 @@ import time
 
 import pytest
 
-from repro.parallel import TrialError, TrialFailed, TrialRunner, run_trials
-from repro.resilience import RetryPolicy
+from repro.parallel import TrialError, TrialFailed, TrialRunner
 
 
 def _ok_trial(rng, payload):
@@ -47,23 +46,6 @@ def _kill_worker_once_trial(rng, payload):
     return "survived"
 
 
-def _sleeping_trial(rng, payload):
-    time.sleep(60)
-    return "never"
-
-
-def _alarm_ignoring_trial(rng, payload):
-    signal.signal(signal.SIGALRM, signal.SIG_IGN)
-    time.sleep(60)
-    return "never"
-
-
-class _ShortGrace(TrialRunner):
-    """A runner whose parent-side hard deadline follows its alarm closely."""
-
-    HARD_TIMEOUT_GRACE = 0.3
-
-
 class TestRaisingTrial:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_structured_error_after_one_retry(self, workers):
@@ -89,7 +71,7 @@ class TestRaisingTrial:
 
     def test_run_values_raises_trial_failed(self):
         with pytest.raises(TrialFailed) as excinfo:
-            run_trials(_raising_trial, ["boom"], workers=2)
+            TrialRunner(_raising_trial, workers=2).run_values(["boom"])
         assert excinfo.value.error.kind == "exception"
 
     def test_retry_heals_transient_failure(self, tmp_path):
@@ -127,42 +109,3 @@ class TestKilledWorker:
         runner.run([None], seed=0)
         healthy = TrialRunner(_ok_trial, workers=1).run([1, 2], seed=0)
         assert [r.value for r in healthy] == [1, 2]
-
-
-class TestTimeout:
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_structured_error_after_one_retry(self, workers):
-        runner = TrialRunner(_sleeping_trial, workers=workers, timeout=0.3)
-        start = time.monotonic()
-        results = runner.run([None], seed=0)
-        elapsed = time.monotonic() - start
-        error = results[0].error
-        assert error is not None
-        assert error.kind == "timeout"
-        assert error.attempts == 2
-        # two attempts at ~0.3 s each, far below the 60 s sleep
-        assert elapsed < 30
-
-    def test_ignored_alarm_is_reported_as_a_hard_timeout(self):
-        runner = _ShortGrace(
-            _alarm_ignoring_trial,
-            workers=1,
-            timeout=0.2,
-            retry_policy=RetryPolicy(max_attempts=1),
-        )
-        [result] = runner.run([None], seed=0)
-        error = result.error
-        assert error.kind == "timeout"
-        assert error.message == (
-            "trial ignored its 0.2 s alarm and was terminated"
-        )
-        assert error.elapsed_seconds == pytest.approx(0.5)
-        assert runner.last_stats.pool_rebuilds == 1
-
-    def test_fast_trial_unaffected_by_timeout(self):
-        results = TrialRunner(_ok_trial, workers=2, timeout=30.0).run(
-            ["quick"], seed=0
-        )
-        assert results[0].ok
-        assert results[0].value == "quick"
-        assert results[0].attempts == 1
