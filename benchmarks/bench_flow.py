@@ -7,11 +7,17 @@ reference, bit for bit.
   it replaced (``LoopOracle`` in ``tests/test_scheme_a_vector.py``), on
   realisations of Table I's strong-mobility-with-BSs row -- the scheme-A
   half of an ``optimal`` trial.
-- **Scheme B access** (Lemma 9): :meth:`SchemeB.zone_access_vector` with its
-  default element-budget chunks against the same kernel at the fixed
-  2048-row chunks it used before, on the same realisations.
-- **Scheme C attach**: :func:`~repro.geometry.neighbors.masked_nearest` the
-  same way, on realisations of the trivial-mobility-with-BSs row.
+- **Scheme B access** (Lemma 9): :meth:`SchemeB.zone_access_vector`, whose
+  blocks meet only the BSs within the mobility reach ``D/f`` in ``x``,
+  against the padded zone loop over every in-zone pair that it replaced
+  (``padded_zone_oracle`` in ``tests/test_scheme_b_vector.py``), on the
+  same strong realisations and on realisations of the weak-mobility-with-BSs
+  row (the row perfbench's ``infra`` workload sweeps).
+- **Scheme C attach**: :func:`~repro.geometry.neighbors.masked_nearest`,
+  which pairs each cluster's MSs with that cluster's BSs only, against the
+  full-width label-masked search it replaced (``full_width_masked_nearest``
+  in ``tests/test_neighbors.py``), on realisations of the
+  trivial-mobility-with-BSs row.
 - **Scheme C Phase II** (Definition 13 / Theorem 9):
   :meth:`SchemeC.sustainable_rate` on the full-mesh :class:`Backbone`, which
   reads wire loads per BS class, against the same scheme on the per-wire
@@ -54,7 +60,9 @@ from repro.simulation.network import HybridNetwork  # noqa: E402
 from repro.store import TrialSeed  # noqa: E402
 from repro.store.provenance import collect_provenance  # noqa: E402
 from tests.test_backbone_loads import WireLoopOracle, networkx_colours  # noqa: E402
+from tests.test_neighbors import full_width_masked_nearest  # noqa: E402
 from tests.test_scheme_a_vector import LoopOracle  # noqa: E402
+from tests.test_scheme_b_vector import padded_zone_oracle  # noqa: E402
 
 #: Node counts.
 N_VALUES = tuple(
@@ -65,13 +73,11 @@ N_VALUES = tuple(
 REPEATS = 3
 #: The scheme-A speedup gate, applied at the smallest n of the grid.
 GATE_SPEEDUP = 2.0
-#: The fixed row chunk of the B access and C attach kernels before the
-#: element-budget rule.
-ROW_CHUNK = 2048
 SEED = 1
 
 _ROWS = {row.label: row for row in TABLE1_ROWS}
 STRONG = _ROWS["strong mobility, with BSs"]
+WEAK = _ROWS["weak mobility, with BSs"]
 TRIVIAL = _ROWS["trivial mobility, with BSs"]
 
 OUTPUT = ROOT / "BENCH_flow.json"
@@ -111,6 +117,26 @@ def _same_arrays(got, want):
     return all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+_B_REFERENCE = (
+    "padded zone loop over every in-zone pair "
+    "(tests/test_scheme_b_vector.py padded_zone_oracle)"
+)
+
+
+def _access_pair(net):
+    """Scheme B's access vector on ``net`` against the padded zone loop."""
+    ms_zone, bs_zone = net.scheme_b_zones()
+    args = (
+        net.home_model.points, net.bs_positions, ms_zone, bs_zone,
+        net.shape, net.realized.f, net.access_transmission_range(),
+    )
+    return _pair(
+        lambda: SchemeB.zone_access_vector(*args),
+        lambda: padded_zone_oracle(*args),
+        np.array_equal,
+    )
+
+
 def run_point(n):
     strong = HybridNetwork.build(STRONG.parameters, n, TrialSeed(SEED, 0).rng())
     traffic = strong.sample_traffic()
@@ -119,16 +145,9 @@ def run_point(n):
         lambda: LoopOracle(strong.scheme_a()).sustainable_rate(traffic),
         _same_flow,
     )
-    ms_zone, bs_zone = strong.scheme_b_zones()
-    access_args = (
-        strong.home_model.points, strong.bs_positions, ms_zone, bs_zone,
-        strong.shape, strong.realized.f, strong.access_transmission_range(),
-    )
-    scheme_b = _pair(
-        lambda: SchemeB.zone_access_vector(*access_args),
-        lambda: SchemeB.zone_access_vector(*access_args, chunk_size=ROW_CHUNK),
-        np.array_equal,
-    )
+    scheme_b = _access_pair(strong)
+    weak = HybridNetwork.build(WEAK.parameters, n, TrialSeed(SEED, 0).rng())
+    scheme_b_weak = _access_pair(weak)
     trivial = HybridNetwork.build(TRIVIAL.parameters, n, TrialSeed(SEED, 0).rng())
     attach_args = (
         trivial.process.positions(), trivial.bs_positions,
@@ -136,7 +155,7 @@ def run_point(n):
     )
     scheme_c = _pair(
         lambda: masked_nearest(*attach_args),
-        lambda: masked_nearest(*attach_args, chunk_size=ROW_CHUNK),
+        lambda: full_width_masked_nearest(*attach_args),
         _same_arrays,
     )
     scheme_c_blocks = trivial.scheme_c()
@@ -160,9 +179,11 @@ def run_point(n):
         "n": n,
         "scheme_a_cells_per_side": strong.scheme_a().tessellation.cells_per_side,
         "strong_bs_count": int(strong.bs_positions.shape[0]),
+        "weak_bs_count": int(weak.bs_positions.shape[0]),
         "trivial_bs_count": int(trivial.bs_positions.shape[0]),
         "scheme_a_flow": scheme_a,
         "scheme_b_access": scheme_b,
+        "scheme_b_access_weak": scheme_b_weak,
         "scheme_c_attach": scheme_c,
         "scheme_c_phase2": phase_two,
         "scheme_c_colouring": colouring,
@@ -179,14 +200,17 @@ def run_bench():
         "families": {
             "scheme_a_flow": STRONG.label,
             "scheme_b_access": STRONG.label,
+            "scheme_b_access_weak": WEAK.label,
             "scheme_c_attach": TRIVIAL.label,
             "scheme_c_phase2": TRIVIAL.label,
             "scheme_c_colouring": TRIVIAL.label,
         },
         "references": {
             "scheme_a_flow": "per-session loop (tests/test_scheme_a_vector.py LoopOracle)",
-            "scheme_b_access": f"zone_access_vector at chunk_size={ROW_CHUNK}",
-            "scheme_c_attach": f"masked_nearest at chunk_size={ROW_CHUNK}",
+            "scheme_b_access": _B_REFERENCE,
+            "scheme_b_access_weak": _B_REFERENCE,
+            "scheme_c_attach": "full-width label-masked search "
+            "(tests/test_neighbors.py full_width_masked_nearest)",
             "scheme_c_phase2": "per-wire dict loop (tests/test_backbone_loads.py WireLoopOracle)",
             "scheme_c_colouring": 'networkx greedy_color(strategy="largest_first")',
         },
@@ -201,6 +225,7 @@ def run_bench():
 _KERNELS = (
     "scheme_a_flow",
     "scheme_b_access",
+    "scheme_b_access_weak",
     "scheme_c_attach",
     "scheme_c_phase2",
     "scheme_c_colouring",

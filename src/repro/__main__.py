@@ -512,13 +512,14 @@ def _cmd_reproduce(args) -> int:
 
     workers = _workers(args)
     resilience = _resilience(args)
-    store = _store(args)
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # flags and --grid are validated before the store and --out exist
     if args.grid:
         grid = [int(v) for v in args.grid.split(",")]
     else:
         grid = [400, 1000, 2500] if args.quick else [6400, 14000, 30000]
+    store = _store(args)
+    out = pathlib.Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     trials = 2 if args.quick or args.grid else 3
 
     sections = ["# Reproduction artifacts\n"]

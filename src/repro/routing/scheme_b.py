@@ -206,12 +206,16 @@ class SchemeB(RoutingScheme):
         Only in-zone ``(MS, BS)`` pairs reach the distance and contact
         kernels: each zone's MSs meet that zone's BSs, ``chunk_size`` MSs
         at a time (by default :func:`~repro.geometry.neighbors.chunk_rows`
-        of ``k``, so a padded block stays cache-sized).  A block's values
-        are scattered into full-width ``(rows, k)`` rows whose other
-        entries are the exact ``0.0`` of the zone mask, and the sum runs
-        over those rows -- so every entry is bit-identical to the masked
-        row sum of :meth:`access_matrix`.  MSs of a zone without BSs get
-        ``0.0``.
+        of ``k``, so a block stays cache-sized).  MSs and BSs are taken in
+        order of wrapped ``x``, and each block meets only the BSs within
+        ``x``-distance ``D/f`` of its ``x``-range (a ``searchsorted`` slice
+        of the zone's BS ``x``-list tripled across the torus seam): the
+        density is exactly 0 beyond its support, so no pair left out could
+        add anything but ``0.0``.  A block's values are scattered into
+        full-width ``(rows, k)`` zero rows of one per-call buffer
+        (re-zeroed after each block) and summed there -- so every entry is
+        bit-identical to the masked row sum of :meth:`access_matrix`.  MSs
+        of a zone without BSs get ``0.0``.
         """
         ms_home = np.atleast_2d(np.asarray(ms_home, dtype=float))
         bs_positions = np.atleast_2d(np.asarray(bs_positions, dtype=float))
@@ -220,18 +224,33 @@ class SchemeB(RoutingScheme):
         k = bs_zone.shape[0]
         chunk_size = chunk_rows(k, chunk_size)
         access = np.zeros(ms_home.shape[0])
+        padded = np.zeros((min(chunk_size, ms_home.shape[0]), k))
+        reach = shape.support_radius / f * (1.0 + 1e-9)
+        ms_x = np.mod(ms_home[:, 0], 1.0)
+        bs_x = np.mod(bs_positions[:, 0], 1.0)
+        ms_order = np.argsort(ms_x)
+        bs_order = np.argsort(bs_x)
+        ms_sorted_zone = ms_zone[ms_order]
+        bs_sorted_zone = bs_zone[bs_order]
         for zone in np.unique(bs_zone):
-            rows = np.nonzero(ms_zone == zone)[0]
-            cols = np.nonzero(bs_zone == zone)[0]
-            stations = bs_positions[cols]
+            rows = ms_order[ms_sorted_zone == zone]
+            cols = bs_order[bs_sorted_zone == zone]
+            # any cols.size consecutive ring entries hold each BS once
+            ring = np.concatenate((cols, cols, cols))
+            x = bs_x[cols]
+            ring_x = np.concatenate((x - 1.0, x, x + 1.0))
             for begin in range(0, rows.size, chunk_size):
                 block = rows[begin : begin + chunk_size]
-                distances = batched_pairwise_distances(ms_home[block], stations)
-                padded = np.zeros((block.size, k))
-                padded[:, cols] = contact_probability_ms_bs_at_range(
+                lo = np.searchsorted(ring_x, ms_x[block[0]] - reach)
+                hi = np.searchsorted(ring_x, ms_x[block[-1]] + reach, "right")
+                window = ring[lo : min(hi, lo + cols.size)]
+                distances = batched_pairwise_distances(ms_home[block], bs_positions[window])
+                buffer = padded[: block.size]
+                buffer[:, window] = contact_probability_ms_bs_at_range(
                     shape, f, transmission_range, distances
                 )
-                access[block] = padded.sum(axis=1)
+                access[block] = buffer.sum(axis=1)
+                buffer[:, window] = 0.0
         return access
 
     # ------------------------------------------------------------------

@@ -22,8 +22,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..geometry.neighbors import masked_nearest
-from ..geometry.torus import pairwise_distances
+from ..geometry.neighbors import CellGridIndex, masked_nearest
 from ..infrastructure.backbone import Backbone
 from typing import TYPE_CHECKING
 
@@ -132,17 +131,16 @@ class SchemeC(RoutingScheme):
 
         Two cells conflict when their BSs are within ``(2 + Delta) R_cell``:
         a transmission in one could then land inside the guard zone of the
-        other.  Bounded node degree keeps the colour count ``Theta(1)``
-        (the "well-known fact about vertex colouring" in Theorem 9's proof).
-        The order and colour choice are networkx's ``greedy_color`` with
-        ``strategy="largest_first"``.
+        other (:meth:`_conflict_pairs`, a cell-grid query rather than a
+        ``k x k`` matrix).  Bounded node degree keeps the colour count
+        ``Theta(1)`` (the "well-known fact about vertex colouring" in
+        Theorem 9's proof).  The order and colour choice are networkx's
+        ``greedy_color`` with ``strategy="largest_first"``.
         """
         k = self._bs.shape[0]
         if k == 1 or self._cell_range == 0.0:
             return np.zeros(k, dtype=int)
-        conflict_distance = (2.0 + self._delta) * self._cell_range
-        distances = pairwise_distances(self._bs)
-        rows, cols = np.nonzero(np.triu(distances < conflict_distance, k=1))
+        rows, cols = self._conflict_pairs()
         # CSR adjacency: the neighbours of i are neighbours[starts[i]:starts[i + 1]]
         heads = np.concatenate([rows, cols])
         degree = np.bincount(heads, minlength=k)
@@ -155,6 +153,16 @@ class SchemeC(RoutingScheme):
             used = {colours[other] for other in neighbours[starts[node]:starts[node + 1]]}
             colours[node] = next(c for c in range(len(used) + 1) if c not in used)
         return np.array(colours, dtype=int)
+
+    def _conflict_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """BS pairs ``i < j`` closer than ``(2 + Delta) R_cell``, in
+        lexicographic order: a :class:`~repro.geometry.neighbors.CellGridIndex`
+        query gives the dense ``k x k`` matrix's pairs and distance bits
+        without building it."""
+        conflict_distance = (2.0 + self._delta) * self._cell_range
+        rows, cols, distances = CellGridIndex(self._bs).pairs_within(conflict_distance)
+        close = distances < conflict_distance
+        return rows[close], cols[close]
 
     # ------------------------------------------------------------------
     # introspection

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.table1 import TABLE1_ROWS
+from repro.geometry.neighbors import CellGridIndex
 from repro.geometry.torus import pairwise_distances
 from repro.infrastructure.backbone import Backbone
 from repro.routing.scheme_c import SchemeC
@@ -182,13 +183,76 @@ class TestSchemeC:
 
 def networkx_colours(scheme):
     k = scheme._bs.shape[0]
-    conflict = (2.0 + scheme._delta) * scheme.cell_range
-    rows, cols = np.nonzero(np.triu(pairwise_distances(scheme._bs) < conflict, k=1))
+    rows, cols = dense_conflict_pairs(scheme)
     graph = nx.Graph()
     graph.add_nodes_from(range(k))
     graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
     colouring = nx.greedy_color(graph, strategy="largest_first")
     return np.array([colouring[i] for i in range(k)])
+
+
+def dense_conflict_pairs(scheme):
+    conflict = (2.0 + scheme._delta) * scheme.cell_range
+    return np.nonzero(np.triu(pairwise_distances(scheme._bs) < conflict, k=1))
+
+
+class TestConflictPairs:
+    """The cell-grid conflict pairs equal the dense ``k x k`` threshold's."""
+
+    @pytest.mark.parametrize(
+        "k, n, delta",
+        [(150, 600, 0.5), (400, 1200, 1.0), (60, 200, 2.0), (20, 40, 1.0)],
+    )
+    def test_random_layouts(self, k, n, delta):
+        rng = np.random.default_rng(k)
+        scheme = SchemeC(
+            ms_positions=rng.random((n, 2)),
+            bs_positions=rng.random((k, 2)),
+            ms_cluster=rng.integers(0, 4, n),
+            bs_cluster=np.arange(k) % 4,
+            backbone=Backbone(k, 1.0),
+            delta=delta,
+        )
+        rows, cols = scheme._conflict_pairs()
+        want_rows, want_cols = dense_conflict_pairs(scheme)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(cols, want_cols)
+
+    @pytest.mark.parametrize("n", [300, 2000])
+    def test_regular_cluster_layout_takes_the_grid_path(self, n):
+        scheme = HybridNetwork.build(
+            TRIVIAL_BS.parameters, n, np.random.default_rng(3)
+        ).scheme_c()
+        conflict = (2.0 + scheme._delta) * scheme.cell_range
+        bs_count = scheme._bs.shape[0]
+        assert bs_count > 32 and CellGridIndex(scheme._bs).resolution(conflict) >= 3
+        rows, cols = scheme._conflict_pairs()
+        want_rows, want_cols = dense_conflict_pairs(scheme)
+        assert rows.size > 0
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(cols, want_cols)
+
+    def test_dense_fallback_past_a_third_of_the_torus(self):
+        """A conflict distance above 1/3 leaves fewer than three grid cells
+        per side, where the index answers from the dense matrix."""
+        bs = np.random.default_rng(15).random((80, 2))
+        bs_cluster = np.zeros(80, dtype=int)
+        bs_cluster[0] = 1
+        # the lone MS of cluster 1 sits 0.1 from its only BS
+        scheme = SchemeC(
+            ms_positions=bs[[0, 1]] + np.array([[0.1, 0.0], [0.0, 0.0]]),
+            bs_positions=bs,
+            ms_cluster=np.array([1, 0]),
+            bs_cluster=bs_cluster,
+            backbone=Backbone(80, 1.0),
+            delta=2.0,
+        )
+        conflict = (2.0 + scheme._delta) * scheme.cell_range
+        assert CellGridIndex(bs).resolution(conflict) < 3
+        rows, cols = scheme._conflict_pairs()
+        want_rows, want_cols = dense_conflict_pairs(scheme)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(cols, want_cols)
 
 
 class TestColouring:

@@ -130,6 +130,23 @@ class TestSweepStore:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--grid", "abc", "--trials", "1"],
+            ["reproduce", "--grid", "abc", "--out", "out"],
+        ],
+        ids=["sweep", "reproduce"],
+    )
+    def test_malformed_grid_exits_2_before_any_directory_exists(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--store", "st"]) == 2
+        assert "invalid arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRuns:
     def seed_store(self, tmp_path, capsys):
         store = str(tmp_path / "results")

@@ -8,6 +8,12 @@ would, with the same float distances, in the same (lexicographic) order.
 Hypothesis drives randomized point sets including wrap-around clusters
 straddling the torus seam and radii past the ``> 1/3`` dense-fallback
 threshold.
+
+:func:`full_width_masked_nearest` is the :func:`masked_nearest` loop from
+before it paired each label's points with that label's candidates only:
+every point against every candidate, other labels masked to ``inf``.  The
+per-label search must reproduce it bit for bit -- indices and distances --
+because scheme C's attach feeds its cell range and sweep digests.
 """
 
 import numpy as np
@@ -24,7 +30,7 @@ from repro.geometry.neighbors import (
     masked_nearest,
     pair_distances,
 )
-from repro.geometry.torus import pairwise_distances
+from repro.geometry.torus import batched_pairwise_distances, pairwise_distances
 
 coordinate = st.floats(
     min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False
@@ -45,6 +51,40 @@ seam_offset = st.floats(min_value=-0.03, max_value=0.03, allow_nan=False)
 seam_points = st.lists(
     st.tuples(seam_offset, coordinate), min_size=2, max_size=80
 ).map(lambda rows: np.mod(np.array(rows, dtype=float), 1.0))
+
+
+def full_width_masked_nearest(
+    points, others, point_labels=None, other_labels=None, chunk_size=None
+):
+    """Nearest same-label candidate from full-width label-masked blocks."""
+    count = points.shape[0]
+    nearest = np.full(count, -1, dtype=int)
+    distance = np.full(count, np.inf)
+    if count == 0 or others.shape[0] == 0:
+        return nearest, distance
+    chunk_size = chunk_rows(others.shape[0], chunk_size)
+    for begin in range(0, count, chunk_size):
+        rows = slice(begin, min(begin + chunk_size, count))
+        block = batched_pairwise_distances(points[rows], others)
+        if point_labels is not None:
+            mask = point_labels[rows, None] == other_labels[None, :]
+            block = np.where(mask, block, np.inf)
+        best = block.argmin(axis=1)
+        best_distance = block[np.arange(block.shape[0]), best]
+        found = np.isfinite(best_distance)
+        nearest[rows][found] = best[found]
+        distance[rows][found] = best_distance[found]
+    return nearest, distance
+
+
+def _assert_nearest_matches_oracle(pts, others, labels_p, labels_o, chunk_size):
+    got = masked_nearest(pts, others, labels_p, labels_o, chunk_size=chunk_size)
+    want = full_width_masked_nearest(
+        pts, others, labels_p, labels_o, chunk_size=chunk_size
+    )
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    return got
 
 
 def _dense_pairs(pts, r):
@@ -268,3 +308,83 @@ class TestSharedChunkHelpers:
             for node in range(5)
         }
         assert neighbors == {0: [1, 3], 1: [0], 2: [4], 3: [0], 4: [2]}
+
+
+class TestPerLabelNearestAgainstFullWidthOracle:
+    """Per-label blocks equal the full-width masked search bit for bit."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    def test_clustered_layout(self, chunk_size):
+        rng = np.random.default_rng(11)
+        pts, others = rng.random((900, 2)), rng.random((120, 2))
+        labels_p, labels_o = rng.integers(0, 6, 900), rng.integers(0, 6, 120)
+        _assert_nearest_matches_oracle(pts, others, labels_p, labels_o, chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    def test_cluster_without_candidates_is_orphaned(self, chunk_size):
+        rng = np.random.default_rng(12)
+        pts, others = rng.random((50, 2)), rng.random((10, 2))
+        labels_p = rng.integers(0, 3, 50)
+        labels_o = rng.integers(0, 2, 10)  # label 2 has no candidate
+        labels_o[:2] = [0, 1]
+        nearest, distance = _assert_nearest_matches_oracle(
+            pts, others, labels_p, labels_o, chunk_size
+        )
+        orphans = labels_p == 2
+        assert np.all(nearest[orphans] == -1)
+        assert np.all(np.isinf(distance[orphans]))
+        assert np.all(nearest[~orphans] >= 0)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    def test_equidistant_and_duplicate_candidates_take_the_lowest_index(
+        self, chunk_size
+    ):
+        pts = np.array([[0.5, 0.5], [0.1, 0.1], [0.9, 0.5]])
+        others = np.array(
+            [
+                [0.6, 0.5],  # label 1: not a candidate for label-0 points
+                [0.5, 0.6],
+                [0.4, 0.5],  # equidistant with 1 and 3 from pts[0]
+                [0.5, 0.4],
+                [0.1, 0.1],
+                [0.1, 0.1],  # duplicate of 4
+            ]
+        )
+        labels_p = np.zeros(3, dtype=int)
+        labels_o = np.array([1, 0, 0, 0, 0, 0])
+        nearest, distance = _assert_nearest_matches_oracle(
+            pts, others, labels_p, labels_o, chunk_size
+        )
+        assert nearest[0] == 1 and nearest[1] == 4
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    def test_labels_present_on_one_side_only(self, chunk_size):
+        rng = np.random.default_rng(13)
+        pts, others = rng.random((40, 2)), rng.random((15, 2))
+        labels_p = rng.choice([0, 1, 7], size=40)  # 7: points only
+        labels_o = rng.choice([0, 1, 9], size=15)  # 9: candidates only
+        _assert_nearest_matches_oracle(pts, others, labels_p, labels_o, chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    def test_unlabeled(self, chunk_size):
+        rng = np.random.default_rng(14)
+        pts, others = rng.random((70, 2)), rng.random((9, 2))
+        _assert_nearest_matches_oracle(pts, others, None, None, chunk_size)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pts=points,
+        others=points,
+        chunk_size=st.sampled_from([1, 7, None]),
+        data=st.data(),
+    )
+    def test_property_bit_identical(self, pts, others, chunk_size, data):
+        labels_p = np.asarray(
+            data.draw(st.lists(st.integers(0, 4), min_size=len(pts), max_size=len(pts)))
+        )
+        labels_o = np.asarray(
+            data.draw(
+                st.lists(st.integers(0, 4), min_size=len(others), max_size=len(others))
+            )
+        )
+        _assert_nearest_matches_oracle(pts, others, labels_p, labels_o, chunk_size)

@@ -1,16 +1,72 @@
-"""Unit tests for SchemeB's memory-light access-vector path."""
+"""Unit tests for SchemeB's memory-light access-vector path.
+
+:func:`padded_zone_oracle` is the zone loop :meth:`SchemeB.zone_access_vector`
+ran before it windowed its blocks by ``x``: every in-zone ``(MS, BS)`` pair
+through the distance and contact kernels, scattered into freshly allocated
+full-width zero rows.  The windowed kernel must reproduce it bit for bit,
+because sweep digests hash the access rates.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.geometry.neighbors import chunk_rows
+from repro.geometry.torus import batched_pairwise_distances
 from repro.infrastructure.backbone import Backbone
-from repro.mobility.shapes import UniformDiskShape
+from repro.mobility.shapes import (
+    ConeShape,
+    QuadraticDecayShape,
+    TruncatedGaussianShape,
+    UniformDiskShape,
+)
 from repro.routing.scheme_b import SchemeB
 from repro.simulation.traffic import permutation_traffic
+from repro.wireless.link_capacity import contact_probability_ms_bs_at_range
 
 SHAPE = UniformDiskShape(1.0)
+SHAPES = (
+    UniformDiskShape(1.0),
+    ConeShape(1.0),
+    TruncatedGaussianShape(1.0, sigma=0.4),
+    QuadraticDecayShape(0.7),
+)
+CHUNK_SIZES = (1, 7, None)
+
+
+def padded_zone_oracle(
+    ms_home, bs_positions, ms_zone, bs_zone, shape, f, r_t, chunk_size=None
+):
+    """``mu_i^A`` from every in-zone pair, one padded block at a time."""
+    k = bs_zone.shape[0]
+    chunk_size = chunk_rows(k, chunk_size)
+    access = np.zeros(ms_home.shape[0])
+    for zone in np.unique(bs_zone):
+        rows = np.nonzero(ms_zone == zone)[0]
+        cols = np.nonzero(bs_zone == zone)[0]
+        stations = bs_positions[cols]
+        for begin in range(0, rows.size, chunk_size):
+            block = rows[begin : begin + chunk_size]
+            distances = batched_pairwise_distances(ms_home[block], stations)
+            padded = np.zeros((block.size, k))
+            padded[:, cols] = contact_probability_ms_bs_at_range(
+                shape, f, r_t, distances
+            )
+            access[block] = padded.sum(axis=1)
+    return access
+
+
+def assert_matches_oracle(homes, bs, ms_zone, bs_zone, shape, f, r_t, chunk_size):
+    got = SchemeB.zone_access_vector(
+        homes, bs, ms_zone, bs_zone, shape, f, r_t, chunk_size=chunk_size
+    )
+    want = padded_zone_oracle(
+        homes, bs, ms_zone, bs_zone, shape, f, r_t, chunk_size=chunk_size
+    )
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
+    return got
 
 
 def make_inputs(rng, n=80, k=16, zones=2, f=3.0, r_t=0.05):
@@ -94,6 +150,108 @@ class TestZoneAccessVector:
         assert np.array_equal(
             vector, masked_matrix_oracle(homes, bs, ms_zone, bs_zone, f, r_t)
         )
+
+
+class TestWindowedAgainstPaddedOracle:
+    """The ``x``-windowed blocks equal the padded zone loop bit for bit."""
+
+    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: type(s).__name__)
+    def test_shapes_multi_block_zones(self, shape, chunk_size):
+        """Several zones, each cut into many blocks, at a reach ``D/f``
+        far below the zone width."""
+        rng = np.random.default_rng(4)
+        homes, bs = rng.random((2500, 2)), rng.random((300, 2))
+        ms_zone, bs_zone, _ = SchemeB.squarelet_zones(homes, bs, 2)
+        vector = assert_matches_oracle(
+            homes, bs, ms_zone, bs_zone, shape, 25.0, 0.01, chunk_size
+        )
+        assert np.count_nonzero(vector) > 0
+
+    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+    def test_pair_exactly_reach_apart_in_x(self, chunk_size):
+        f = 8.0
+        homes = np.array([[0.3, 0.5], [0.3 + 1.0 / f, 0.25], [0.6, 0.5]])
+        bs = np.array([[0.3 + 1.0 / f, 0.5], [0.3 - 1.0 / f, 0.5], [0.9, 0.9]])
+        zones = (np.zeros(3, dtype=int), np.zeros(3, dtype=int))
+        vector = assert_matches_oracle(homes, bs, *zones, SHAPE, f, 0.01, chunk_size)
+        assert vector[0] > 0.0
+
+    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: type(s).__name__)
+    def test_pairs_straddling_the_seam(self, shape, chunk_size):
+        """MSs just left of ``x = 1`` reach BSs just right of ``x = 0``, and
+        the other way round; raw coordinates of ``1.0`` and of a hair below
+        ``0`` (which ``np.mod`` maps to ``1.0``) sit on the seam."""
+        rng = np.random.default_rng(5)
+        homes = np.column_stack(
+            [np.mod(rng.uniform(-0.03, 0.03, 60), 1.0), rng.random(60)]
+        )
+        homes[0] = [1.0, 0.5]
+        homes[1] = [-1e-18, 0.5]
+        bs = np.column_stack([np.mod(rng.uniform(-0.05, 0.05, 30), 1.0), rng.random(30)])
+        bs[0] = [-1e-18, 0.5]
+        zones = (np.zeros(60, dtype=int), np.zeros(30, dtype=int))
+        vector = assert_matches_oracle(homes, bs, *zones, shape, 5.0, 0.01, chunk_size)
+        assert np.count_nonzero(vector) > 0
+
+    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+    def test_reach_at_least_half_the_torus(self, chunk_size):
+        rng = np.random.default_rng(6)
+        homes, bs = rng.random((400, 2)), rng.random((50, 2))
+        zones = (rng.integers(0, 3, 400), rng.integers(0, 3, 50))
+        for f in (1.0, 2.0, 1.9):
+            assert_matches_oracle(homes, bs, *zones, SHAPE, f, 0.05, chunk_size)
+
+    def test_single_block_zones(self):
+        rng = np.random.default_rng(7)
+        homes, bs = rng.random((40, 2)), rng.random((20, 2))
+        zones = (rng.integers(0, 4, 40), rng.integers(0, 4, 20))
+        assert_matches_oracle(homes, bs, *zones, SHAPE, 20.0, 0.01, 40)
+
+    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+    def test_zones_without_bss_and_bss_without_mss(self, chunk_size):
+        rng = np.random.default_rng(8)
+        homes, bs = rng.random((300, 2)), rng.random((40, 2))
+        ms_zone = rng.integers(0, 4, 300)  # zone 3 holds MSs but no BS
+        bs_zone = rng.choice([0, 1, 2, 5], size=40)  # zone 5 holds no MS
+        bs_zone[:3] = [0, 1, 2]
+        vector = assert_matches_oracle(
+            homes, bs, ms_zone, bs_zone, SHAPE, 6.0, 0.02, chunk_size
+        )
+        assert np.all(vector[ms_zone == 3] == 0.0)
+
+    def test_no_bss_at_all(self):
+        homes = np.random.default_rng(9).random((10, 2))
+        vector = SchemeB.zone_access_vector(
+            homes, np.empty((0, 2)), np.zeros(10, dtype=int),
+            np.empty(0, dtype=int), SHAPE, 4.0, 0.05,
+        )
+        np.testing.assert_array_equal(vector, np.zeros(10))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 150),
+        k=st.integers(1, 40),
+        zones=st.integers(1, 4),
+        shape=st.sampled_from(SHAPES),
+        f=st.floats(1.0, 60.0),
+        chunk_size=st.sampled_from(CHUNK_SIZES + (2, 64)),
+        seam=st.booleans(),
+    )
+    def test_property_bit_identical_to_padded_oracle(
+        self, seed, n, k, zones, shape, f, chunk_size, seam
+    ):
+        rng = np.random.default_rng(seed)
+        homes, bs = rng.random((n, 2)), rng.random((k, 2))
+        if seam:
+            # crowd both sides around x = 0 = 1
+            homes[:, 0] = np.mod(homes[:, 0] * 0.1 - 0.05, 1.0)
+            bs[:, 0] = np.mod(bs[:, 0] * 0.1 - 0.05, 1.0)
+        ms_zone = rng.integers(0, zones + 1, size=n)
+        bs_zone = rng.integers(0, zones, size=k)
+        assert_matches_oracle(homes, bs, ms_zone, bs_zone, shape, f, 0.02, chunk_size)
 
 
 class TestFromAccessVector:
