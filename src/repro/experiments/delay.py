@@ -25,6 +25,7 @@ import numpy as np
 from ..core.regimes import NetworkParameters
 from ..mobility.processes import IIDAroundHome
 from ..resilience import ResilienceConfig
+from ..routing.scheme_b import SchemeB
 from ..simulation.engine import SlottedSimulator
 from ..simulation.network import HybridNetwork
 from ..simulation.routers import SchemeARouter, SchemeBRouter, TwoHopRelayRouter
@@ -70,7 +71,9 @@ def _two_hop_router(net):
 
 
 def _scheme_b_router(net):
-    ms_zone, bs_zone, _ = type(net.scheme_b()).squarelet_zones(
+    if net.bs_positions is None:
+        raise ValueError("scheme B needs infrastructure")
+    ms_zone, bs_zone, _ = SchemeB.squarelet_zones(
         net.home_model.points, net.bs_positions, 2
     )
     return SchemeBRouter(ms_zone, bs_zone, net.backbone, net.rng)

@@ -91,12 +91,14 @@ def run_recorded(
     Raises :class:`~repro.parallel.TrialFailed` when fewer trials succeed
     than ``resilience.min_success_fraction`` allows.
     """
+    # keys first: a payload the store cannot encode fails before the
+    # store directory is created
+    keys = [key_fn(payload) for payload in payloads] if store is not None else None
     store = open_store(store)
     _log.info(
         "%s: %d trial(s), store=%s, config=%s",
         command, len(payloads), getattr(store, "root", None), config,
     )
-    keys = [key_fn(payload) for payload in payloads] if store is not None else None
     resilience = resilience if resilience is not None else ResilienceConfig()
     runner = TrialRunner(
         trial_fn, workers=workers, validator=validator, **resilience.runner_kwargs()

@@ -19,13 +19,19 @@ A shape object provides:
 
 All shapes are validated to be non-increasing with finite support, matching
 the paper's assumptions.
+
+Shapes are immutable values (frozen dataclasses): two shapes are equal when
+their class and parameters are, so the sampler's radial CDF and the
+contact-kernel quadrature table are memoised per distinct shape value and
+computed at most once per process, however many networks are built.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import math
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,23 +44,19 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class MobilityShape(abc.ABC):
     """Abstract radial profile ``s(d)`` (non-increasing, finite support)."""
 
-    #: Grid resolution for the numeric inverse-CDF sampler and kernels.
-    _GRID = 2048
+    #: ``D = sup{d : s(d) > 0}`` (a constant, independent of ``n``).
+    support_radius: float = 1.0
 
-    def __init__(self):
-        self._radial_cdf_cache: Optional[tuple] = None
-        self._kernel_cache: Optional[tuple] = None
-
-    # ------------------------------------------------------------------
-    # abstract surface
-    # ------------------------------------------------------------------
-    @property
-    @abc.abstractmethod
-    def support_radius(self) -> float:
-        """``D = sup{d : s(d) > 0}`` (a constant, independent of ``n``)."""
+    def __post_init__(self):
+        if self.support_radius <= 0:
+            raise ValueError(
+                f"support radius must be positive, got {self.support_radius}"
+            )
+        object.__setattr__(self, "support_radius", float(self.support_radius))
 
     @abc.abstractmethod
     def density(self, d: np.ndarray) -> np.ndarray:
@@ -80,19 +82,8 @@ class MobilityShape(abc.ABC):
 
     def normalization(self) -> float:
         """``∫_{R^2} s(|X|) dX = 2 pi ∫_0^D s(t) t dt`` (unit scale)."""
-        radii, cdf = self._radial_cdf()
+        radii, cdf = _radial_cdf(self)
         return float(cdf[-1])
-
-    def _radial_cdf(self) -> tuple:
-        """Cached unnormalised radial mass ``2 pi ∫_0^rho s(t) t dt`` on a grid."""
-        if self._radial_cdf_cache is None:
-            radii = np.linspace(0.0, self.support_radius, self._GRID)
-            integrand = self.density(radii) * radii * 2.0 * math.pi
-            cdf = np.concatenate([[0.0], np.cumsum(
-                0.5 * (integrand[1:] + integrand[:-1]) * np.diff(radii)
-            )])
-            self._radial_cdf_cache = (radii, cdf)
-        return self._radial_cdf_cache
 
     def sample_offsets(
         self, rng: np.random.Generator, count: int, scale: float = 1.0
@@ -103,7 +94,7 @@ class MobilityShape(abc.ABC):
         have shape ``(count, 2)`` and magnitude at most
         ``scale * support_radius``.
         """
-        radii, cdf = self._radial_cdf()
+        radii, cdf = _radial_cdf(self)
         total = cdf[-1]
         quantiles = rng.random(count) * total
         rho = np.interp(quantiles, cdf, radii) * scale
@@ -113,117 +104,94 @@ class MobilityShape(abc.ABC):
     def contact_kernel(self, d: np.ndarray) -> np.ndarray:
         """``eta(d) = ∫ s(|X - (d,0)|) s(|X|) dX`` at unit scale.
 
-        Evaluated by 2-D quadrature on a cached grid; ``eta`` has support
-        ``[0, 2D]`` and ``eta(0) = ∫ s^2``.
+        Interpolated in a quadrature table memoised per shape value;
+        ``eta`` has support ``[0, 2D]`` and ``eta(0) = ∫ s^2``.
         """
-        table_d, table_eta = self._kernel_table()
+        table_d, table_eta = _kernel_table(self)
         return np.interp(np.asarray(d, dtype=float), table_d, table_eta, right=0.0)
 
-    def _kernel_table(self) -> tuple:
-        if self._kernel_cache is None:
-            big_d = self.support_radius
-            resolution = 192
-            axis = np.linspace(-big_d, big_d, resolution)
-            step = axis[1] - axis[0]
-            xx, yy = np.meshgrid(axis, axis)
-            base = self.density(np.sqrt(xx ** 2 + yy ** 2))
-            separations = np.linspace(0.0, 2.0 * big_d, 128)
-            values = np.empty_like(separations)
-            for idx, sep in enumerate(separations):
-                shifted = self.density(np.sqrt((xx - sep) ** 2 + yy ** 2))
-                values[idx] = float(np.sum(base * shifted)) * step * step
-            self._kernel_cache = (separations, values)
-        return self._kernel_cache
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(D={self.support_radius})"
+@functools.cache
+def _radial_cdf(shape: MobilityShape) -> tuple:
+    """Unnormalised radial mass ``2 pi ∫_0^rho s(t) t dt`` on a 2048-point
+    grid (the numeric inverse-CDF sampler's resolution)."""
+    radii = np.linspace(0.0, shape.support_radius, 2048)
+    integrand = shape.density(radii) * radii * 2.0 * math.pi
+    cdf = np.concatenate([[0.0], np.cumsum(
+        0.5 * (integrand[1:] + integrand[:-1]) * np.diff(radii)
+    )])
+    return radii, cdf
 
 
+@functools.cache
+def _kernel_table(shape: MobilityShape) -> tuple:
+    """``eta`` at 128 separations in ``[0, 2D]`` by 2-D quadrature."""
+    big_d = shape.support_radius
+    resolution = 192
+    axis = np.linspace(-big_d, big_d, resolution)
+    step = axis[1] - axis[0]
+    xx, yy = np.meshgrid(axis, axis)
+    base = shape.density(np.sqrt(xx ** 2 + yy ** 2))
+    separations = np.linspace(0.0, 2.0 * big_d, 128)
+    values = np.empty_like(separations)
+    for idx, sep in enumerate(separations):
+        shifted = shape.density(np.sqrt((xx - sep) ** 2 + yy ** 2))
+        values[idx] = float(np.sum(base * shifted)) * step * step
+    return separations, values
+
+
+@dataclass(frozen=True)
 class UniformDiskShape(MobilityShape):
     """``s(d) = 1`` for ``d <= D``: the node is uniform on a disk around its
     home-point.  This is the paper's canonical example and the special case
     matching i.i.d. mobility when ``D`` covers the whole (pre-normalisation)
     network."""
 
-    def __init__(self, support_radius: float = 1.0):
-        super().__init__()
-        if support_radius <= 0:
-            raise ValueError(f"support radius must be positive, got {support_radius}")
-        self._support = float(support_radius)
-
-    @property
-    def support_radius(self) -> float:
-        return self._support
-
     def density(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
-        return np.where(d <= self._support, 1.0, 0.0)
+        return np.where(d <= self.support_radius, 1.0, 0.0)
 
     def sample_offsets(self, rng, count, scale=1.0):
         # Analytic sampler: uniform on the disk of radius scale * D.
-        radius = self._support * scale
+        radius = self.support_radius * scale
         angle = rng.random(count) * 2.0 * math.pi
         rho = radius * np.sqrt(rng.random(count))
         return np.stack([rho * np.cos(angle), rho * np.sin(angle)], axis=-1)
 
 
+@dataclass(frozen=True)
 class ConeShape(MobilityShape):
     """``s(d) = max(0, 1 - d/D)``: linear decay to the support edge."""
 
-    def __init__(self, support_radius: float = 1.0):
-        super().__init__()
-        if support_radius <= 0:
-            raise ValueError(f"support radius must be positive, got {support_radius}")
-        self._support = float(support_radius)
-
-    @property
-    def support_radius(self) -> float:
-        return self._support
-
     def density(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
-        return np.maximum(0.0, 1.0 - d / self._support)
+        return np.maximum(0.0, 1.0 - d / self.support_radius)
 
 
+@dataclass(frozen=True)
 class TruncatedGaussianShape(MobilityShape):
     """Gaussian profile truncated at ``D``: ``s(d) = exp(-d^2 / 2 sigma^2)``
     for ``d <= D``, zero beyond."""
 
-    def __init__(self, support_radius: float = 1.0, sigma: float = 0.4):
-        super().__init__()
-        if support_radius <= 0 or sigma <= 0:
-            raise ValueError("support radius and sigma must be positive")
-        self._support = float(support_radius)
-        self._sigma = float(sigma)
+    #: Gaussian width parameter.
+    sigma: float = 0.4
 
-    @property
-    def support_radius(self) -> float:
-        return self._support
-
-    @property
-    def sigma(self) -> float:
-        """Gaussian width parameter."""
-        return self._sigma
+    def __post_init__(self):
+        super().__post_init__()
+        if self.sigma <= 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        object.__setattr__(self, "sigma", float(self.sigma))
 
     def density(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
-        values = np.exp(-0.5 * (d / self._sigma) ** 2)
-        return np.where(d <= self._support, values, 0.0)
+        values = np.exp(-0.5 * (d / self.sigma) ** 2)
+        return np.where(d <= self.support_radius, values, 0.0)
 
 
+@dataclass(frozen=True)
 class QuadraticDecayShape(MobilityShape):
     """``s(d) = max(0, 1 - (d/D)^2)``: smooth parabolic decay."""
 
-    def __init__(self, support_radius: float = 1.0):
-        super().__init__()
-        if support_radius <= 0:
-            raise ValueError(f"support radius must be positive, got {support_radius}")
-        self._support = float(support_radius)
-
-    @property
-    def support_radius(self) -> float:
-        return self._support
-
     def density(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
-        return np.maximum(0.0, 1.0 - (d / self._support) ** 2)
+        return np.maximum(0.0, 1.0 - (d / self.support_radius) ** 2)

@@ -31,7 +31,27 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 from .base import FlowResult, RoutingScheme
 from .scheme_b import zone_pair_sessions
 
-__all__ = ["SchemeC"]
+__all__ = ["SchemeC", "largest_first_colouring"]
+
+
+def largest_first_colouring(k: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Greedy colouring of the ``k``-node graph with edges ``(rows, cols)``.
+
+    The order and colour choice are networkx's ``greedy_color`` with
+    ``strategy="largest_first"``: largest degree first, ties by index, each
+    node taking the smallest colour no coloured neighbour has.  The
+    adjacency is CSR, so no ``k x k`` matrix is built.
+    """
+    # the neighbours of i are neighbours[starts[i]:starts[i + 1]]
+    heads = np.concatenate([rows, cols])
+    degree = np.bincount(heads, minlength=k)
+    neighbours = np.concatenate([cols, rows])[np.argsort(heads, kind="stable")].tolist()
+    starts = np.concatenate([[0], np.cumsum(degree)]).tolist()
+    colours = [-1] * k
+    for node in np.argsort(-degree, kind="stable").tolist():
+        used = {colours[other] for other in neighbours[starts[node]:starts[node + 1]]}
+        colours[node] = next(c for c in range(len(used) + 1) if c not in used)
+    return np.array(colours, dtype=int)
 
 
 class SchemeC(RoutingScheme):
@@ -134,25 +154,12 @@ class SchemeC(RoutingScheme):
         other (:meth:`_conflict_pairs`, a cell-grid query rather than a
         ``k x k`` matrix).  Bounded node degree keeps the colour count
         ``Theta(1)`` (the "well-known fact about vertex colouring" in
-        Theorem 9's proof).  The order and colour choice are networkx's
-        ``greedy_color`` with ``strategy="largest_first"``.
+        Theorem 9's proof).
         """
         k = self._bs.shape[0]
         if k == 1 or self._cell_range == 0.0:
             return np.zeros(k, dtype=int)
-        rows, cols = self._conflict_pairs()
-        # CSR adjacency: the neighbours of i are neighbours[starts[i]:starts[i + 1]]
-        heads = np.concatenate([rows, cols])
-        degree = np.bincount(heads, minlength=k)
-        neighbours = np.concatenate([cols, rows])[np.argsort(heads, kind="stable")].tolist()
-        starts = np.concatenate([[0], np.cumsum(degree)]).tolist()
-        # largest degree first, ties by index; each BS takes the smallest
-        # colour that no coloured neighbour has
-        colours = [-1] * k
-        for node in np.argsort(-degree, kind="stable").tolist():
-            used = {colours[other] for other in neighbours[starts[node]:starts[node + 1]]}
-            colours[node] = next(c for c in range(len(used) + 1) if c not in used)
-        return np.array(colours, dtype=int)
+        return largest_first_colouring(k, *self._conflict_pairs())
 
     def _conflict_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """BS pairs ``i < j`` closer than ``(2 + Delta) R_cell``, in

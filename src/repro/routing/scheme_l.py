@@ -32,13 +32,13 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ..geometry.neighbors import CellGridIndex
-from ..geometry.torus import pairwise_distances
 from ..infrastructure.backbone import Backbone
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..simulation.traffic import PermutationTraffic
 from .base import FlowResult, RoutingScheme
+from .scheme_c import largest_first_colouring
 
 __all__ = ["SchemeL"]
 
@@ -139,19 +139,10 @@ class SchemeL(RoutingScheme):
     def _color_cells(self) -> np.ndarray:
         """TDMA grouping of BS cells; conflict radius covers the whole
         ``L``-hop access neighbourhood ``(L + 1 + Delta) R_T``."""
-        import networkx as nx
-
-        k = self._bs.shape[0]
-        if k == 1:
-            return np.zeros(k, dtype=int)
         conflict = (self._max_hops + 1.0 + self._delta) * self._range
-        distances = pairwise_distances(self._bs)
-        graph = nx.Graph()
-        graph.add_nodes_from(range(k))
-        rows, cols = np.nonzero(np.triu(distances < conflict, k=1))
-        graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
-        coloring = nx.greedy_color(graph, strategy="largest_first")
-        return np.array([coloring[i] for i in range(k)], dtype=int)
+        rows, cols, distances = CellGridIndex(self._bs).pairs_within(conflict)
+        close = distances < conflict
+        return largest_first_colouring(self._bs.shape[0], rows[close], cols[close])
 
     # ------------------------------------------------------------------
     # introspection

@@ -10,6 +10,8 @@ tags for the non-JSON types:
 - ``fractions.Fraction`` (the exact-exponent currency of :mod:`repro.core`),
 - ``NetworkParameters`` (decoded with ``validate=False`` so families built
   that way -- e.g. the Table-I trivial row -- round-trip),
+- the package's mobility shapes and ``BackboneTopology`` members, which a
+  sweep's ``build_kwargs`` may carry into its cache keys,
 - registered result dataclasses (``FlowResult``, ``Figure1Panel``, ...).
 
 ``SCHEMA_VERSION`` stamps every journal line and is part of every cache key:
@@ -99,6 +101,14 @@ def _register_builtins() -> None:
         register_payload(cls)
 
 
+def _shape_classes() -> Dict[str, Type]:
+    """Name -> class of the mobility shapes the store can encode."""
+    from ..mobility import shapes
+
+    names = [name for name in shapes.__all__ if name != "MobilityShape"]
+    return {name: getattr(shapes, name) for name in names}
+
+
 def _encode_float(value: float) -> Any:
     # JSON has no nan/inf; tag them so ``json.dumps(..., allow_nan=False)``
     # stays safe everywhere (mean delays are nan when nothing is delivered).
@@ -149,6 +159,18 @@ def to_jsonable(obj: Any) -> Any:
             "bs_exponent": to_jsonable(obj.bs_exponent),
             "backbone_exponent": to_jsonable(obj.backbone_exponent),
         }
+    from ..infrastructure.backbone import BackboneTopology
+
+    if isinstance(obj, BackboneTopology):
+        return {_TAG: "BackboneTopology", "value": obj.value}
+    # Shapes are dataclasses too, but build inputs rather than registered
+    # payloads: tagged by class name, so a custom subclass stays unserializable.
+    if type(obj) in _shape_classes().values():
+        fields = {
+            field.name: to_jsonable(getattr(obj, field.name))
+            for field in dataclasses.fields(obj)
+        }
+        return {_TAG: "MobilityShape", "type": type(obj).__name__, "fields": fields}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         _register_builtins()
         name = type(obj).__qualname__
@@ -199,6 +221,13 @@ def from_jsonable(obj: Any) -> Any:
             # constructed with validate=False must round-trip unchanged
             validate=False,
         )
+    if tag == "BackboneTopology":
+        from ..infrastructure.backbone import BackboneTopology
+
+        return BackboneTopology(obj["value"])
+    if tag == "MobilityShape":
+        fields = {key: from_jsonable(value) for key, value in obj["fields"].items()}
+        return _shape_classes()[obj["type"]](**fields)
     if tag == "dataclass":
         _register_builtins()
         name = obj["type"]

@@ -31,8 +31,6 @@ from ..mobility.shapes import MobilityShape
 from .scheduler import Scheduler
 
 __all__ = [
-    "ms_ms_link_capacity",
-    "ms_bs_link_capacity",
     "contact_probability_ms_ms",
     "contact_probability_ms_bs",
     "contact_probability_ms_ms_at_range",
@@ -87,7 +85,12 @@ def contact_probability_ms_ms(
     c_t: float = 1.0,
 ) -> np.ndarray:
     """``Pr{d_ij <= c_T/sqrt(n)}`` for two MSs with home-points ``d_h`` apart
-    (the ``S*`` range ``R_T = c_T / sqrt(n)``)."""
+    (the ``S*`` range ``R_T = c_T / sqrt(n)``).
+
+    This is Corollary 1's MS-MS link capacity (eq. (6)) up to ``Theta(1)``:
+    in a uniformly dense network the enabling probability given contact is
+    a constant (Lemma 3's complement).
+    """
     return contact_probability_ms_ms_at_range(
         shape, f, c_t / math.sqrt(n), home_distance
     )
@@ -101,30 +104,10 @@ def contact_probability_ms_bs(
     c_t: float = 1.0,
 ) -> np.ndarray:
     """``Pr{d_il <= c_T/sqrt(n)}`` for an MS and a static BS ``d_h`` apart
-    (the ``S*`` range)."""
+    (the ``S*`` range): Corollary 1's MS-BS link capacity, eq. (7)."""
     return contact_probability_ms_bs_at_range(
         shape, f, c_t / math.sqrt(n), home_distance
     )
-
-
-def ms_ms_link_capacity(
-    shape: MobilityShape, f: float, n: int, home_distance: np.ndarray, c_t: float = 1.0
-) -> np.ndarray:
-    """Corollary 1, eq. (6): MS-MS link capacity under ``S*``.
-
-    In a uniformly dense network the enabling probability given contact is a
-    constant (Lemma 3's complement), so capacity equals the contact
-    probability up to ``Theta(1)``; we return the contact probability as the
-    representative value.
-    """
-    return contact_probability_ms_ms(shape, f, n, home_distance, c_t)
-
-
-def ms_bs_link_capacity(
-    shape: MobilityShape, f: float, n: int, home_distance: np.ndarray, c_t: float = 1.0
-) -> np.ndarray:
-    """Corollary 1, eq. (7): MS-BS link capacity under ``S*``."""
-    return contact_probability_ms_bs(shape, f, n, home_distance, c_t)
 
 
 def measure_link_capacities(

@@ -181,9 +181,11 @@ class TestSchemeC:
         assert math.isfinite(got.details["backbone_rate"])
 
 
-def networkx_colours(scheme):
+def networkx_colours(scheme, conflict=None):
+    """networkx's largest-first colouring of ``scheme``'s BSs closer than
+    ``conflict`` (default: scheme C's ``(2 + Delta) R_cell``)."""
     k = scheme._bs.shape[0]
-    rows, cols = dense_conflict_pairs(scheme)
+    rows, cols = dense_conflict_pairs(scheme, conflict)
     graph = nx.Graph()
     graph.add_nodes_from(range(k))
     graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
@@ -191,8 +193,9 @@ def networkx_colours(scheme):
     return np.array([colouring[i] for i in range(k)])
 
 
-def dense_conflict_pairs(scheme):
-    conflict = (2.0 + scheme._delta) * scheme.cell_range
+def dense_conflict_pairs(scheme, conflict=None):
+    if conflict is None:
+        conflict = (2.0 + scheme._delta) * scheme.cell_range
     return np.nonzero(np.triu(pairwise_distances(scheme._bs) < conflict, k=1))
 
 

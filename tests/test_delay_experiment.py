@@ -5,7 +5,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.experiments.delay import DelayComparison, compare_delays
+from repro.core.regimes import NetworkParameters
+from repro.experiments.delay import DelayComparison, _scheme_b_router, compare_delays
+from repro.simulation.network import HybridNetwork
 from repro.store import RunStore, content_digest
 
 
@@ -70,3 +72,10 @@ class TestJournaledValues:
         (resumed,) = RunStore(tmp_path / "old").list_runs()
         assert resumed["stats"]["cache_hits"] == 3
         assert resumed["digest"] == manifest["digest"]
+
+
+def test_scheme_b_router_needs_infrastructure():
+    params = NetworkParameters(alpha="1/4", cluster_exponent=1)
+    net = HybridNetwork.build(params, 40, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="infrastructure"):
+        _scheme_b_router(net)

@@ -5,7 +5,9 @@ import pytest
 
 from repro.infrastructure.backbone import Backbone
 from repro.routing.scheme_l import SchemeL
+from repro.simulation.network import HybridNetwork
 from repro.simulation.traffic import permutation_traffic
+from tests.test_backbone_loads import TRIVIAL_BS, networkx_colours
 
 
 def build(rng, n=120, k=6, r_t=0.08, max_hops=2, c=10.0, zones=1):
@@ -110,3 +112,37 @@ class TestSustainableRate:
         result = scheme.sustainable_rate(traffic)
         if result.per_node_rate > 0:
             assert result.bottleneck == "backbone"
+
+
+def conflict_distance(scheme):
+    return (scheme.max_hops + 1.0 + scheme._delta) * scheme._range
+
+
+class TestColouring:
+    """The TDMA groups equal networkx's largest-first colouring of the dense
+    ``k x k`` conflict graph."""
+
+    @pytest.mark.parametrize("max_hops", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_trivial_bs_rows(self, seed, max_hops):
+        net = HybridNetwork.build(TRIVIAL_BS.parameters, 2000, np.random.default_rng(seed))
+        k = net.bs_positions.shape[0]
+        scheme = SchemeL(
+            net.home_model.points, net.bs_positions, net.home_model.assignment,
+            net._bs_cluster_assignment(), net.backbone, transmission_range=0.02,
+            max_hops=max_hops,
+        )
+        assert k > 100 and scheme.group_count > 1
+        np.testing.assert_array_equal(
+            scheme._groups, networkx_colours(scheme, conflict_distance(scheme))
+        )
+
+    @pytest.mark.parametrize(
+        "k, r_t", [(1, 0.1), (2, 0.3), (12, 0.05), (40, 0.02), (40, 0.2)]
+    )
+    def test_random_layouts(self, rng, k, r_t):
+        # r_t = 0.2 puts the conflict distance past a third of the torus
+        scheme = build(rng, n=60, k=k, r_t=r_t)
+        np.testing.assert_array_equal(
+            scheme._groups, networkx_colours(scheme, conflict_distance(scheme))
+        )

@@ -1,16 +1,23 @@
 """Unit tests for mobility shapes ``s(d)``."""
 
+import dataclasses
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.regimes import NetworkParameters
+from repro.mobility import shapes
 from repro.mobility.shapes import (
     ConeShape,
     QuadraticDecayShape,
     TruncatedGaussianShape,
     UniformDiskShape,
 )
+from repro.simulation.network import HybridNetwork
 
 ALL_SHAPES = [
     UniformDiskShape(1.0),
@@ -176,3 +183,98 @@ class TestProposition1:
         d = np.sqrt(dx ** 2 + dy ** 2)
         integral = float(shape.density(f * d).mean())
         assert integral == pytest.approx(shape.normalization() / f ** 2, rel=0.02)
+
+
+class TestValueSemantics:
+    """Shapes are immutable values; their tables are memoised per value."""
+
+    def test_equal_shapes_share_one_table(self):
+        shape = TruncatedGaussianShape(1.0, sigma=0.4)
+        table = shapes._kernel_table(shape)
+        assert shapes._kernel_table(TruncatedGaussianShape(1.0, 0.4)) is table
+        assert shapes._kernel_table(pickle.loads(pickle.dumps(shape))) is table
+
+    def test_equality_is_by_class_and_parameters(self):
+        assert ConeShape(1.0) == ConeShape(1)
+        assert ConeShape(1.0) != QuadraticDecayShape(1.0)
+        assert ConeShape(1.0) != ConeShape(2.0)
+        assert TruncatedGaussianShape(1.0, 0.3) != TruncatedGaussianShape(1.0, 0.4)
+        assert hash(ConeShape(1.0)) == hash(ConeShape(1))
+
+    @pytest.mark.parametrize("shape", ALL_SHAPES, ids=lambda s: type(s).__name__)
+    def test_fields_are_frozen(self, shape):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shape.support_radius = 2.0
+
+    @pytest.mark.parametrize("cls", [type(shape) for shape in ALL_SHAPES])
+    @pytest.mark.parametrize("radius", [0, -1.0])
+    def test_bad_support_radius_rejected(self, cls, radius):
+        with pytest.raises(ValueError):
+            cls(radius)
+
+    @pytest.mark.parametrize("sigma", [0, -0.4])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError):
+            TruncatedGaussianShape(1.0, sigma=sigma)
+
+    def test_signatures_unchanged(self):
+        assert UniformDiskShape() == UniformDiskShape(1.0)
+        assert TruncatedGaussianShape(2.0, 0.3) == TruncatedGaussianShape(
+            support_radius=2.0, sigma=0.3
+        )
+        assert TruncatedGaussianShape().sigma == 0.4
+
+    def test_network_builds_compute_the_kernel_table_once(self):
+        shapes._kernel_table.cache_clear()
+        params = NetworkParameters(alpha="1/4", cluster_exponent=1)
+        for seed in (1, 2):
+            net = HybridNetwork.build(params, 200, np.random.default_rng(seed))
+            net.scheme_a().sustainable_rate(net.sample_traffic())
+        info = shapes._kernel_table.cache_info()
+        assert info.misses == 1 and info.hits >= 1
+
+
+#: sha256 of the kernel table's separation and value bytes, and
+#: ``normalization().hex()``, as the quadrature has always computed them
+PINNED_TABLES = {
+    ("UniformDiskShape", 1.0): (
+        "74e93b8b12897fe2f437e6bf169a83dff06037d483d4cb4d38e7e031ecc9cc3a",
+        "0x1.921fb54442d1cp+1",
+    ),
+    ("ConeShape", 1.0): (
+        "0e284cacd84c215fa090acff263f0402fd1a787c2ffa260d408dbe6342077442",
+        "0x1.0c151f517660fp+0",
+    ),
+    ("TruncatedGaussianShape", 1.0): (
+        "3a4718b3e6533e76f55caa8250fe01c29fc89453ce0b703f2223dc72f68e260b",
+        "0x1.ec1a7258a3c17p-1",
+    ),
+    ("QuadraticDecayShape", 1.0): (
+        "b87d294c1225d68aabcdbaa294bef29c060f73e5806de4246f8a0052b0f7b973",
+        "0x1.921faefa31913p+0",
+    ),
+    ("UniformDiskShape", 2.0): (
+        "3b9518fb12662b3363db45a564c1686650d52f0fdf63216aeacdd8130cf2d97b",
+        "0x1.921fb54442d1cp+3",
+    ),
+    ("ConeShape", 2.0): (
+        "452db3ec0b50e09a3c85e2bab43b0fbad4c54b21b31534c73fcbb8b476fcafd3",
+        "0x1.0c151f517660fp+2",
+    ),
+    ("TruncatedGaussianShape", 2.0): (
+        "88efa0b31f6727107690f6edaa0096f0f0fb096ba2700676ce7020ccfd09514d",
+        "0x1.015bb1e3a8aeap+0",
+    ),
+    ("QuadraticDecayShape", 2.0): (
+        "313ce01a7bb7c9e4c341bdc4bb485eeb36951f75f80b6abb4bdbab6a31a3fc88",
+        "0x1.921faefa31913p+2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, radius", sorted(PINNED_TABLES))
+def test_tables_bit_equal_to_pinned(name, radius):
+    shape = getattr(shapes, name)(radius)
+    separations, values = shapes._kernel_table(shape)
+    digest = hashlib.sha256(separations.tobytes() + values.tobytes()).hexdigest()
+    assert (digest, shape.normalization().hex()) == PINNED_TABLES[(name, radius)]

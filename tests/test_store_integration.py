@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from repro.core.regimes import NetworkParameters
-from repro.experiments.scaling import sweep_capacity, sweep_trial_payloads
+from repro.experiments.scaling import (
+    _sweep_trial_key,
+    sweep_capacity,
+    sweep_trial_payloads,
+)
+from repro.infrastructure.backbone import BackboneTopology
+from repro.mobility.shapes import ConeShape, QuadraticDecayShape, UniformDiskShape
 from repro.parallel import TrialRunner
 from repro.resilience import RetryPolicy
 from repro.store import RunStore, TrialSeed, trial_key
@@ -217,6 +223,56 @@ class TestSweepStore:
         # journal refreshed: a cached run still sees every trial
         warm = run_sweep(store=store_dir)
         assert warm.stats.cache_hits == 4
+
+    @pytest.mark.parametrize(
+        "scheme, build_kwargs",
+        [
+            ("A", {"shape": UniformDiskShape(2.0)}),
+            ("B", {"backbone_topology": BackboneTopology.RING}),
+        ],
+        ids=["shape", "topology"],
+    )
+    def test_build_kwargs_sweep_reruns_as_hits(self, tmp_path, scheme, build_kwargs):
+        params = NetworkParameters(
+            alpha="1/4", cluster_exponent=1, bs_exponent="7/8", backbone_exponent=1
+        )
+
+        def sweep(store=None):
+            return sweep_capacity(
+                params, [100, 200], scheme=scheme, trials=2, seed=3,
+                build_kwargs=build_kwargs, store=store,
+            )
+
+        cold = sweep()
+        first = sweep(store=tmp_path / "s")
+        second = sweep(store=tmp_path / "s")
+        assert first.stats.cache_hits == 0
+        assert second.stats.cache_hits == 4
+        assert first.digest() == second.digest() == cold.digest()
+
+    def test_unencodable_build_kwargs_create_no_store(self, tmp_path):
+        class Custom(UniformDiskShape):
+            pass
+
+        with pytest.raises(TypeError):
+            run_sweep(store=tmp_path / "s", build_kwargs={"shape": Custom(1.0)})
+        assert not (tmp_path / "s").exists()
+
+    def test_shape_enters_the_trial_key(self):
+        def key(build_kwargs):
+            payload = sweep_trial_payloads(PARAMS, [100], "A", 1, build_kwargs)[0]
+            return _sweep_trial_key(payload)
+
+        assert key({"shape": ConeShape(1.0)}) != key({"shape": QuadraticDecayShape(1.0)})
+        assert key({"shape": ConeShape(1)}) == key({"shape": ConeShape(1.0)})
+
+    def test_default_shape_key_unchanged(self):
+        # a sweep that names no shape keeps the key it had before shapes
+        # became encodable, so existing journals still hit
+        payload = sweep_trial_payloads(PARAMS, [200], "A", 1, None, seed=11)[0]
+        assert _sweep_trial_key(payload) == (
+            "42fcd29841e41083ca359609aac55ed84dcced1e9003c03797cc92c1137d8a6b"
+        )
 
     def test_manifest_recorded_with_provenance_and_timing(self, tmp_path):
         store_dir = tmp_path / "s"

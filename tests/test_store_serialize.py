@@ -7,6 +7,13 @@ import numpy as np
 import pytest
 
 from repro.core.regimes import NetworkParameters
+from repro.infrastructure.backbone import BackboneTopology
+from repro.mobility.shapes import (
+    ConeShape,
+    QuadraticDecayShape,
+    TruncatedGaussianShape,
+    UniformDiskShape,
+)
 from repro.routing.base import FlowResult
 from repro.store import canonical_json, content_digest, from_jsonable, to_jsonable
 
@@ -91,6 +98,41 @@ class TestNetworkParameters:
             bs_exponent="3/4", backbone_exponent=1, validate=False,
         )
         assert roundtrip(params) == params
+
+
+class TestBuildInputs:
+    """Shapes and backbone topologies ride in a sweep's ``build_kwargs``."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            UniformDiskShape(2.0),
+            ConeShape(1.0),
+            TruncatedGaussianShape(1.5, sigma=0.3),
+            QuadraticDecayShape(0.5),
+        ],
+        ids=repr,
+    )
+    def test_shape_roundtrip(self, shape):
+        back = roundtrip(shape)
+        assert back == shape and type(back) is type(shape)
+
+    @pytest.mark.parametrize("topology", list(BackboneTopology))
+    def test_topology_roundtrip(self, topology):
+        assert roundtrip({"backbone_topology": topology}) == {
+            "backbone_topology": topology
+        }
+
+    def test_equal_shapes_encode_equal(self):
+        assert canonical_json(UniformDiskShape(2)) == canonical_json(UniformDiskShape(2.0))
+        assert canonical_json(ConeShape(1.0)) != canonical_json(QuadraticDecayShape(1.0))
+
+    def test_custom_shape_subclass_rejected(self):
+        class Custom(UniformDiskShape):
+            pass
+
+        with pytest.raises(TypeError):
+            to_jsonable(Custom(1.0))
 
 
 class TestFlowResult:
