@@ -59,9 +59,7 @@ def _bench_size(n, sparse_slots, dense_slots):
     positions = _slot_positions(n, sparse_slots)
 
     start = time.perf_counter()
-    sparse_schedules = [
-        policy.schedule(p, index=CellGridIndex(p)) for p in positions
-    ]
+    sparse_schedules = [policy.schedule(p) for p in positions]
     sparse_elapsed = time.perf_counter() - start
 
     radius = policy.transmission_range()

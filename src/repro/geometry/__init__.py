@@ -2,7 +2,6 @@
 
 from .neighbors import (
     CellGridIndex,
-    IncrementalCellGridIndex,
     adjacency_lists,
     masked_nearest,
     pair_distances,
@@ -12,7 +11,6 @@ from .torus import pairwise_distances, torus_distance, wrap
 
 __all__ = [
     "CellGridIndex",
-    "IncrementalCellGridIndex",
     "SquareTessellation",
     "adjacency_lists",
     "masked_nearest",

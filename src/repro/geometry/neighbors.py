@@ -41,7 +41,6 @@ from .torus import batched_pairwise_distances, pairwise_distances, wrap
 
 __all__ = [
     "CellGridIndex",
-    "IncrementalCellGridIndex",
     "pair_distances",
     "masked_nearest",
     "adjacency_lists",
@@ -72,9 +71,8 @@ def _cell_ids(wrapped: np.ndarray, m: int) -> np.ndarray:
 def _build_buckets(cid: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR bucket arrays ``(order, start, count)`` over cell ids.
 
-    ``order`` is the stable argsort of ``cid`` -- points sorted by
-    ``(cell id, point index)`` -- the canonical ordering both the fresh and
-    the incremental index maintain so their query enumerations agree.
+    ``order`` is the stable argsort of ``cid``: points sorted by
+    ``(cell id, point index)``.
     """
     order = np.argsort(cid, kind="stable")
     count = np.bincount(cid, minlength=m * m)
@@ -289,256 +287,6 @@ class CellGridIndex:
         qi, pj, dist = qi[keep], pj[keep], dist[keep]
         sel = np.lexsort((pj, qi))
         return qi[sel], pj[sel], dist[sel]
-
-
-class IncrementalCellGridIndex(CellGridIndex):
-    """A :class:`CellGridIndex` that persists across slots of one trial.
-
-    The paper's restricted mobility (each MS orbits a fixed home-point
-    within radius ``Theta(1/f(n))``) means that between consecutive slots
-    almost nothing moves far -- yet rebuilding a fresh index costs an
-    ``O(n log n)`` argsort plus a full stencil enumeration regardless of
-    movement.  This index instead *diffs*: :meth:`update` re-buckets only
-    the nodes whose cell changed (an ``O(moved log moved)`` sort merged
-    into the bucket order with memcpy-level passes) and repairs each cached
-    ``pairs_within`` result by dropping pairs touching a moved node and
-    re-enumerating only the moved nodes' 9-cell stencils, so per-slot cost
-    scales with *movement* rather than with ``n``.
-
-    Bit-identity contract (the same one :class:`CellGridIndex` honours
-    against the dense matrix): after any sequence of updates,
-    :meth:`pairs_within` and :meth:`neighbors_of` return exactly the
-    arrays a fresh ``CellGridIndex(points)`` would -- same pairs, same
-    lexicographic order, same float bits.  This holds because the bucket
-    arrays are maintained equal to the stable-argsort canonical form, the
-    surviving pair set is exactly the fresh pair set (distances of unmoved
-    pairs are pure functions of unchanged coordinates; pairs gaining or
-    losing membership necessarily involve a moved node, whose stencil is
-    re-enumerated), and distances are always evaluated with the shared
-    per-axis kernel of :func:`pair_distances`.
-    ``tests/test_incremental_index.py`` drives this with Hypothesis.
-
-    When more than :attr:`REBUILD_FRACTION` of the nodes move in one update
-    (e.g. an :class:`~repro.mobility.processes.IIDAroundHome` full redraw),
-    the diff would touch everything, so the index transparently falls back
-    to a from-scratch rebuild -- identical results, no worse than a fresh
-    index.  The dense-fallback regimes (``n <= 32`` or fewer than three
-    cells per side) keep delegating to the dense matrix per query, exactly
-    like the fresh index.
-
-    Updates mutate internal buffers: construct with (or update to) arrays
-    the caller will not mutate afterwards; the ``moved`` mask passed to
-    :meth:`update` must cover every row whose value changed (``None``
-    diffs the arrays, which is always safe).
-    """
-
-    #: Share of moved nodes above which an update rebuilds from scratch
-    #: (tests force the diff path with a subclass that sets it to 1).
-    REBUILD_FRACTION = 0.5
-
-    def __init__(self, points: np.ndarray):
-        # own, writable copy: updates write moved rows in place
-        super().__init__(np.array(np.atleast_2d(points), dtype=float))
-        self._cids: Dict[int, np.ndarray] = {}
-        self._pair_cache: Dict[float, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        #: Counters for benchmarks and tests.
-        self.updates = 0
-        self.rebuilds = 0
-        self.last_moved = 0
-        self.last_rebuild = False
-
-    @property
-    def points(self) -> np.ndarray:
-        """The indexed positions (read-only: updates own the buffer)."""
-        view = self._points.view()
-        view.flags.writeable = False
-        return view
-
-    # ------------------------------------------------------------------
-    # grid construction / maintenance
-    # ------------------------------------------------------------------
-    def _grid(self, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        got = self._grids.get(m)
-        if got is None:
-            cid = _cell_ids(self._wrapped, m)
-            got = _build_buckets(cid, m)
-            self._cids[m] = cid
-            self._grids[m] = got
-        return got
-
-    def _reset(self, new_points: np.ndarray) -> None:
-        """From-scratch rebuild: replace the snapshot, drop derived state."""
-        self._points = np.array(new_points, dtype=float)
-        self._wrapped = wrap(self._points)
-        self._grids.clear()
-        self._cids.clear()
-        self._pair_cache.clear()
-        self.rebuilds += 1
-        self.last_rebuild = True
-
-    def update(
-        self,
-        new_points: np.ndarray,
-        moved: Optional[np.ndarray] = None,
-    ) -> "IncrementalCellGridIndex":
-        """Advance the index to the next slot's positions.
-
-        ``moved`` is an optional boolean mask (or integer index array) of
-        the nodes that *may* have moved -- a superset is fine, rows outside
-        it must be bit-identical to the current snapshot.  ``None`` diffs
-        ``new_points`` against the current snapshot (one vectorized
-        compare), so callers without a free mask stay safe.
-        """
-        new_points = np.atleast_2d(np.asarray(new_points, dtype=float))
-        if new_points.shape != self._points.shape:
-            raise ValueError(
-                f"update expects positions of shape {self._points.shape}, "
-                f"got {new_points.shape}"
-            )
-        n = self._points.shape[0]
-        if moved is None:
-            moved_mask = np.any(new_points != self._points, axis=1)
-        else:
-            moved = np.asarray(moved)
-            if moved.dtype == bool:
-                if moved.shape != (n,):
-                    raise ValueError(
-                        f"moved mask must have shape ({n},), got {moved.shape}"
-                    )
-                moved_mask = moved
-            else:
-                moved_mask = np.zeros(n, dtype=bool)
-                moved_mask[moved] = True
-        moved_idx = np.nonzero(moved_mask)[0]
-        self.updates += 1
-        self.last_moved = int(moved_idx.size)
-        self.last_rebuild = False
-        if moved_idx.size == 0:
-            return self
-        if moved_idx.size > self.REBUILD_FRACTION * n:
-            self._reset(new_points)
-            return self
-        new_rows = new_points[moved_idx]
-        wrapped_rows = wrap(new_rows)
-        for m in list(self._grids):
-            self._update_buckets(m, moved_idx, wrapped_rows)
-        self._points[moved_idx] = new_rows
-        self._wrapped[moved_idx] = wrapped_rows
-        for radius in list(self._pair_cache):
-            self._update_pairs(radius, moved_mask, moved_idx)
-        return self
-
-    def _update_buckets(
-        self, m: int, moved_idx: np.ndarray, wrapped_rows: np.ndarray
-    ) -> None:
-        """Re-bucket the moved nodes whose cell changed at resolution ``m``.
-
-        Maintains the canonical ``(cell id, node index)`` bucket order by
-        deleting the dirty nodes and merge-inserting them at their new
-        positions -- no full argsort.
-        """
-        cid = self._cids[m]
-        order, start, count = self._grids[m]
-        n = cid.shape[0]
-        new_cid_rows = _cell_ids(wrapped_rows, m)
-        changed = new_cid_rows != cid[moved_idx]
-        if not np.any(changed):
-            return
-        nodes = moved_idx[changed]
-        new_cells = new_cid_rows[changed]
-        np.subtract.at(count, cid[nodes], 1)
-        np.add.at(count, new_cells, 1)
-        cid[nodes] = new_cells
-        dirty = np.zeros(n, dtype=bool)
-        dirty[nodes] = True
-        remaining = order[~dirty[order]]
-        insert = nodes[np.lexsort((nodes, new_cells))]
-        # composite (cell id, node index) keys: cid < m*m <= n + O(sqrt n)
-        # and index < n, so cid * n + index stays far below 2**63 for any
-        # simulable n
-        positions = np.searchsorted(
-            cid[remaining] * n + remaining, cid[insert] * n + insert
-        )
-        np.cumsum(count, out=start[1:])
-        self._grids[m] = (np.insert(remaining, positions, insert), start, count)
-
-    # ------------------------------------------------------------------
-    # pair maintenance
-    # ------------------------------------------------------------------
-    def _update_pairs(
-        self, radius: float, moved_mask: np.ndarray, moved_idx: np.ndarray
-    ) -> None:
-        """Repair one cached ``pairs_within`` result after an update.
-
-        Pairs between two unmoved nodes survive verbatim (their distance is
-        a pure function of unchanged coordinates); every pair involving a
-        moved node is re-derived from the moved nodes' wrap-around 9-cell
-        stencils against the already-updated buckets.
-        """
-        pair_i, pair_j, pair_d = self._pair_cache[radius]
-        keep = ~(moved_mask[pair_i] | moved_mask[pair_j])
-        kept_i, kept_j, kept_d = pair_i[keep], pair_j[keep], pair_d[keep]
-        m = self.resolution(radius)
-        order, start, count = self._grid(m)
-        cid = self._cids[m]
-        n = cid.shape[0]
-        ucx, ucy = cid[moved_idx] // m, cid[moved_idx] % m
-        chunks = []
-        for dx, dy in _FULL_STENCIL:
-            nb = np.mod(ucx + dx, m) * m + np.mod(ucy + dy, m)
-            cnt = count[nb]
-            sel = np.nonzero(cnt > 0)[0]
-            if sel.size == 0:
-                continue
-            t = cnt[sel]
-            qi = np.repeat(moved_idx[sel], t)
-            offsets = np.zeros(sel.size, dtype=np.int64)
-            np.cumsum(t[:-1], out=offsets[1:])
-            local = np.arange(int(t.sum()), dtype=np.int64) - np.repeat(offsets, t)
-            pb = np.repeat(start[nb[sel]], t) + local
-            chunks.append((qi, order[pb]))
-        if chunks:
-            raw_u = np.concatenate([c[0] for c in chunks])
-            raw_v = np.concatenate([c[1] for c in chunks])
-            a = np.minimum(raw_u, raw_v)
-            b = np.maximum(raw_u, raw_v)
-            # moved-moved pairs are enumerated from both endpoints' stencils;
-            # the composite key dedups them (and drops self pairs)
-            proper = a != b
-            keys = np.unique(a[proper] * n + b[proper])
-            a, b = keys // n, keys % n
-            dist = pair_distances(self._points, a, b)
-            inside = dist <= radius
-            a, b, dist = a[inside], b[inside], dist[inside]
-        else:
-            a, b, dist = _empty_pairs()
-        if a.size:
-            # both sides are sorted by the (i, j) composite key; merge
-            positions = np.searchsorted(kept_i * n + kept_j, a * n + b)
-            merged = (
-                np.insert(kept_i, positions, a),
-                np.insert(kept_j, positions, b),
-                np.insert(kept_d, positions, dist),
-            )
-        else:
-            merged = (kept_i, kept_j, kept_d)
-        self._pair_cache[radius] = merged
-
-    def pairs_within(
-        self, radius: float
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = self._points.shape[0]
-        m = self.resolution(radius) if radius > 0 else 0
-        if n < 2 or m < 3 or n <= _SMALL_N:
-            # dense-fallback regimes carry no incremental state; delegate
-            return super().pairs_within(radius)
-        entry = self._pair_cache.get(radius)
-        if entry is None:
-            entry = super().pairs_within(radius)
-            self._pair_cache[radius] = entry
-        i, j, d = entry
-        # consumers own the returned arrays, the cache owns the originals
-        return i.copy(), j.copy(), d.copy()
 
 
 # ----------------------------------------------------------------------

@@ -68,11 +68,6 @@ class SquareTessellation:
         np.clip(grid, 0, self.cells_per_side - 1, out=grid)
         return grid[:, 1] * self.cells_per_side + grid[:, 0]
 
-    def rowcol_of(self, points: np.ndarray) -> np.ndarray:
-        """``(row, col)`` integer pairs for each point, shape ``(len(points), 2)``."""
-        flat = self.cell_of(points)
-        return np.stack([flat // self.cells_per_side, flat % self.cells_per_side], axis=-1)
-
     def flat_index(self, row: int, col: int) -> int:
         """Flat index of cell ``(row, col)`` (wrapping)."""
         side = self.cells_per_side

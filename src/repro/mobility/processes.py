@@ -21,7 +21,7 @@ benchmarks use to confirm process-insensitivity:
 from __future__ import annotations
 
 import abc
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -67,19 +67,6 @@ class MobilityProcess(abc.ABC):
     @abc.abstractmethod
     def step(self) -> np.ndarray:
         """Advance one time slot; returns the new positions."""
-
-    def step_moved(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Advance one slot; returns ``(positions, moved)``.
-
-        ``moved`` is a boolean mask over nodes that is ``True`` for every
-        node whose position may have changed this slot -- a *superset* of
-        the actually-moved nodes is allowed (unchanged coordinates update
-        to identical bits), so processes report whatever mask falls out of
-        their dynamics for free.  ``None`` means "anything may have moved":
-        the caller should diff or rebuild.  The default covers processes
-        with no cheap mask.
-        """
-        return self.step(), None
 
 
 class IIDAroundHome(MobilityProcess):
@@ -146,7 +133,7 @@ class MetropolisWalkAroundHome(MobilityProcess):
         for _ in range(burn_in):
             self._advance()
 
-    def _advance(self) -> np.ndarray:
+    def _advance(self) -> None:
         proposal = self._offsets + self._rng.normal(0.0, self._sigma, self._offsets.shape)
         current_radius = np.linalg.norm(self._offsets, axis=1) / self._scale
         proposal_radius = np.linalg.norm(proposal, axis=1) / self._scale
@@ -157,7 +144,6 @@ class MetropolisWalkAroundHome(MobilityProcess):
         accept = self._rng.random(self.count) < np.minimum(1.0, ratio)
         accept &= proposal_radius <= self._shape.support_radius
         self._offsets[accept] = proposal[accept]
-        return accept
 
     def positions(self) -> np.ndarray:
         return wrap(self._home + self._offsets)
@@ -165,12 +151,6 @@ class MetropolisWalkAroundHome(MobilityProcess):
     def step(self) -> np.ndarray:
         self._advance()
         return self.positions()
-
-    def step_moved(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        # the Metropolis accept mask is exactly the set of changed nodes,
-        # and wrap(home + offsets) is bit-stable on the rejected rows
-        accepted = self._advance()
-        return self.positions(), accepted
 
 
 class WaypointAroundHome(MobilityProcess):
@@ -219,12 +199,6 @@ class WaypointAroundHome(MobilityProcess):
             )
         return self.positions()
 
-    def step_moved(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        # every node is either en route or snapping to its waypoint, so the
-        # honest mask is all-True; returning it (rather than None) still
-        # spares the caller a positions diff
-        return self.step(), np.ones(self.count, dtype=bool)
-
 
 class StaticProcess(MobilityProcess):
     """Nodes pinned at their home-points (base stations; static baselines)."""
@@ -234,9 +208,6 @@ class StaticProcess(MobilityProcess):
 
     def step(self) -> np.ndarray:
         return self.positions()
-
-    def step_moved(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        return self.step(), np.zeros(self.count, dtype=bool)
 
 
 class BrownianMotion(MobilityProcess):

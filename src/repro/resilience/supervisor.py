@@ -51,12 +51,6 @@ class PoolSupervisor:
         #: Total rebuilds recorded over the supervisor's lifetime.
         self.rebuilds = 0
 
-    @property
-    def recent_rebuilds(self) -> int:
-        """Rebuilds currently inside the sliding window."""
-        self._evict(self._clock())
-        return len(self._recent)
-
     def _evict(self, now: float) -> None:
         while self._recent and now - self._recent[0] > self.window_seconds:
             self._recent.popleft()

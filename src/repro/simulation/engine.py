@@ -21,7 +21,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..geometry.neighbors import IncrementalCellGridIndex
 from ..mobility.processes import MobilityProcess
 from ..observability.events import SlotBatch, get_telemetry
 from ..observability.log import get_logger
@@ -100,13 +99,12 @@ class SlottedSimulator:
     static_positions:
         Base-station positions appended after the MSs (optional).
 
-    The scheduler queries one :class:`IncrementalCellGridIndex` per
-    simulator, updated with the mobility process's per-slot moved mask: its
-    output is bit-identical to a fresh
-    :class:`~repro.geometry.neighbors.CellGridIndex` per slot
-    (``tests/test_incremental_index.py`` and
-    ``tests/test_engine_batching.py``) at a per-slot cost that scales with how
-    many nodes moved rather than with ``n``.
+    Each slot a range-based scheduler builds one
+    :class:`~repro.geometry.neighbors.CellGridIndex` over the MS positions
+    with the BS block appended.  A diffed index would save nothing: the
+    simulator's callers sample the stationary law with
+    :class:`~repro.mobility.processes.IIDAroundHome`, which redraws every
+    MS every slot.
     """
 
     def __init__(
@@ -143,10 +141,6 @@ class SlottedSimulator:
         self._slot = 0
         self._delivered: List[Packet] = []
         self._elapsed = 0.0
-        self._index: Optional[IncrementalCellGridIndex] = None
-        # preallocated (ms + bs, 2) position buffer: the BS block is written
-        # once, per-slot combining copies only the moved MS rows
-        self._combined: Optional[np.ndarray] = None
         # arrivals prefetched by run() as one (slots, n) Bernoulli matrix;
         # only safe when the arrival stream is not interleaved with the
         # mobility process's draws on a shared generator
@@ -219,55 +213,13 @@ class SlottedSimulator:
         else:
             self._queues[to_node].append(packet)
 
-    def _slot_index(self, positions, moved):
-        """The neighbor index for this slot's scheduler queries.
-
-        One persistent :class:`IncrementalCellGridIndex` is diffed forward
-        using the mobility process's moved mask (padded with ``False`` for
-        the static base stations, which never move).
-        """
-        if self._index is None:
-            self._index = IncrementalCellGridIndex(positions)
-        else:
-            if moved is not None and self._static is not None:
-                moved = np.concatenate(
-                    [moved, np.zeros(self._static.shape[0], dtype=bool)]
-                )
-            self._index.update(positions, moved=moved)
-        return self._index
-
-    def _combine(self, positions: np.ndarray, moved) -> np.ndarray:
-        """MS positions with the static BS block appended, without the
-        per-slot ``vstack``: the BS rows are written once into a
-        preallocated buffer and only the moved MS rows are copied per slot
-        (unmoved rows are bit-identical by the ``step_moved`` contract).
-        """
-        if self._static is None:
-            return positions
-        buffer = self._combined
-        if buffer is None:
-            buffer = self._combined = np.empty(
-                (self.ms_count + self._static.shape[0], 2), dtype=float
-            )
-            buffer[self.ms_count :] = self._static
-            buffer[: self.ms_count] = positions
-        elif moved is None:
-            buffer[: self.ms_count] = positions
-        else:
-            buffer[: self.ms_count][moved] = positions[moved]
-        return buffer
-
     def step(self) -> None:
         """Advance the simulation by one slot."""
-        positions, moved = self._process.step_moved()
-        positions = self._combine(positions, moved)
+        positions = self._process.step()
+        if self._static is not None:
+            positions = np.concatenate([positions, self._static])
         self._spawn_packets()
-        # One cell-grid index per slot over the advanced positions; the
-        # scheduler runs its guard-zone queries against it instead of a
-        # dense n x n distance matrix.
-        schedule = self._scheduler.schedule(
-            positions, index=self._slot_index(positions, moved)
-        )
+        schedule = self._scheduler.schedule(positions)
         for a, b in schedule.pairs:
             # Each enabled pair serves one packet in each direction
             # (Definition 10 splits the bandwidth symmetrically).

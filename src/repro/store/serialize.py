@@ -34,7 +34,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "from_jsonable",
     "register_payload",
-    "registered_payloads",
     "schema_fingerprint",
     "to_jsonable",
 ]
@@ -65,12 +64,6 @@ def register_payload(cls: Type) -> Type:
         raise ValueError(f"payload name {name!r} already registered to {existing!r}")
     _PAYLOAD_REGISTRY[name] = cls
     return cls
-
-
-def registered_payloads() -> Dict[str, Type]:
-    """Wire-name -> class mapping of every registered payload dataclass."""
-    _register_builtins()
-    return dict(_PAYLOAD_REGISTRY)
 
 
 _BUILTINS_REGISTERED = False

@@ -153,10 +153,9 @@ class GreedySINRScheduler(Scheduler):
     def transmission_range(self, node_count: Optional[int] = None) -> float:
         return self._range
 
-    def schedule(self, positions: np.ndarray, index=None) -> Schedule:
+    def schedule(self, positions: np.ndarray) -> Schedule:
         # SINR feasibility aggregates interference from *every* transmitter,
-        # so the dense gain matrix is inherent to the model; the cell-grid
-        # ``index`` accepted by the Scheduler interface is unused here.
+        # so the dense gain matrix is inherent to the model.
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
         distances = pairwise_distances(positions)
         gains = self._model.gain(distances)

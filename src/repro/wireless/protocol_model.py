@@ -16,7 +16,7 @@ endpoints; Theorem 2 shows the restriction costs nothing in order terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -140,7 +140,6 @@ class ProtocolModel:
         self,
         positions: np.ndarray,
         transmission_range: float,
-        index: Optional[CellGridIndex] = None,
     ) -> List[Link]:
         """All unordered pairs enabled by policy ``S*`` (Definition 10).
 
@@ -152,8 +151,7 @@ class ProtocolModel:
 
         The candidates come from a
         :class:`~repro.geometry.neighbors.CellGridIndex` over ``positions``
-        (``O(n)`` expected work and memory at the ``S*`` range); pass
-        ``index`` to reuse a per-slot index across policies.  Every pair
+        (``O(n)`` expected work and memory at the ``S*`` range).  Every pair
         that can influence the guard count lies within ``(1 + Delta) R_T``
         of one of its endpoints, so one ``pairs_within(guard)`` query
         yields both the in-range candidates and the per-node guard-disk
@@ -166,11 +164,9 @@ class ProtocolModel:
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
         if transmission_range <= 0:
             return []
-        if index is None:
-            index = CellGridIndex(positions)
         count = positions.shape[0]
         guard = self.guard_factor * transmission_range
-        i, j, dist = index.pairs_within(guard)
+        i, j, dist = CellGridIndex(positions).pairs_within(guard)
         inside = dist < guard
         guard_count = (
             np.bincount(i[inside], minlength=count)

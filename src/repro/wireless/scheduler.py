@@ -71,17 +71,12 @@ class Scheduler(abc.ABC):
         """The common range ``R_T`` used for a network of ``node_count`` nodes."""
 
     @abc.abstractmethod
-    def schedule(
-        self,
-        positions: np.ndarray,
-        index: Optional[CellGridIndex] = None,
-    ) -> Schedule:
+    def schedule(self, positions: np.ndarray) -> Schedule:
         """Select the enabled pairs for one slot from current positions.
 
-        ``index`` optionally supplies a prebuilt
+        A range-based policy builds one
         :class:`~repro.geometry.neighbors.CellGridIndex` over ``positions``
-        (the simulator keeps one per run); without it a range-based policy
-        builds its own.  Either way the schedule is the same.
+        per call.
         """
 
 
@@ -123,12 +118,8 @@ class PolicySStar(Scheduler):
             return self._range
         return self._c_t / math.sqrt(node_count)
 
-    def schedule(
-        self,
-        positions: np.ndarray,
-        index: Optional[CellGridIndex] = None,
-    ) -> Schedule:
-        pairs = self._model.strict_pairs(positions, self._range, index=index)
+    def schedule(self, positions: np.ndarray) -> Schedule:
+        pairs = self._model.strict_pairs(positions, self._range)
         return Schedule(pairs=tuple(pairs), transmission_range=self._range)
 
 
@@ -146,12 +137,8 @@ class VariableRangeScheduler(Scheduler):
     def transmission_range(self, node_count: Optional[int] = None) -> float:
         return self._range
 
-    def schedule(
-        self,
-        positions: np.ndarray,
-        index: Optional[CellGridIndex] = None,
-    ) -> Schedule:
-        pairs = self._model.strict_pairs(positions, self._range, index=index)
+    def schedule(self, positions: np.ndarray) -> Schedule:
+        pairs = self._model.strict_pairs(positions, self._range)
         return Schedule(pairs=tuple(pairs), transmission_range=self._range)
 
 
@@ -192,16 +179,13 @@ class GreedyMatchingScheduler(Scheduler):
     def schedule(
         self,
         positions: np.ndarray,
-        index: Optional[CellGridIndex] = None,
         candidates: Optional[Sequence[Link]] = None,
     ) -> Schedule:
         """Greedy schedule over ``candidates`` (default: every in-range
-        pair), using ``index`` for the guard-zone queries if given."""
+        pair)."""
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        if index is None:
-            index = CellGridIndex(positions)
         guard = self._model.guard_factor * self._range
-        pair_i, pair_j, pair_d = index.pairs_within(guard)
+        pair_i, pair_j, pair_d = CellGridIndex(positions).pairs_within(guard)
         node_count = positions.shape[0]
         strict = pair_d < guard
         indptr, indices = adjacency_lists(
@@ -297,11 +281,7 @@ class TDMACellScheduler(Scheduler):
     def transmission_range(self, node_count: Optional[int] = None) -> float:
         return self._range
 
-    def schedule(
-        self,
-        positions: np.ndarray,
-        index: Optional[CellGridIndex] = None,
-    ) -> Schedule:
+    def schedule(self, positions: np.ndarray) -> Schedule:
         active_color = self._slot % self._group_count
         self._slot += 1
         pairs: List[Link] = []

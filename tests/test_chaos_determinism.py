@@ -65,11 +65,9 @@ class TestChaosDigestEquality:
         assert chaos.digest() == _clean_digest()
 
 
-class TestChaosWithIncrementalIndex:
-    """The packet path under chaos: the delay-comparison sweep runs the
-    simulator on its persistent :class:`IncrementalCellGridIndex`.
-    Fault-injected parallel runs must reproduce the serial result
-    exactly."""
+class TestChaosOnPacketPath:
+    """The packet path under chaos: fault-injected parallel runs of the
+    delay comparison must reproduce the serial result exactly."""
 
     N = 48
     SLOTS = 120

@@ -1,25 +1,17 @@
-"""Engine vectorisation satellites: arrival prefetch, combined buffer and
-the persistent neighbor index.
+"""Engine vectorisation satellites: arrival prefetch and the static BS block.
 
-``run()`` now draws the whole ``(slots, n)`` Bernoulli arrival matrix up
-front (when the simulator's RNG is not shared with the mobility process),
-reuses one preallocated MS+BS position buffer per slot, and keeps one
-:class:`~repro.geometry.neighbors.IncrementalCellGridIndex` for the whole
-run.  All are pure optimisations: every test here pins bit-identity
-against the step-by-step path, which still draws arrivals per slot, or
-against a scheduler handed a fresh ``CellGridIndex`` every slot.
+``run()`` draws the whole ``(slots, n)`` Bernoulli arrival matrix up front
+(when the simulator's RNG is not shared with the mobility process).  That is
+a pure optimisation: every test here pins bit-identity against the
+step-by-step path, which still draws arrivals per slot.  The BS block is
+appended after the MS rows every slot, and simulators share no state.
 """
 
 import numpy as np
 import pytest
 
-from repro.geometry.neighbors import CellGridIndex
-from repro.mobility.processes import (
-    IIDAroundHome,
-    MetropolisWalkAroundHome,
-    StaticProcess,
-)
-from repro.mobility.shapes import TruncatedGaussianShape, UniformDiskShape
+from repro.mobility.processes import IIDAroundHome, StaticProcess
+from repro.mobility.shapes import UniformDiskShape
 from repro.observability import RecordingTelemetry
 from repro.observability.events import SlotBatch, using_telemetry
 from repro.simulation.engine import PacketRouter, SlottedSimulator
@@ -27,7 +19,6 @@ from repro.simulation.traffic import permutation_traffic
 from repro.wireless.scheduler import (
     GreedyMatchingScheduler,
     PolicySStar,
-    Scheduler,
     VariableRangeScheduler,
 )
 
@@ -35,15 +26,6 @@ from repro.wireless.scheduler import (
 class FIFORouter(PacketRouter):
     def select_transfer(self, queue, holder, peer):
         return queue[0] if queue else None
-
-
-PROCESSES = {
-    "iid": lambda homes, rng: IIDAroundHome(homes, UniformDiskShape(1.0), 0.3, rng),
-    # long proposals under a Gaussian shape: ~20% of nodes move per slot
-    "metropolis": lambda homes, rng: MetropolisWalkAroundHome(
-        homes, TruncatedGaussianShape(), 0.3, rng, step_fraction=1.0, burn_in=4
-    ),
-}
 
 
 def make_sim(
@@ -54,14 +36,13 @@ def make_sim(
     static=None,
     mobile=True,
     scheduler=None,
-    mobility="iid",
 ):
     """One simulator; ``shared_rng`` shares the engine RNG with mobility."""
     rng = np.random.default_rng(seed)
     homes = rng.random((n, 2))
     if mobile:
         process_rng = rng if shared_rng else np.random.default_rng(seed + 1000)
-        process = PROCESSES[mobility](homes, process_rng)
+        process = IIDAroundHome(homes, UniformDiskShape(1.0), 0.3, process_rng)
     else:
         process = StaticProcess(homes)
     total = n + (0 if static is None else len(static))
@@ -134,15 +115,15 @@ def scheduled_positions(sim):
     seen = []
     schedule = sim._scheduler.schedule
 
-    def spy(positions, **kwargs):
+    def spy(positions):
         seen.append((positions, positions.copy()))
-        return schedule(positions, **kwargs)
+        return schedule(positions)
 
     sim._scheduler.schedule = spy
     return seen
 
 
-class TestCombinedBuffer:
+class TestStaticBlock:
     def test_static_rows_preserved_across_slots(self):
         static = np.random.default_rng(0).random((7, 2))
         sim = make_sim(8, static=static)
@@ -161,15 +142,6 @@ class TestCombinedBuffer:
         for _ in range(30):
             step_sim.step()
         assert metrics_digest(run_metrics) == metrics_digest(step_sim._metrics())
-
-    def test_buffer_is_reused(self):
-        static = np.random.default_rng(2).random((4, 2))
-        sim = make_sim(10, static=static)
-        seen = scheduled_positions(sim)
-        sim.step()
-        sim.step()
-        (first, _), (second, _) = seen
-        assert first is second  # one preallocated MS+BS buffer
 
     def test_no_static_passthrough(self):
         sim = make_sim(11)
@@ -218,52 +190,3 @@ class TestIndependentSimulators:
         batches = sink.of_type(SlotBatch)
         assert [b.slots for b in batches] == [10, 5]
         assert [b.total_slots for b in batches] == [10, 15]
-
-
-class FreshIndexScheduler(Scheduler):
-    """Runs ``inner`` on a fresh :class:`CellGridIndex` every slot,
-    ignoring the index the simulator passes in."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def transmission_range(self, node_count=None):
-        return self._inner.transmission_range(node_count)
-
-    def schedule(self, positions, index=None):
-        return self._inner.schedule(positions, index=CellGridIndex(positions))
-
-
-class TestPersistentIndex:
-    """The simulator's one incremental index, diffed forward with the
-    mobility process's moved mask (padded for the static BSs), schedules
-    what a fresh index per slot schedules: IID redraws take the index's
-    rebuild path, the Metropolis walk its diff path."""
-
-    SLOTS = 150
-
-    @pytest.mark.parametrize("with_static", [False, True])
-    @pytest.mark.parametrize("mobility", sorted(PROCESSES))
-    @pytest.mark.parametrize("kind", ["sstar", "greedy"])
-    def test_matches_fresh_index_per_slot(self, kind, mobility, with_static):
-        static = np.random.default_rng(98).random((12, 2)) if with_static else None
-        factory = SCHEDULERS[kind]
-
-        def sim(fresh):
-            scheduler = factory() if factory else None
-            if fresh:
-                # make_sim's default S*, wrapped
-                total = 50 + (0 if static is None else len(static))
-                inner = scheduler or PolicySStar(node_count=total, c_t=0.4, delta=0.5)
-                scheduler = FreshIndexScheduler(inner)
-            return make_sim(13, static=static, scheduler=scheduler, mobility=mobility)
-
-        persistent_sim = sim(fresh=False)
-        persistent = persistent_sim.run(self.SLOTS)
-        fresh = sim(fresh=True).run(self.SLOTS)
-        index = persistent_sim._index
-        assert index.updates == self.SLOTS - 1
-        if mobility == "metropolis":
-            assert index.rebuilds < index.updates // 2  # mostly the diff path
-        assert persistent.delivered > 0  # the comparison is not vacuous
-        assert metrics_digest(persistent) == metrics_digest(fresh)

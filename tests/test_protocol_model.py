@@ -121,18 +121,6 @@ class TestStrictPairs:
         assert model.strict_pairs(positions, 0.0) == []
         assert model.strict_pairs(positions, -0.1) == []
 
-    def test_shared_index_matches_fresh_index(self, rng):
-        """One per-slot index serves several ranges with unchanged pairs."""
-        from repro.geometry.neighbors import CellGridIndex
-
-        model = ProtocolModel(delta=0.5)
-        positions = rng.random((120, 2))
-        index = CellGridIndex(positions)
-        for radius in (0.02, 0.05, 0.1, 0.3):
-            assert model.strict_pairs(
-                positions, radius, index=index
-            ) == model.strict_pairs(positions, radius)
-
 
 class TestCrossClusterInterference:
     def test_far_clusters_do_not_interfere(self, rng):

@@ -3,10 +3,12 @@
 The packet simulation reaches policy ``S*`` by one route: a cell-grid
 index per slot.  The schedulers' loop (``reference=``) and dense-matrix
 (``distances=``) paths now live in ``tests/test_scheduler_equivalence.py``
-as oracles, the incremental index's rebuild threshold is a class constant,
-and the shared-memory trial state is gone.  Each removed option must raise
-``TypeError``, and a delay comparison must leave nothing in ``/dev/shm``
-and start no resource-tracker process.
+as oracles, and the shared-memory trial state is gone.  The incremental
+index is gone too, with the mobility processes' ``step_moved`` mask that
+fed it and the ``index=`` option through which the simulator passed it to
+the schedulers: every range-based scheduler builds its own index.  Each
+removed option must raise ``TypeError``, and a delay comparison must leave
+nothing in ``/dev/shm`` and start no resource-tracker process.
 
 The experiment drivers share one recorded-run path, so
 ``repro.resilience.successful_values`` has no caller left and is gone; and
@@ -33,13 +35,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.geometry
+import repro.geometry.neighbors
+import repro.mobility.processes
 import repro.parallel
 import repro.resilience
 import repro.serve
 import repro.store
 from repro.__main__ import main
 from repro.experiments.delay import compare_delays
-from repro.geometry.neighbors import IncrementalCellGridIndex
+from repro.geometry.neighbors import CellGridIndex
 from repro.parallel import BatchedTrialPlan, TrialRunner
 from repro.resilience import FaultPlan, FaultSpecError, ResilienceConfig, RetryPolicy
 from repro.store import RunStore
@@ -122,7 +127,27 @@ class TestRemovedSchedulerPaths:
             scheduler.schedule(POSITIONS, distances=DISTANCES)
 
     @pytest.mark.parametrize(
-        "option", [{"distances": DISTANCES}, {"reference": True}]
+        "scheduler",
+        [
+            PolicySStar(40),
+            VariableRangeScheduler(0.1),
+            GreedyMatchingScheduler(0.1),
+            TDMACellScheduler(np.zeros(40, dtype=int), np.zeros(1), 40, 0.1),
+            GreedySINRScheduler(0.1),
+        ],
+        ids=["sstar", "variable", "greedy", "tdma", "sinr"],
+    )
+    def test_schedule_takes_no_index(self, scheduler):
+        with pytest.raises(TypeError):
+            scheduler.schedule(POSITIONS, index=CellGridIndex(POSITIONS))
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"distances": DISTANCES},
+            {"reference": True},
+            {"index": CellGridIndex(POSITIONS)},
+        ],
     )
     def test_strict_pairs_takes_no_dense_or_loop_path(self, option):
         with pytest.raises(TypeError):
@@ -132,10 +157,19 @@ class TestRemovedSchedulerPaths:
         with pytest.raises(TypeError):
             SlottedSimulator(None, None, None, None, 0.1, None, reference=True)
 
-    def test_incremental_index_takes_no_rebuild_fraction(self):
-        with pytest.raises(TypeError):
-            IncrementalCellGridIndex(POSITIONS, rebuild_fraction=1.0)
-        assert IncrementalCellGridIndex.REBUILD_FRACTION == 0.5
+
+
+class TestRemovedIncrementalIndex:
+    @pytest.mark.parametrize(
+        "module", [repro.geometry, repro.geometry.neighbors], ids=lambda m: m.__name__
+    )
+    def test_no_incremental_index(self, module):
+        assert not hasattr(module, "IncrementalCellGridIndex")
+        assert "IncrementalCellGridIndex" not in module.__all__
+
+    @pytest.mark.parametrize("name", repro.mobility.processes.__all__)
+    def test_processes_report_no_moved_mask(self, name):
+        assert not hasattr(getattr(repro.mobility.processes, name), "step_moved")
 
 
 def _repro_segments():

@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 import pytest
 
-from repro.geometry.neighbors import CellGridIndex
 from repro.geometry.torus import pairwise_distances
 from repro.wireless.protocol_model import Link, ProtocolModel
 from repro.wireless.scheduler import (
@@ -390,24 +389,6 @@ class TestSparseDensePathEquivalence:
         dense = _greedy_dense(positions, scheduler, 0.8, candidates)
         sparse = scheduler.schedule(positions, candidates=candidates)
         assert sparse.pairs == dense
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_prebuilt_index_matches_internal(self, seed):
-        """Passing the per-slot index (as the simulator does) changes
-        nothing versus letting the scheduler build its own."""
-        rng = np.random.default_rng(seed)
-        positions = rng.random((120, 2))
-        index = CellGridIndex(positions)
-        policy = PolicySStar(120, c_t=1.2, delta=1.0)
-        greedy = GreedyMatchingScheduler(1.2 / math.sqrt(120), delta=1.0)
-        assert (
-            policy.schedule(positions, index=index).pairs
-            == policy.schedule(positions).pairs
-        )
-        assert (
-            greedy.schedule(positions, index=index).pairs
-            == greedy.schedule(positions).pairs
-        )
 
     def test_greedy_tie_break_is_deterministic(self):
         """Equidistant candidates resolve by ``(dist, a, b)`` regardless of
