@@ -34,7 +34,10 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..simulation.traffic import PermutationTraffic
-from ..wireless.link_capacity import contact_probability_ms_bs_at_range
+from ..wireless.link_capacity import (
+    contact_probability_ms_bs_at_range,
+    ms_bs_contact_kernel,
+)
 from .base import FlowResult, RoutingScheme
 
 __all__ = ["SchemeB", "zone_pair_sessions"]
@@ -226,6 +229,7 @@ class SchemeB(RoutingScheme):
         access = np.zeros(ms_home.shape[0])
         padded = np.zeros((min(chunk_size, ms_home.shape[0]), k))
         reach = shape.support_radius / f * (1.0 + 1e-9)
+        contact = ms_bs_contact_kernel(shape, f, transmission_range)
         ms_x = np.mod(ms_home[:, 0], 1.0)
         bs_x = np.mod(bs_positions[:, 0], 1.0)
         ms_order = np.argsort(ms_x)
@@ -246,9 +250,7 @@ class SchemeB(RoutingScheme):
                 window = ring[lo : min(hi, lo + cols.size)]
                 distances = batched_pairwise_distances(ms_home[block], bs_positions[window])
                 buffer = padded[: block.size]
-                buffer[:, window] = contact_probability_ms_bs_at_range(
-                    shape, f, transmission_range, distances
-                )
+                buffer[:, window] = contact(distances)
                 access[block] = buffer.sum(axis=1)
                 buffer[:, window] = 0.0
         return access

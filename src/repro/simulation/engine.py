@@ -69,12 +69,23 @@ class PacketRouter(abc.ABC):
         """Update packet state after a hop (default: nothing)."""
 
     def is_delivered(self, packet: Packet) -> bool:
-        """Whether the packet has reached its destination."""
+        """Whether the packet has reached its destination.
+
+        Must depend on the packet alone (its holder and state), so only a
+        packet whose holder changed can become delivered.
+        """
         return packet.holder == packet.destination
 
-    def wired_step(self, queues: Dict[int, List[Packet]], slot: int) -> None:
+    def wired_step(self, queues: Dict[int, List[Packet]], slot: int) -> List[Packet]:
         """Advance any wired (non-interfering) transport, e.g. the BS
-        backbone of scheme B (default: nothing)."""
+        backbone of scheme B, and return the packets it moved (default:
+        nothing moves).
+
+        Each moved packet is returned once and must sit in
+        ``queues[packet.holder]``; the simulator checks :meth:`is_delivered`
+        on the returned packets only.
+        """
+        return []
 
 
 class SlottedSimulator:
@@ -105,6 +116,13 @@ class SlottedSimulator:
     simulator's callers sample the stationary law with
     :class:`~repro.mobility.processes.IIDAroundHome`, which redraws every
     MS every slot.
+
+    Delivery is checked only where a holder changes: on each wireless hop,
+    and on the packets :meth:`PacketRouter.wired_step` reports as moved.
+    :meth:`PacketRouter.is_delivered` depends on the packet alone, so no
+    other queued packet can have become delivered, and no slot scans every
+    queue.  Packets the wired step delivers are recorded in ascending holder
+    order, then queue position -- the order a scan of all queues would use.
     """
 
     def __init__(
@@ -229,14 +247,17 @@ class SlottedSimulator:
                 )
                 if packet is not None:
                     self._transfer(packet, holder, peer)
-        self._router.wired_step(self._queues, self._slot)
-        # collect packets delivered by the wired step
-        for node, queue in self._queues.items():
-            finished = [p for p in queue if self._router.is_delivered(p)]
-            for packet in finished:
-                queue.remove(packet)
-                packet.state.setdefault("delivered_slot", self._slot)
-                self._delivered.append(packet)
+        moved = self._router.wired_step(self._queues, self._slot)
+        queues = self._queues
+        # every key is taken before the first removal
+        finished = sorted(
+            (p for p in moved if self._router.is_delivered(p)),
+            key=lambda p: (p.holder, queues[p.holder].index(p)),
+        )
+        for packet in finished:
+            queues[packet.holder].remove(packet)
+            packet.state.setdefault("delivered_slot", self._slot)
+            self._delivered.append(packet)
         self._slot += 1
 
     def run(self, slots: int) -> SimulationMetrics:

@@ -183,7 +183,13 @@ class SchemeBRouter(PacketRouter):
         self._credit[edge] = credit
         return credit
 
-    def wired_step(self, queues: Dict[int, List[Packet]], slot: int) -> None:
+    def wired_step(self, queues: Dict[int, List[Packet]], slot: int) -> List[Packet]:
+        """Move queued packets BS -> BS toward their destination zone.
+
+        Returns the moved packets.  Each lands on a BS while every
+        destination is an MS, so none is delivered here.
+        """
+        moved: List[Packet] = []
         for bs_local in range(self._backbone.bs_count):
             node = self._n + bs_local
             queue = queues.get(node)
@@ -211,3 +217,5 @@ class SchemeBRouter(PacketRouter):
                     queue.remove(packet)
                     packet.holder = self._n + target
                     queues[packet.holder].append(packet)
+                    moved.append(packet)
+        return moved

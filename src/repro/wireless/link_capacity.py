@@ -22,7 +22,7 @@ suite uses to validate Lemma 2 empirically.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "contact_probability_ms_bs",
     "contact_probability_ms_ms_at_range",
     "contact_probability_ms_bs_at_range",
+    "ms_bs_contact_kernel",
     "measure_link_capacities",
     "measure_activity_fraction",
 ]
@@ -69,12 +70,26 @@ def contact_probability_ms_bs_at_range(
     ``pi R_T^2 f^2 s(f d_h) / (2 Z)`` -- the BS does not move, so only one
     mobility density enters (the paper's factor 1/2 is kept for fidelity).
     """
-    home_distance = np.asarray(home_distance, dtype=float)
-    z = shape.normalization()
-    return (
-        math.pi * transmission_range ** 2 * (f ** 2)
-        * shape.density(f * home_distance) / (2.0 * z)
-    )
+    return ms_bs_contact_kernel(shape, f, transmission_range)(home_distance)
+
+
+def ms_bs_contact_kernel(
+    shape: MobilityShape, f: float, transmission_range: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`contact_probability_ms_bs_at_range` as a function of ``d_h``
+    alone, with ``pi R_T^2 f^2`` and ``2 Z`` computed once.
+
+    For callers that evaluate many distance blocks of one trial; every
+    value is bit-identical to the one-shot call.
+    """
+    scale = math.pi * transmission_range ** 2 * (f ** 2)
+    denominator = 2.0 * shape.normalization()
+
+    def kernel(home_distance: np.ndarray) -> np.ndarray:
+        home_distance = np.asarray(home_distance, dtype=float)
+        return scale * shape.density(f * home_distance) / denominator
+
+    return kernel
 
 
 def contact_probability_ms_ms(

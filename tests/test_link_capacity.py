@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.mobility.processes import IIDAroundHome
-from repro.mobility.shapes import UniformDiskShape
+from repro.mobility.shapes import ConeShape, TruncatedGaussianShape, UniformDiskShape
 from repro.wireless.link_capacity import (
     contact_probability_ms_bs,
     contact_probability_ms_bs_at_range,
@@ -14,6 +14,7 @@ from repro.wireless.link_capacity import (
     contact_probability_ms_ms_at_range,
     measure_activity_fraction,
     measure_link_capacities,
+    ms_bs_contact_kernel,
 )
 from repro.wireless.scheduler import PolicySStar, VariableRangeScheduler
 
@@ -55,6 +56,26 @@ class TestClosedForms:
             SHAPE, 8.0, c_t / math.sqrt(n), d
         )
         assert via_n[0] == pytest.approx(via_range[0])
+
+    @pytest.mark.parametrize(
+        "shape", [SHAPE, ConeShape(1.5), TruncatedGaussianShape(1.0)]
+    )
+    def test_ms_bs_kernel_is_the_closed_form_bit_for_bit(self, shape):
+        """The hoisted kernel keeps eq. (8)'s evaluation order
+        ``(pi R_T^2 f^2) * s(f d) / (2 Z)``, so scheme B's access vector
+        does not move by an ulp."""
+        d = np.random.default_rng(4).random((7, 5)) * 0.2
+        f, r_t = 9.3, 0.031
+        want = (
+            math.pi * r_t ** 2 * (f ** 2)
+            * shape.density(f * d) / (2.0 * shape.normalization())
+        )
+        kernel = ms_bs_contact_kernel(shape, f, r_t)
+        np.testing.assert_array_equal(kernel(d), want)
+        np.testing.assert_array_equal(kernel(d[2:4]), want[2:4])
+        np.testing.assert_array_equal(
+            contact_probability_ms_bs_at_range(shape, f, r_t, d), want
+        )
 
     def test_ms_ms_contact_probability_monte_carlo(self, rng):
         """Corollary 1 eq. (6) against brute-force simulation."""

@@ -22,12 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.neighbors import (
+    _HALF_STENCIL,
     _SMALL_N,
     CHUNK_ELEMENTS,
     CellGridIndex,
     adjacency_lists,
     chunk_rows,
     masked_nearest,
+    _stencil_table,
     pair_distances,
 )
 from repro.geometry.torus import batched_pairwise_distances, pairwise_distances
@@ -176,6 +178,89 @@ class TestNeighborsOfMatchesDense:
         index = CellGridIndex(np.array([[0.5, 0.5]]))
         qi, pj, d = index.neighbors_of(np.empty((0, 2)), 0.1)
         assert qi.size == pj.size == d.size == 0
+
+
+def _assert_neighbors_match(pts, queries, r):
+    qi, pj, d = CellGridIndex(pts).neighbors_of(queries, r)
+    dense = pairwise_distances(queries, pts)
+    ei, ej = np.nonzero(dense <= r)
+    np.testing.assert_array_equal(qi, ei)
+    np.testing.assert_array_equal(pj, ej)
+    np.testing.assert_array_equal(d, dense[ei, ej])
+
+
+class TestSinglePassEdgeCases:
+    """The one-pass stencil expansion against the dense ``np.triu`` path
+    where the per-cell bookkeeping is most fragile."""
+
+    def test_three_cells_per_side(self):
+        """``m == 3``: the wrap-around stencil covers the whole grid, and
+        the left and right neighbours of a cell are the same two cells."""
+        rng = np.random.default_rng(21)
+        pts = rng.random((150, 2))
+        for r in (0.26, 0.3, 1 / 3):
+            assert CellGridIndex(pts).resolution(r) == 3
+            _assert_pairs_match(pts, r)
+            _assert_neighbors_match(pts, rng.random((40, 2)), r)
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(22)
+        base = rng.random((30, 2))
+        pts = np.concatenate([base, base, base[:5]])
+        for r in (1e-3, 0.02, 0.1):
+            _assert_pairs_match(pts, r)
+            _assert_neighbors_match(pts, base, r)
+        i, j, d = CellGridIndex(pts).pairs_within(1e-3)
+        assert np.all(d[np.isin(i, np.arange(30)) & (j == i + 30)] == 0.0)
+
+    def test_every_point_in_one_cell(self):
+        rng = np.random.default_rng(23)
+        pts = 0.42 + rng.random((60, 2)) * 1e-3
+        index = CellGridIndex(pts)
+        m = index.resolution(0.01)
+        _, _, count, _ = index._grid(m)
+        assert np.count_nonzero(count) == 1
+        _assert_pairs_match(pts, 0.01)
+        _assert_pairs_match(pts, 1e-4)
+        _assert_neighbors_match(pts, rng.random((30, 2)), 0.01)
+
+    def test_mostly_empty_cells(self):
+        """Two tight clusters on either side of the seam, every other cell
+        empty."""
+        rng = np.random.default_rng(24)
+        pts = np.mod(
+            np.concatenate(
+                [rng.random((40, 2)) * 0.02, 0.999 + rng.random((40, 2)) * 0.02]
+            ),
+            1.0,
+        )
+        for r in (0.005, 0.02, 0.05):
+            _assert_pairs_match(pts, r)
+            _assert_neighbors_match(pts, rng.random((50, 2)), r)
+
+    def test_just_past_the_dense_threshold(self):
+        rng = np.random.default_rng(25)
+        pts = rng.random((_SMALL_N + 1, 2))
+        for r in (0.05, 0.2, 0.3):
+            assert CellGridIndex(pts).resolution(r) >= 3
+            _assert_pairs_match(pts, r)
+            _assert_neighbors_match(pts, rng.random((_SMALL_N + 1, 2)), r)
+
+    def test_stencil_table_cached_per_resolution(self):
+        """Indexes over different snapshots at one resolution share one
+        read-only stencil table."""
+        rng = np.random.default_rng(26)
+        first = rng.random((400, 2))
+        second = rng.random((400, 2))
+        CellGridIndex(first).pairs_within(0.05)
+        m = CellGridIndex(first).resolution(0.05)
+        table = _stencil_table(m, _HALF_STENCIL)
+        hits = _stencil_table.cache_info().hits
+        CellGridIndex(second).pairs_within(0.05)
+        CellGridIndex(first).pairs_within(0.05)
+        assert _stencil_table.cache_info().hits == hits + 2
+        assert _stencil_table(m, _HALF_STENCIL) is table
+        assert not table.flags.writeable
 
 
 class TestIndexMechanics:
