@@ -219,17 +219,13 @@ def _batched_sweep_trial(seed_seqs, payloads) -> List[float]:
             nets[0].realized.f,
             [net.access_transmission_range() for net in nets],
         )
-        values = []
-        for member, net in enumerate(nets):
-            per_node, generic_rate = scheme_b_flow(
-                access[member],
-                zones[member][0],
-                zones[member][1],
-                net.backbone,
-                traffics[member].destination,
+        return [
+            _payload_rate(
+                scheme_b_flow(vector, *zone, net.backbone, traffic.destination),
+                generic,
             )
-            values.append(float(generic_rate if generic else per_node))
-        return values
+            for vector, zone, net, traffic in zip(access, zones, nets, traffics)
+        ]
     if any(net.bs_positions is None for net in nets):
         raise ValueError("scheme C needs infrastructure")
     attach = batched_scheme_c_attach(

@@ -8,9 +8,9 @@ depends on the batch it ran in:
 - :func:`batched_zone_access` runs :meth:`SchemeB.zone_access_vector` for
   each member;
 - :func:`scheme_b_flow` runs :meth:`SchemeB.sustainable_rate`'s flow
-  analysis on one member's access vector (re-exported here with
-  :func:`~repro.routing.scheme_b.zone_pair_sessions`, the vectorised
-  session count both share);
+  analysis on one member's access vector and returns its ``FlowResult``
+  (re-exported here with :func:`~repro.routing.scheme_b.zone_pair_sessions`,
+  the vectorised session count both share);
 - :func:`batched_scheme_c_attach` runs scheme C's nearest-same-cluster-BS
   search (:func:`~repro.geometry.neighbors.masked_nearest`) for each
   member (inject the results via ``SchemeC(..., attach=...)``).
@@ -25,6 +25,7 @@ import numpy as np
 from ..geometry.neighbors import masked_nearest
 from ..infrastructure.backbone import Backbone
 from ..mobility.shapes import MobilityShape
+from .base import FlowResult
 from .scheme_b import SchemeB, zone_pair_sessions
 
 __all__ = [
@@ -69,21 +70,13 @@ def scheme_b_flow(
     bs_zone: np.ndarray,
     backbone: Backbone,
     destination: np.ndarray,
-) -> Tuple[float, float]:
-    """``(per_node_rate, generic_rate)`` of scheme B for one realisation.
+) -> FlowResult:
+    """Scheme B's flow result for one realisation.
 
     :meth:`SchemeB.sustainable_rate` on a precomputed access vector and
-    raw zone assignments, so a batched sweep needs no traffic object; the
-    generic rate falls back to the per-node rate exactly as
-    ``details.get("generic_rate", per_node_rate)`` does.
+    raw zone assignments, so a batched sweep needs no traffic object.
     """
-    result = SchemeB.from_access_vector(ms_zone, bs_zone, access, backbone)._flow(
-        destination
-    )
-    return (
-        result.per_node_rate,
-        result.details.get("generic_rate", result.per_node_rate),
-    )
+    return SchemeB(ms_zone, bs_zone, access, backbone)._flow(destination)
 
 
 def batched_scheme_c_attach(

@@ -21,24 +21,20 @@ iff no wire is overloaded.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..geometry.neighbors import chunk_rows
 from ..geometry.tessellation import SquareTessellation
-from ..geometry.torus import batched_pairwise_distances, pairwise_distances
+from ..geometry.torus import batched_pairwise_distances
 from ..infrastructure.backbone import Backbone
 from ..mobility.shapes import MobilityShape
-from typing import TYPE_CHECKING
+from ..wireless.link_capacity import ms_bs_contact_kernel
+from .base import FlowResult, RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..simulation.traffic import PermutationTraffic
-from ..wireless.link_capacity import (
-    contact_probability_ms_bs_at_range,
-    ms_bs_contact_kernel,
-)
-from .base import FlowResult, RoutingScheme
 
 __all__ = ["SchemeB", "zone_pair_sessions"]
 
@@ -90,10 +86,10 @@ class SchemeB(RoutingScheme):
         Zone index of every MS / BS.  Use
         :meth:`squarelet_zones` to build them from positions (strong
         regime) or pass cluster assignments directly (weak regime).
-    access_capacity:
-        ``(n, k)`` matrix of MS-BS link capacities ``mu(X_i^h, Y_l^h)``;
-        build it with :meth:`access_matrix` (Corollary 1, eq. 7) or measure
-        it by Monte Carlo.
+    ms_access:
+        ``mu_i^A`` per MS, shape ``(n,)``: each MS's summed Corollary-1
+        capacity to the BSs of its own zone (Lemma 9); build it with
+        :meth:`zone_access_vector`.
     backbone:
         The wired BS network.
     """
@@ -102,31 +98,23 @@ class SchemeB(RoutingScheme):
         self,
         ms_zone: np.ndarray,
         bs_zone: np.ndarray,
-        access_capacity: np.ndarray,
+        ms_access: np.ndarray,
         backbone: Backbone,
     ):
         self._ms_zone = np.asarray(ms_zone, dtype=int)
         self._bs_zone = np.asarray(bs_zone, dtype=int)
-        self._access = np.asarray(access_capacity, dtype=float)
+        self._ms_access = np.asarray(ms_access, dtype=float)
         self._backbone = backbone
-        n, k = self._access.shape
-        if self._ms_zone.shape[0] != n:
+        if self._ms_access.shape != (self._ms_zone.shape[0],):
             raise ValueError(
-                f"ms_zone has {self._ms_zone.shape[0]} entries but access matrix "
-                f"has {n} rows"
+                f"ms_access has shape {self._ms_access.shape} but must hold one "
+                f"entry per MS ({self._ms_zone.shape[0]})"
             )
-        if self._bs_zone.shape[0] != k:
+        if backbone.bs_count != self._bs_zone.shape[0]:
             raise ValueError(
-                f"bs_zone has {self._bs_zone.shape[0]} entries but access matrix "
-                f"has {k} columns"
+                f"backbone has {backbone.bs_count} BSs but bs_zone has "
+                f"{self._bs_zone.shape[0]}"
             )
-        if backbone.bs_count != k:
-            raise ValueError(
-                f"backbone has {backbone.bs_count} BSs but access matrix has {k}"
-            )
-        # mask access to same-zone BSs only (Definition 12)
-        same_zone = self._ms_zone[:, None] == self._bs_zone[None, :]
-        self._ms_access = np.where(same_zone, self._access, 0.0).sum(axis=1)
         self._bs_by_zone: Dict[int, np.ndarray] = {
             int(zone): np.nonzero(self._bs_zone == zone)[0]
             for zone in np.unique(self._bs_zone)
@@ -145,52 +133,6 @@ class SchemeB(RoutingScheme):
         """
         tess = SquareTessellation(cells_per_side)
         return tess.cell_of(ms_home), tess.cell_of(bs_positions), tess
-
-    @staticmethod
-    def access_matrix(
-        ms_home: np.ndarray,
-        bs_positions: np.ndarray,
-        shape: MobilityShape,
-        f: float,
-        transmission_range: float,
-    ) -> np.ndarray:
-        """Corollary-1 MS-BS link capacities at the given ``R_T``.
-
-        The factor 1/2 for direction sharing is *not* applied here -- the
-        flow analysis divides by two when combining up- and downlink.
-        """
-        distances = pairwise_distances(ms_home, bs_positions)
-        return contact_probability_ms_bs_at_range(
-            shape, f, transmission_range, distances
-        )
-
-    @classmethod
-    def from_access_vector(
-        cls,
-        ms_zone: np.ndarray,
-        bs_zone: np.ndarray,
-        ms_access: np.ndarray,
-        backbone: Backbone,
-    ) -> "SchemeB":
-        """Build a scheme from the per-MS access capacities ``mu_i^A``
-        directly (memory-light path for large networks)."""
-        scheme = cls.__new__(cls)
-        scheme._ms_zone = np.asarray(ms_zone, dtype=int)
-        scheme._bs_zone = np.asarray(bs_zone, dtype=int)
-        scheme._backbone = backbone
-        scheme._ms_access = np.asarray(ms_access, dtype=float)
-        if scheme._ms_access.shape[0] != scheme._ms_zone.shape[0]:
-            raise ValueError("ms_access length must match ms_zone")
-        if backbone.bs_count != scheme._bs_zone.shape[0]:
-            raise ValueError(
-                f"backbone has {backbone.bs_count} BSs but bs_zone has "
-                f"{scheme._bs_zone.shape[0]}"
-            )
-        scheme._bs_by_zone = {
-            int(zone): np.nonzero(scheme._bs_zone == zone)[0]
-            for zone in np.unique(scheme._bs_zone)
-        }
-        return scheme
 
     @staticmethod
     def zone_access_vector(
@@ -217,8 +159,10 @@ class SchemeB(RoutingScheme):
         add anything but ``0.0``.  A block's values are scattered into
         full-width ``(rows, k)`` zero rows of one per-call buffer
         (re-zeroed after each block) and summed there -- so every entry is
-        bit-identical to the masked row sum of :meth:`access_matrix`.  MSs
-        of a zone without BSs get ``0.0``.
+        bit-identical to the zone-masked row sum of the full ``n x k``
+        Corollary-1 matrix (``masked_matrix_oracle`` in
+        ``tests/test_scheme_b_vector.py``).  MSs of a zone without BSs get
+        ``0.0``.
         """
         ms_home = np.atleast_2d(np.asarray(ms_home, dtype=float))
         bs_positions = np.atleast_2d(np.asarray(bs_positions, dtype=float))

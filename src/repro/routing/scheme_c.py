@@ -75,9 +75,9 @@ class SchemeC(RoutingScheme):
     attach:
         Optional precomputed ``(cell_of_ms, attach_distance)`` pair, as
         produced by the nearest-same-cluster-BS search.  The trial-batched
-        sweep computes attachments for a whole batch of realisations in one
-        :func:`~repro.routing.batched.batched_scheme_c_attach` call and
-        injects each member's here; everything downstream (cell range,
+        sweep runs that search member by member through
+        :func:`~repro.routing.batched.batched_scheme_c_attach` and injects
+        each member's result here; everything downstream (cell range,
         colouring, flow analysis) is unchanged.
     """
 

@@ -234,8 +234,8 @@ class HybridNetwork:
         """The ``(ms_zone, bs_zone)`` assignment scheme B operates on:
         squarelet zones in the strong regime, cluster zones otherwise
         (Theorem 7).  Shared by :meth:`scheme_b` and the trial-batched
-        sweep path, which computes the access vectors for a whole batch
-        of realisations at once."""
+        sweep path, which computes each member's access vector with the
+        same per-trial kernel."""
         if self.bs_positions is None or self.backbone is None:
             raise ValueError("scheme B needs infrastructure")
         if self.parameters.regime is MobilityRegime.STRONG:
@@ -264,7 +264,7 @@ class HybridNetwork:
             self.realized.f,
             self.access_transmission_range(),
         )
-        return SchemeB.from_access_vector(ms_zone, bs_zone, access, self.backbone)
+        return SchemeB(ms_zone, bs_zone, access, self.backbone)
 
     def _bs_cluster_assignment(self) -> np.ndarray:
         """Cluster label of each BS (recorded at placement when available,

@@ -1,9 +1,11 @@
 """Bit-identity tests for the per-batch flow entry points (schemes B/C).
 
-The batched sweep path never builds a :class:`SchemeB` per trial and
-injects scheme C's attachments; these tests pin the per-batch entry points
-against the serial classes and the masked access-matrix oracle on real
-:class:`HybridNetwork` realisations, bit for bit.
+The batched sweep path builds each member's :class:`SchemeB` from a
+precomputed access vector and injects scheme C's attachments; these tests
+pin the per-batch entry points against the serial classes and the masked
+access-matrix oracle (``masked_matrix_oracle`` in
+``tests/test_scheme_b_vector.py``) on real :class:`HybridNetwork`
+realisations, bit for bit.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.regimes import NetworkParameters
+from repro.experiments.scaling import _payload_rate
 from repro.geometry.neighbors import masked_nearest
 from repro.geometry.torus import batched_pairwise_distances
 from repro.infrastructure.backbone import Backbone, BackboneTopology
@@ -25,6 +28,7 @@ from repro.routing import (
 )
 from repro.simulation.network import HybridNetwork
 from repro.store import TrialSeed
+from tests.test_scheme_b_vector import masked_matrix_oracle
 
 STRONG = NetworkParameters(
     alpha="1/4", cluster_exponent=1, bs_exponent="1/2", backbone_exponent=1
@@ -60,17 +64,10 @@ def member_access_args(nets):
     )
 
 
-def masked_oracle(home, stations, ms_zone, bs_zone, shape, f, radius):
-    """``mu_i^A`` as the masked row sum of the full ``n x k`` matrix."""
-    matrix = SchemeB.access_matrix(home, stations, shape, f, radius)
-    same_zone = ms_zone[:, None] == bs_zone[None, :]
-    return np.where(same_zone, matrix, 0.0).sum(axis=1)
-
-
 def member_oracles(args):
     homes, stations, ms_zones, bs_zones, shape, f, radii = args
     return [
-        masked_oracle(*member[:4], shape, f, member[4])
+        masked_matrix_oracle(*member[:4], shape, f, member[4])
         for member in zip(homes, stations, ms_zones, bs_zones, radii)
     ]
 
@@ -154,12 +151,10 @@ class TestZonePairSessions:
 
 
 class TestSchemeBFlow:
-    def flow_pair(self, scheme, traffic):
-        result = scheme.sustainable_rate(traffic)
-        return (
-            result.per_node_rate,
-            result.details.get("generic_rate", result.per_node_rate),
-        )
+    def assert_same_flow(self, got, want):
+        assert got.per_node_rate == want.per_node_rate
+        assert got.bottleneck == want.bottleneck
+        assert got.details == want.details
 
     def test_full_mesh_matches_serial(self):
         for net in build_batch(STRONG, 300, 4):
@@ -173,7 +168,7 @@ class TestSchemeBFlow:
                 net.backbone,
                 traffic.destination,
             )
-            assert got == self.flow_pair(scheme, traffic)
+            self.assert_same_flow(got, scheme.sustainable_rate(traffic))
 
     @pytest.mark.parametrize(
         "topology",
@@ -194,21 +189,24 @@ class TestSchemeBFlow:
             net.realized.f,
             net.access_transmission_range(),
         )
-        scheme = SchemeB.from_access_vector(ms_zone, bs_zone, access, backbone)
+        scheme = SchemeB(ms_zone, bs_zone, access, backbone)
         traffic = net.sample_traffic()
         got = scheme_b_flow(access, ms_zone, bs_zone, backbone, traffic.destination)
-        assert got == self.flow_pair(scheme, traffic)
+        self.assert_same_flow(got, scheme.sustainable_rate(traffic))
 
     def test_zone_without_bs_is_zero(self):
-        # zone 1 has sessions but no BS -> serial returns the
-        # "zone-without-bs" FlowResult whose generic fallback is 0.0 too
+        # zone 1 has sessions but no BS -> the "zone-without-bs" result,
+        # whose details carry no generic rate: the sweep falls back to 0.0
         ms_zone = np.array([0, 0, 1, 1])
         bs_zone = np.zeros(2, dtype=int)
         backbone = Backbone(2, 1.0)
         access = np.ones(4)
         destination = np.array([2, 3, 0, 1])
         got = scheme_b_flow(access, ms_zone, bs_zone, backbone, destination)
-        assert got == (0.0, 0.0)
+        assert got.per_node_rate == 0.0
+        assert got.bottleneck == "zone-without-bs"
+        assert "generic_rate" not in got.details
+        assert _payload_rate(got, generic=True) == 0.0
 
 
 class TestBatchedSchemeCAttach:

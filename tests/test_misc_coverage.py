@@ -81,7 +81,7 @@ class TestSchemeBZoneDefaults:
         scheme = SchemeB(
             np.zeros(10, dtype=int),
             np.zeros(1, dtype=int),
-            np.full((10, 1), 0.05),
+            np.full(10, 0.05),
             Backbone(1, 1.0),
         )
         result = scheme.sustainable_rate(permutation_traffic(rng, 10))

@@ -17,6 +17,7 @@ from repro.wireless.link_capacity import (
     contact_probability_ms_bs_at_range,
     contact_probability_ms_ms_at_range,
 )
+from tests.test_scheme_b_vector import masked_matrix_oracle
 
 exponents = st.fractions(
     min_value=Fraction(-2), max_value=Fraction(2), max_denominator=8
@@ -110,8 +111,8 @@ class TestSchemeBFlowInvariants:
         homes = rng.random((n, 2))
         bs = rng.random((k, 2))
         ms_zone, bs_zone, _ = SchemeB.squarelet_zones(homes, bs, 2)
-        access = SchemeB.access_matrix(
-            homes, bs, UniformDiskShape(1.0), 2.0, 0.08
+        access = masked_matrix_oracle(
+            homes, bs, ms_zone, bs_zone, UniformDiskShape(1.0), 2.0, 0.08
         )
         return SchemeB(ms_zone, bs_zone, access, Backbone(k, c))
 

@@ -24,6 +24,11 @@ per-trial timeout (and with it the ``hang`` fault kind) is gone, the
 backoff's growth factor and cap are constants, the crash-storm threshold
 is a pair of class constants, and the one-shot ``run_trials`` wrapper is
 gone.
+
+Scheme B is built from its access vector only: the dense ``n x k``
+``SchemeB.access_matrix`` and the ``from_access_vector`` bypass are gone,
+and the one constructor rejects an access matrix instead of taking the
+minimum and median over all of its entries.
 """
 
 import importlib
@@ -45,8 +50,10 @@ import repro.store
 from repro.__main__ import main
 from repro.experiments.delay import compare_delays
 from repro.geometry.neighbors import CellGridIndex
+from repro.infrastructure.backbone import Backbone
 from repro.parallel import BatchedTrialPlan, TrialRunner
 from repro.resilience import FaultPlan, FaultSpecError, ResilienceConfig, RetryPolicy
+from repro.routing.scheme_b import SchemeB
 from repro.store import RunStore
 from repro.simulation.engine import SlottedSimulator
 from repro.wireless.physical_model import GreedySINRScheduler
@@ -343,3 +350,17 @@ class TestRemovedTrialTimeout:
         runner = importlib.import_module("repro.parallel.runner")
         assert not hasattr(repro.parallel, "run_trials")
         assert not hasattr(runner, "run_trials")
+
+
+class TestRemovedSchemeBMatrix:
+    @pytest.mark.parametrize("name", ["access_matrix", "from_access_vector"])
+    def test_no_matrix_surface(self, name):
+        assert not hasattr(SchemeB, name)
+
+    @pytest.mark.parametrize(
+        "access", [np.ones((6, 3)), np.ones((6, 1)), np.float64(1.0)],
+        ids=["n-by-k", "n-by-1", "scalar"],
+    )
+    def test_constructor_rejects_anything_but_one_entry_per_ms(self, access):
+        with pytest.raises(ValueError, match="one entry per MS"):
+            SchemeB(np.zeros(6, int), np.zeros(3, int), access, Backbone(3, 1.0))

@@ -7,6 +7,8 @@ from repro.infrastructure.backbone import Backbone
 from repro.mobility.shapes import UniformDiskShape
 from repro.routing.scheme_b import SchemeB
 from repro.simulation.traffic import PermutationTraffic, permutation_traffic
+from repro.wireless.link_capacity import contact_probability_ms_bs_at_range
+from tests.test_scheme_b_vector import masked_matrix_oracle
 
 SHAPE = UniformDiskShape(1.0)
 
@@ -18,16 +20,14 @@ def build_scheme(
     bs = rng.random((k, 2))
     ms_zone, bs_zone, _ = SchemeB.squarelet_zones(homes, bs, cells_per_side)
     r_t = r_t if r_t is not None else 0.4 / np.sqrt(n + k)
-    access = SchemeB.access_matrix(homes, bs, SHAPE, f, r_t)
+    access = masked_matrix_oracle(homes, bs, ms_zone, bs_zone, SHAPE, f, r_t)
     backbone = Backbone(k, c)
     return SchemeB(ms_zone, bs_zone, access, backbone)
 
 
 class TestConstruction:
-    def test_shape_mismatch_rejected(self, rng):
-        homes = rng.random((10, 2))
-        bs = rng.random((4, 2))
-        access = np.ones((10, 4))
+    def test_shape_mismatch_rejected(self):
+        access = np.ones(10)
         backbone = Backbone(4, 1.0)
         with pytest.raises(ValueError):
             SchemeB(np.zeros(9, int), np.zeros(4, int), access, backbone)
@@ -44,23 +44,35 @@ class TestConstruction:
         assert bs_zone.shape == (8,)
         assert tess.cell_count == 9
 
-    def test_access_matrix_shape_and_support(self, rng):
+    def test_access_vector_shape_and_support(self, rng):
         homes = rng.random((20, 2))
         bs = rng.random((5, 2))
-        access = SchemeB.access_matrix(homes, bs, SHAPE, 4.0, 0.05)
-        assert access.shape == (20, 5)
+        ms_zone, bs_zone, _ = SchemeB.squarelet_zones(homes, bs, 2)
+        access = SchemeB.zone_access_vector(
+            homes, bs, ms_zone, bs_zone, SHAPE, 4.0, 0.05
+        )
+        assert access.shape == (20,)
         assert np.all(access >= 0)
 
 
 class TestAccessCapacity:
-    def test_only_same_zone_bs_counted(self, rng):
+    def test_only_same_zone_bs_counted(self):
+        """At ``f = 1`` the mobility disk covers the torus, so each MS has
+        contact with both BSs; only its own zone's BS is summed."""
         homes = np.array([[0.1, 0.1], [0.9, 0.9]])
         bs = np.array([[0.15, 0.1], [0.85, 0.9]])
         ms_zone = np.array([0, 1])
         bs_zone = np.array([0, 1])
-        access = np.array([[1.0, 1.0], [1.0, 1.0]])
+        access = SchemeB.zone_access_vector(
+            homes, bs, ms_zone, bs_zone, SHAPE, 1.0, 0.05
+        )
+        own = contact_probability_ms_bs_at_range(
+            SHAPE, 1.0, 0.05, np.array([0.05, 0.05])
+        )
+        assert np.allclose(access, own)
+        assert np.all(access > 0)
         scheme = SchemeB(ms_zone, bs_zone, access, Backbone(2, 1.0))
-        assert np.allclose(scheme.ms_access_capacity(), [1.0, 1.0])
+        assert np.array_equal(scheme.ms_access_capacity(), access)
 
     def test_bs_set(self, rng):
         scheme = build_scheme(rng)
@@ -80,7 +92,7 @@ class TestSessionRoute:
     def test_same_zone_no_backbone(self):
         ms_zone = np.array([0, 0])
         bs_zone = np.array([0])
-        access = np.ones((2, 1))
+        access = np.ones(2)
         scheme = SchemeB(ms_zone, bs_zone, access, Backbone(1, 1.0))
         assert scheme.session_route(0, 1)["backbone_wires"] == 0
 
@@ -102,7 +114,7 @@ class TestSustainableRate:
         # two zones, all BSs in zone 0, session crossing into zone 1
         ms_zone = np.array([0, 1])
         bs_zone = np.array([0, 0])
-        access = np.ones((2, 2))
+        access = np.ones(2)
         scheme = SchemeB(ms_zone, bs_zone, access, Backbone(2, 1.0))
         traffic = PermutationTraffic(np.array([1, 0]))
         result = scheme.sustainable_rate(traffic)

@@ -1,5 +1,8 @@
-"""Unit tests for SchemeB's memory-light access-vector path.
+"""Unit tests for SchemeB's access vector ``mu_i^A`` and its constructor.
 
+:func:`masked_matrix_oracle` is Definition 12 read literally: the full
+``n x k`` Corollary-1 matrix, zone-masked and row-summed.  It is the one
+oracle of the access vector that every test and the flow benchmark share.
 :func:`padded_zone_oracle` is the zone loop :meth:`SchemeB.zone_access_vector`
 ran before it windowed its blocks by ``x``: every in-zone ``(MS, BS)`` pair
 through the distance and contact kernels, scattered into freshly allocated
@@ -13,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.neighbors import chunk_rows
-from repro.geometry.torus import batched_pairwise_distances
+from repro.geometry.torus import batched_pairwise_distances, pairwise_distances
 from repro.infrastructure.backbone import Backbone
 from repro.mobility.shapes import (
     ConeShape,
@@ -76,9 +79,14 @@ def make_inputs(rng, n=80, k=16, zones=2, f=3.0, r_t=0.05):
     return homes, bs, ms_zone, bs_zone, f, r_t
 
 
-def masked_matrix_oracle(homes, bs, ms_zone, bs_zone, f, r_t):
-    """Definition 12 literally: the full ``n x k`` matrix, zone-masked."""
-    matrix = SchemeB.access_matrix(homes, bs, SHAPE, f, r_t)
+def masked_matrix_oracle(ms_home, bs_positions, ms_zone, bs_zone, shape, f, r_t):
+    """Definition 12 literally: the full ``n x k`` matrix of Corollary-1
+    MS-BS capacities at range ``r_t``, zone-masked and row-summed.
+
+    Takes :meth:`SchemeB.zone_access_vector`'s arguments in its order."""
+    matrix = contact_probability_ms_bs_at_range(
+        shape, f, r_t, pairwise_distances(ms_home, bs_positions)
+    )
     masked = np.where(ms_zone[:, None] == bs_zone[None, :], matrix, 0.0)
     return masked.sum(axis=1)
 
@@ -90,7 +98,7 @@ class TestZoneAccessVector:
             homes, bs, ms_zone, bs_zone, SHAPE, f, r_t
         )
         assert np.array_equal(
-            vector, masked_matrix_oracle(homes, bs, ms_zone, bs_zone, f, r_t)
+            vector, masked_matrix_oracle(homes, bs, ms_zone, bs_zone, SHAPE, f, r_t)
         )
 
     @settings(max_examples=80, deadline=None)
@@ -119,7 +127,7 @@ class TestZoneAccessVector:
         vector = SchemeB.zone_access_vector(
             homes, bs, ms_zone, bs_zone, SHAPE, f, r_t, chunk_size=chunk
         )
-        oracle = masked_matrix_oracle(homes, bs, ms_zone, bs_zone, f, r_t)
+        oracle = masked_matrix_oracle(homes, bs, ms_zone, bs_zone, SHAPE, f, r_t)
         assert vector.dtype == np.float64
         assert np.array_equal(vector, oracle)
         orphaned = ~np.isin(ms_zone, bs_zone)
@@ -148,7 +156,7 @@ class TestZoneAccessVector:
         homes, bs, ms_zone, bs_zone, f, r_t = make_inputs(rng, n=2000, k=300)
         vector = SchemeB.zone_access_vector(homes, bs, ms_zone, bs_zone, SHAPE, f, r_t)
         assert np.array_equal(
-            vector, masked_matrix_oracle(homes, bs, ms_zone, bs_zone, f, r_t)
+            vector, masked_matrix_oracle(homes, bs, ms_zone, bs_zone, SHAPE, f, r_t)
         )
 
 
@@ -254,32 +262,14 @@ class TestWindowedAgainstPaddedOracle:
         assert_matches_oracle(homes, bs, ms_zone, bs_zone, shape, f, 0.02, chunk_size)
 
 
-class TestFromAccessVector:
-    def test_equivalent_to_matrix_constructor(self, rng):
-        homes, bs, ms_zone, bs_zone, f, r_t = make_inputs(rng)
-        matrix = SchemeB.access_matrix(homes, bs, SHAPE, f, r_t)
-        backbone_a = Backbone(16, 1.0)
-        backbone_b = Backbone(16, 1.0)
-        via_matrix = SchemeB(ms_zone, bs_zone, matrix, backbone_a)
-        vector = SchemeB.zone_access_vector(
-            homes, bs, ms_zone, bs_zone, SHAPE, f, r_t
-        )
-        via_vector = SchemeB.from_access_vector(ms_zone, bs_zone, vector, backbone_b)
-        traffic = permutation_traffic(rng, 80)
-        rate_matrix = via_matrix.sustainable_rate(traffic)
-        rate_vector = via_vector.sustainable_rate(traffic)
-        assert rate_matrix.per_node_rate == rate_vector.per_node_rate
-        assert np.array_equal(
-            via_matrix.ms_access_capacity(), via_vector.ms_access_capacity()
-        )
-
+class TestAccessVectorConstructor:
     def test_length_validation(self, rng):
         with pytest.raises(ValueError):
-            SchemeB.from_access_vector(
+            SchemeB(
                 np.zeros(5, int), np.zeros(3, int), np.ones(4), Backbone(3, 1.0)
             )
         with pytest.raises(ValueError):
-            SchemeB.from_access_vector(
+            SchemeB(
                 np.zeros(5, int), np.zeros(3, int), np.ones(5), Backbone(4, 1.0)
             )
 
@@ -288,7 +278,7 @@ class TestFromAccessVector:
         vector = SchemeB.zone_access_vector(
             homes, bs, ms_zone, bs_zone, SHAPE, f, r_t
         )
-        scheme = SchemeB.from_access_vector(ms_zone, bs_zone, vector, Backbone(16, 1.0))
+        scheme = SchemeB(ms_zone, bs_zone, vector, Backbone(16, 1.0))
         result = scheme.sustainable_rate(permutation_traffic(rng, 80))
         assert "generic_rate" in result.details
         assert result.details["generic_rate"] >= result.per_node_rate or \
