@@ -9,13 +9,14 @@ therefore ``Theta(n^2)`` work and memory for ``Theta(n)`` useful entries.
 
 :class:`CellGridIndex` replaces the dense matrix for radius-bounded
 queries: points are bucketed into a uniform ``m x m`` grid (cell side
-``1/m >= radius``) and each point meets the points of its wrap-around
-stencil cells -- the 5-cell half stencil for :meth:`~CellGridIndex.pairs_within`
-(its own cell only past itself, so each pair is seen once), all 9 cells
-for :meth:`~CellGridIndex.neighbors_of`.  The per-resolution stencil table
-is built once per process, and one ``repeat``/``cumsum`` pass expands every
-point's stencil slices at once: no Python loop over cells or offsets.
-Expected cost is ``O(n)`` per query for uniform points.
+``1/m >= radius``, ``m`` capped near ``2 sqrt(n)``) and each point meets
+the points of its wrap-around stencil cells -- the 5-cell half stencil for
+:meth:`~CellGridIndex.pairs_within` (its own cell only past itself, so
+each pair is seen once), all 9 cells for :meth:`~CellGridIndex.neighbors_of`.
+The per-resolution stencil table is built once per process, and one
+``repeat``/``cumsum`` pass expands every point's stencil slices at once:
+no Python loop over cells or offsets.  Expected cost is ``O(n)`` per
+query for uniform points.
 
 Bit-identity contract: candidate distances are evaluated with exactly the
 per-axis kernel of :func:`~repro.geometry.torus.pairwise_distances` on the
@@ -185,14 +186,16 @@ class CellGridIndex:
     # ------------------------------------------------------------------
     def resolution(self, radius: float) -> int:
         """Cells per side for a query ``radius``: the largest ``m`` with
-        cell side ``1/m >= radius``, capped near ``sqrt(n)`` so the grid
-        never holds more than ``O(n)`` cells."""
+        cell side ``1/m >= radius``, capped at ``2 isqrt(n) + 1`` so the
+        grid never holds more than ``O(n)`` cells (about ``4n``).  The cap
+        leaves ``m`` free to reach ``1/radius`` at the ``S*`` guard radius,
+        where a coarser grid would evaluate several times more candidates."""
         if not radius > 0:
             raise ValueError(f"query radius must be positive, got {radius}")
         m = max(1, int(1.0 / radius))
         while m > 1 and m * radius > 1.0:
             m -= 1
-        cap = max(3, math.isqrt(max(len(self), 1)) + 1)
+        cap = max(3, 2 * math.isqrt(max(len(self), 1)) + 1)
         return min(m, cap)
 
     def _grid(self, m: int) -> _Grid:

@@ -9,17 +9,20 @@ exponent ``phi`` parameterises Figure 3.
 Besides the paper's full mesh, sparser topologies (ring, grid, star) are
 provided for the provisioning ablation: they change how backbone load
 concentrates and let the benchmarks explore the ``phi`` trade-off with
-realistic wiring.  Multi-hop backbone routes use networkx shortest paths.
+realistic wiring.  Multi-hop backbone routes use networkx shortest paths;
+networkx is imported on first use, so the full mesh never loads it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    import networkx as nx
 
 __all__ = ["BackboneTopology", "Backbone"]
 
@@ -77,6 +80,8 @@ class Backbone:
         self._blocks: List[Tuple[np.ndarray, np.ndarray, float]] = []  # counts, share
 
     def _build_graph(self) -> nx.Graph:
+        import networkx as nx  # local: only non-mesh topologies need a graph
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self._k))
         if self._k == 1:
@@ -159,6 +164,8 @@ class Backbone:
             return [source_bs]
         if self._topology is BackboneTopology.FULL_MESH:
             return [source_bs, target_bs]
+        import networkx as nx  # local: only non-mesh topologies need a graph
+
         return nx.shortest_path(self._graph, source_bs, target_bs)
 
     def reset_load(self) -> None:

@@ -25,20 +25,17 @@ Setting ``L = 1`` recovers a scheme-C-like single-hop access.
 from __future__ import annotations
 
 import math
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from ..geometry.neighbors import CellGridIndex
 from ..infrastructure.backbone import Backbone
-from typing import TYPE_CHECKING
+from .base import FlowResult, RoutingScheme
+from .scheme_c import largest_first_colouring
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..simulation.traffic import PermutationTraffic
-from .base import FlowResult, RoutingScheme
-from .scheme_c import largest_first_colouring
 
 __all__ = ["SchemeL"]
 
@@ -109,6 +106,9 @@ class SchemeL(RoutingScheme):
         building it costs ``O(edges)`` memory instead of an
         ``(n + k)^2`` adjacency matrix.
         """
+        from scipy.sparse import csr_matrix  # local: keep scipy off the import path
+        from scipy.sparse.csgraph import dijkstra
+
         n, k = self._ms.shape[0], self._bs.shape[0]
         positions = np.vstack([self._ms, self._bs])
         total = n + k

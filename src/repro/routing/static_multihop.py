@@ -24,17 +24,15 @@ direction.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from ..geometry.torus import pairwise_distances
-from typing import TYPE_CHECKING
+from .base import FlowResult, RoutingScheme
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..simulation.traffic import PermutationTraffic
-from .base import FlowResult, RoutingScheme
 
 __all__ = ["StaticMultihop"]
 
@@ -68,6 +66,9 @@ class StaticMultihop(RoutingScheme):
         self._distances = pairwise_distances(self._positions)
         adjacency = self._distances <= self._range
         np.fill_diagonal(adjacency, False)
+        # local: keep scipy off the import path
+        from scipy.sparse.csgraph import connected_components
+
         _, self._component = connected_components(adjacency, directed=False)
 
     @property

@@ -20,9 +20,8 @@ This machinery serves two purposes:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..geometry.torus import pairwise_distances
@@ -32,6 +31,9 @@ from ..wireless.link_capacity import (
     contact_probability_ms_bs,
     contact_probability_ms_ms,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    import networkx as nx
 
 __all__ = ["LinkCapacityGraph", "session_max_flow", "uniform_rate_bound"]
 
@@ -84,6 +86,8 @@ class LinkCapacityGraph:
         self._k = self._bs.shape[0]
         if node_budget <= 0:
             raise ValueError(f"node budget must be positive, got {node_budget}")
+        import networkx as nx  # local: keep networkx off the import path
+
         graph = nx.DiGraph()
         total = self._n + self._k
         for node in range(total):
@@ -162,6 +166,8 @@ class LinkCapacityGraph:
             destination, "in"
         ) not in self._graph:
             return 0.0
+        import networkx as nx  # local: keep networkx off the import path
+
         value, _ = nx.maximum_flow(
             self._graph, (source, "out"), (destination, "in")
         )

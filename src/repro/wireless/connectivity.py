@@ -17,13 +17,15 @@ Euclidean minimum spanning tree, computed on torus distances).
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from ..geometry.neighbors import CellGridIndex
 from ..geometry.torus import pairwise_distances
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from scipy.sparse import coo_matrix
 
 __all__ = [
     "critical_range",
@@ -46,6 +48,8 @@ def _unit_disk_graph(positions: np.ndarray, transmission_range: float) -> coo_ma
     Edges come from a cell-grid radius query, so memory is proportional to
     the edge count instead of ``n^2``.
     """
+    from scipy.sparse import coo_matrix  # local: keep scipy off the import path
+
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n = positions.shape[0]
     i, j, _ = CellGridIndex(positions).pairs_within(transmission_range)
@@ -56,6 +60,8 @@ def connected_component_count(positions: np.ndarray, transmission_range: float) 
     """Number of connected components of the unit-disk graph at range ``R_T``."""
     if transmission_range <= 0:
         raise ValueError(f"range must be positive, got {transmission_range}")
+    from scipy.sparse.csgraph import connected_components  # local: as above
+
     graph = _unit_disk_graph(positions, transmission_range)
     count, _ = connected_components(graph.tocsr(), directed=False)
     return int(count)
@@ -75,6 +81,8 @@ def minimum_connecting_range(positions: np.ndarray) -> float:
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if positions.shape[0] < 2:
         return 0.0
+    from scipy.sparse.csgraph import minimum_spanning_tree  # local: as above
+
     distances = pairwise_distances(positions)
     tree = minimum_spanning_tree(distances)
     return float(tree.data.max())
