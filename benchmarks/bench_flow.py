@@ -7,6 +7,11 @@ reference, bit for bit.
   it replaced (``LoopOracle`` in ``tests/test_scheme_a_vector.py``), on
   realisations of Table I's strong-mobility-with-BSs row -- the scheme-A
   half of an ``optimal`` trial.
+- **Contact kernel** (eq. (6)): :meth:`MobilityShape.contact_kernel`, a
+  direct lookup on the evenly spaced knots of the kernel table, against
+  ``np.interp``'s binary search on the same table, over every separation
+  block ``f * d_h`` that scheme A's flow analysis evaluates (each
+  squarelet's own, east and north blocks) on the strong realisations.
 - **Scheme B access** (Lemma 9): :meth:`SchemeB.zone_access_vector`, whose
   blocks meet only the in-zone BSs within the mobility reach ``D/f`` in
   ``x``, against Definition 12 read literally -- the full ``n x k``
@@ -31,7 +36,9 @@ Each pair must return bit-equal output at every ``n``.  The gate: at the
 smallest ``n`` of the grid, scheme A's flow must be at least
 ``GATE_SPEEDUP``x faster than the loop, and scheme B's access vector at
 least ``GATE_SPEEDUP``x faster than the masked matrix on both the strong
-and the weak row.  The run writes ``BENCH_flow.json`` with provenance (git
+and the weak row.  The contact kernel is timed but not gated: at
+``n = 2000`` its blocks are about 25 x 25, where the lookup and the binary
+search are close.  The run writes ``BENCH_flow.json`` with provenance (git
 SHA, host, grid).  At ``n = 16000`` the strong row's masked matrix holds
 about 0.6 GB of float64, and the oracle briefly keeps a few such arrays.
 
@@ -58,6 +65,8 @@ sys.path.insert(0, str(ROOT))
 
 from repro.experiments.table1 import TABLE1_ROWS  # noqa: E402
 from repro.geometry.neighbors import masked_nearest  # noqa: E402
+from repro.geometry.torus import pairwise_distances  # noqa: E402
+from repro.mobility.shapes import _kernel_table  # noqa: E402
 from repro.routing.scheme_b import SchemeB  # noqa: E402
 from repro.routing.scheme_c import SchemeC  # noqa: E402
 from repro.simulation.network import HybridNetwork  # noqa: E402
@@ -122,6 +131,47 @@ def _same_arrays(got, want):
     return all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def _same_bits(got, want):
+    return len(got) == len(want) and all(
+        np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(got, want)
+    )
+
+
+def _kernel_blocks(scheme):
+    """Every separation block ``f * d_h`` that scheme A's flow analysis hands
+    the contact kernel: each squarelet's own block and those of its east
+    and north neighbours."""
+    tess = scheme.tessellation
+    side = tess.cells_per_side
+    blocks = []
+    for cell in range(tess.cell_count):
+        rows = scheme.relay_candidates(cell)
+        if rows.size == 0:
+            continue
+        row, col = divmod(cell, side)
+        others = [cell]
+        if side > 1:
+            others += [tess.flat_index(row, col + 1), tess.flat_index(row + 1, col)]
+        for other in others:
+            cols = scheme.relay_candidates(other)
+            if cols.size:
+                distances = pairwise_distances(scheme._home[rows], scheme._home[cols])
+                blocks.append(scheme._f * distances)
+    return blocks
+
+
+def _kernel_pair(net):
+    """The contact-kernel lookup against ``np.interp`` on scheme A's blocks."""
+    shape = net.shape
+    knots, values = _kernel_table(shape)
+    blocks = _kernel_blocks(net.scheme_a())
+    return _pair(
+        lambda: [shape.contact_kernel(block) for block in blocks],
+        lambda: [np.interp(block, knots, values, right=0.0) for block in blocks],
+        _same_bits,
+    )
+
+
 _B_REFERENCE = (
     "zone-masked row sum of the full n x k Corollary-1 matrix "
     "(tests/test_scheme_b_vector.py masked_matrix_oracle)"
@@ -150,6 +200,7 @@ def run_point(n):
         lambda: LoopOracle(strong.scheme_a()).sustainable_rate(traffic),
         _same_flow,
     )
+    kernel = _kernel_pair(strong)
     scheme_b = _access_pair(strong)
     weak = HybridNetwork.build(WEAK.parameters, n, TrialSeed(SEED, 0).rng())
     scheme_b_weak = _access_pair(weak)
@@ -187,6 +238,7 @@ def run_point(n):
         "weak_bs_count": int(weak.bs_positions.shape[0]),
         "trivial_bs_count": int(trivial.bs_positions.shape[0]),
         "scheme_a_flow": scheme_a,
+        "contact_kernel": kernel,
         "scheme_b_access": scheme_b,
         "scheme_b_access_weak": scheme_b_weak,
         "scheme_c_attach": scheme_c,
@@ -204,6 +256,7 @@ def run_bench():
         },
         "families": {
             "scheme_a_flow": STRONG.label,
+            "contact_kernel": STRONG.label,
             "scheme_b_access": STRONG.label,
             "scheme_b_access_weak": WEAK.label,
             "scheme_c_attach": TRIVIAL.label,
@@ -212,6 +265,7 @@ def run_bench():
         },
         "references": {
             "scheme_a_flow": "per-session loop (tests/test_scheme_a_vector.py LoopOracle)",
+            "contact_kernel": "binary search: np.interp on the same kernel table, right=0",
             "scheme_b_access": _B_REFERENCE,
             "scheme_b_access_weak": _B_REFERENCE,
             "scheme_c_attach": "full-width label-masked search "
@@ -230,6 +284,7 @@ def run_bench():
 
 _KERNELS = (
     "scheme_a_flow",
+    "contact_kernel",
     "scheme_b_access",
     "scheme_b_access_weak",
     "scheme_c_attach",

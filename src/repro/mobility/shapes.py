@@ -16,6 +16,9 @@ A shape object provides:
   ``eta(|X0|) = ∫ s(|X - X0|) s(|X|) dX``, the unnormalised probability
   density that two nodes whose home-points are ``d`` apart occupy the same
   location; it drives the MS-MS link capacity (Corollary 1, eq. (6)).
+  It interpolates a quadrature table on evenly spaced knots by direct
+  lookup, reproducing ``np.interp``'s arithmetic bit for bit (pinned by an
+  oracle test against ``np.interp`` in ``tests/test_shapes.py``).
 
 All shapes are validated to be non-increasing with finite support, matching
 the paper's assumptions.
@@ -105,10 +108,25 @@ class MobilityShape(abc.ABC):
         """``eta(d) = ∫ s(|X - (d,0)|) s(|X|) dX`` at unit scale.
 
         Interpolated in a quadrature table memoised per shape value;
-        ``eta`` has support ``[0, 2D]`` and ``eta(0) = ∫ s^2``.
+        ``eta`` has support ``[0, 2D]`` and ``eta(0) = ∫ s^2``.  The knots
+        are evenly spaced, so each entry's interval is found by direct
+        lookup rather than ``np.interp``'s binary search; the result is
+        bit-identical to ``np.interp(d, *table, right=0.0)``, including
+        ``eta(d < 0) = eta(0)``, ``eta(2D)`` at the last knot, ``0`` beyond
+        ``2D`` and NaN for NaN.
         """
-        table_d, table_eta = _kernel_table(self)
-        return np.interp(np.asarray(d, dtype=float), table_d, table_eta, right=0.0)
+        table = _kernel_table(self)
+        knots, values = table
+        d = np.asarray(d, dtype=float)
+        # below 0 reads the first knot (np.interp's ``left``); NaN stays NaN
+        inside = np.minimum(np.maximum(d, 0.0), knots[-1])
+        # floor(d / h) is the interval up to one step of rounding, settled
+        # against the knots themselves; fmin also sends NaN to a valid index
+        j = np.fmin(inside * table.inverse_step, knots.size - 2).astype(np.intp)
+        j -= inside < knots.take(j)
+        j += inside >= table.upper.take(j)
+        eta = table.slopes.take(j) * (inside - knots.take(j)) + values.take(j)
+        return np.where(d > knots[-1], 0.0, eta)[()]
 
 
 @functools.cache
@@ -123,8 +141,22 @@ def _radial_cdf(shape: MobilityShape) -> tuple:
     return radii, cdf
 
 
+class _KernelTable(tuple):
+    """``(separations, values)``, with what the contact-kernel lookup reads
+    on every call: ``upper = separations[1:]``, the inverse knot step, and
+    ``slopes[j]`` of interval ``j`` as ``np.interp`` computes it, plus a zero
+    slope at the last knot so that ``eta(2D)`` reads ``values[-1]``."""
+
+    def __new__(cls, separations: np.ndarray, values: np.ndarray):
+        table = super().__new__(cls, (separations, values))
+        table.upper = separations[1:]
+        table.inverse_step = (separations.size - 1) / separations[-1]
+        table.slopes = np.append(np.diff(values) / np.diff(separations), 0.0)
+        return table
+
+
 @functools.cache
-def _kernel_table(shape: MobilityShape) -> tuple:
+def _kernel_table(shape: MobilityShape) -> _KernelTable:
     """``eta`` at 128 separations in ``[0, 2D]`` by 2-D quadrature."""
     big_d = shape.support_radius
     resolution = 192
@@ -137,7 +169,7 @@ def _kernel_table(shape: MobilityShape) -> tuple:
     for idx, sep in enumerate(separations):
         shifted = shape.density(np.sqrt((xx - sep) ** 2 + yy ** 2))
         values[idx] = float(np.sum(base * shifted)) * step * step
-    return separations, values
+    return _KernelTable(separations, values)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ per-label search must reproduce it bit for bit -- indices and distances --
 because scheme C's attach feeds its cell range and sweep digests.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,14 +267,18 @@ class TestSinglePassEdgeCases:
 
 class TestIndexMechanics:
     def test_resolution_cell_side_at_least_radius(self):
+        # the largest m with cell side 1/m >= radius, capped at
+        # 2 isqrt(n) + 1 = 63 (binding at the three smallest radii) and
+        # floored at 1 once the radius exceeds the whole torus
         index = CellGridIndex(np.random.default_rng(0).random((1000, 2)))
-        for r in (1e-6, 1e-3, 0.01, 0.0625, 0.1, 1 / 3, 0.5, 2.0):
-            m = index.resolution(r)
-            assert m >= 1
-            # cell side 1/m >= radius unless the sqrt(n) cap bound it (or
-            # the radius exceeds the whole torus, where m bottoms out at 1)
-            cap = int(np.sqrt(1000)) + 1
-            assert m * r <= 1.0 or m == cap or m == 1
+        cap = 2 * math.isqrt(1000) + 1
+        expected = {
+            1e-6: cap, 1e-3: cap, 0.01: cap, 0.0625: 16, 0.1: 10, 1 / 3: 3, 0.5: 2, 2.0: 1,
+        }
+        for r, m in expected.items():
+            assert index.resolution(r) == m
+            assert m * r <= 1.0 or m == 1
+            assert (m + 1) * r > 1.0 or m == cap
 
     def test_resolution_capped_near_sqrt_n(self):
         # cap 2 isqrt(n) + 1: O(n) cells, about 4n at most

@@ -136,6 +136,59 @@ class TestContactKernel:
         assert empirical == pytest.approx(predicted, rel=0.25)
 
 
+def _interp_oracle(shape, d):
+    knots, values = shapes._kernel_table(shape)[:2]
+    return np.interp(np.asarray(d, dtype=float), knots, values, right=0.0)
+
+
+def _assert_bit_equal(got, want):
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+class TestContactKernelMatchesInterp:
+    """The direct knot lookup reproduces ``np.interp`` on the same table bit
+    for bit: inside the support, on and next to every knot, at and beyond
+    ``2D``, below ``0``, for NaN, and for scalars and blocks alike."""
+
+    #: ALL_SHAPES share D = 1; these radii need the lookup's rounding
+    #: correction in both directions at some knot
+    SHAPES = ALL_SHAPES + [ConeShape(1.1), TruncatedGaussianShape(3.0, sigma=1.1)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=repr)
+    def test_random_separations(self, shape):
+        rng = np.random.default_rng(2)
+        d = rng.uniform(0.0, 2.2 * 2 * shape.support_radius, 200_000)
+        _assert_bit_equal(shape.contact_kernel(d), _interp_oracle(shape, d))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=repr)
+    def test_every_knot_and_its_neighbours(self, shape):
+        knots = shapes._kernel_table(shape)[0]
+        d = np.concatenate(
+            [knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)]
+        )
+        _assert_bit_equal(shape.contact_kernel(d), _interp_oracle(shape, d))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=repr)
+    def test_edges(self, shape):
+        two_d = 2 * shape.support_radius
+        d = np.array(
+            [0.0, -0.0, two_d, 1.5 * two_d, 1e300, np.inf, -1e-3, -two_d, -np.inf, np.nan]
+        )
+        got = shape.contact_kernel(d)
+        _assert_bit_equal(got, _interp_oracle(shape, d))
+        assert got[2] == shapes._kernel_table(shape)[1][-1]
+        assert np.all(got[3:6] == 0.0) and np.isnan(got[-1])
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=repr)
+    def test_scalar_and_block_shapes(self, shape):
+        rng = np.random.default_rng(3)
+        block = rng.uniform(0.0, 2.5 * shape.support_radius, (37, 23))
+        scalar = block[0, 0]
+        for d in (block, scalar, np.array(scalar), float(scalar), [0.1, 0.2]):
+            _assert_bit_equal(shape.contact_kernel(d), _interp_oracle(shape, d))
+
+
 class TestValidationRejectsBadShapes:
     def test_increasing_shape_rejected(self):
         class Increasing(UniformDiskShape):
