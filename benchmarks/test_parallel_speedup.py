@@ -30,6 +30,7 @@ from repro.geometry.torus import random_points  # noqa: E402
 from repro.mobility.processes import IIDAroundHome  # noqa: E402
 from repro.mobility.shapes import UniformDiskShape  # noqa: E402
 from repro.parallel import TrialRunner  # noqa: E402
+from repro.store import TrialSeed  # noqa: E402
 from repro.wireless.link_capacity import measure_activity_fraction  # noqa: E402
 from repro.wireless.scheduler import GreedyMatchingScheduler  # noqa: E402
 from tests.test_scheduler_equivalence import greedy_reference  # noqa: E402
@@ -55,9 +56,10 @@ def _seed_pairwise_distances(points):
     return np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
 
 
-def _activity_trial(rng, payload):
+def _activity_trial(payload):
     """Slot-level activity sweep of one network realisation."""
-    n, slots, seed_path = payload
+    n, slots, seed_path, seed = payload
+    rng = seed.rng()
     home = random_points(rng, n)
     process = IIDAroundHome(home, UniformDiskShape(1.0), 0.05, rng)
     if not seed_path:
@@ -77,7 +79,8 @@ def _activity_trial(rng, payload):
 def _run(workers, seed_path):
     runner = TrialRunner(_activity_trial, workers=workers)
     start = time.perf_counter()
-    values = runner.run_values([(N, SLOTS, seed_path)] * TRIALS, seed=42)
+    payloads = [(N, SLOTS, seed_path, TrialSeed(42, i)) for i in range(TRIALS)]
+    values = runner.run_values(payloads)
     return np.mean([v.mean() for v in values]), time.perf_counter() - start
 
 

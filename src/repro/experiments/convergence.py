@@ -82,8 +82,9 @@ def windowed_slopes(
 
     ``window`` consecutive grid points feed each local fit; windows slide by
     one point.  Needs ``len(n_values) >= window >= 2``.  ``workers`` fans
-    the trials out over a process pool with worker-count-independent seeding
-    (see :class:`repro.parallel.TrialRunner`).  ``store`` and
+    the trials out over a process pool; each payload carries its trial's
+    seed, so the slopes do not depend on the worker count (see
+    :class:`repro.parallel.TrialRunner`).  ``store`` and
     ``resilience`` take the shared recorded-run path
     (:func:`repro.experiments.recorded.run_recorded`), including its
     resumable ``status="interrupted"`` manifest.  A convergence study
@@ -117,7 +118,6 @@ def windowed_slopes(
         command="convergence",
         config=config,
         span_name="convergence.windowed_slopes",
-        seed=seed,
         workers=workers,
         store=store,
         resilience=resilience,

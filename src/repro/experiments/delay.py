@@ -87,13 +87,13 @@ _DISCIPLINES = {
 }
 
 
-def _delay_trial(rng: np.random.Generator, payload: tuple) -> dict:
+def _delay_trial(payload: tuple) -> dict:
     """One forwarding discipline's packet simulation (module-level so it
     pickles into pool workers).
 
     Each discipline rebuilds the *same* realisation from the payload's seed
-    (the comparison is on one network), so the runner-provided generator is
-    ignored and the trial is a pure function of the payload.  The
+    (the comparison is on one network), so the trial is a pure function of
+    the payload.  The
     payload carries only scalars and the parameters; the home-points and BS
     positions come from the rebuilt network.
     """
@@ -178,7 +178,6 @@ def compare_delays(
             "workers": workers,
         },
         span_name="delay.compare_delays",
-        seed=seed,
         workers=workers,
         store=store,
         resilience=resilience,

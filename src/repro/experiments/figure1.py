@@ -89,12 +89,11 @@ def make_panel(
     )
 
 
-def _panel_trial(rng: np.random.Generator, payload: tuple) -> Figure1Panel:
+def _panel_trial(payload: tuple) -> Figure1Panel:
     """One Figure-1 panel realisation (module-level so it pickles).
 
-    The payload's explicit :class:`TrialSeed` rebuilds the exact generator
-    the runner would have spawned for this index, making the panel a pure
-    function of the payload (cacheable by content key).
+    The generator is built from the payload's :class:`TrialSeed`, making
+    the panel a pure function of the payload (cacheable by content key).
     """
     parameters, n, label, grid_side, seed = payload
     return make_panel(parameters, n, seed.rng(), label, grid_side=grid_side)
@@ -124,8 +123,9 @@ def make_panels(
     """Realise several Figure-1 panels as independent parallel trials.
 
     Each ``(parameters, label)`` spec becomes one :class:`TrialRunner`
-    trial with its own spawned seed, so panel contents do not depend on the
-    worker count (unlike threading panels through one shared generator).
+    trial carrying its own ``TrialSeed(seed, index)``, so panel contents do
+    not depend on the worker count (unlike threading panels through one
+    shared generator).
     ``store`` and ``resilience`` take the shared recorded-run path
     (:func:`repro.experiments.recorded.run_recorded`): journaled panels
     replay, an interrupt leaves a resumable ``status="interrupted"``
@@ -149,7 +149,6 @@ def make_panels(
             "workers": workers,
         },
         span_name="figure1.make_panels",
-        seed=seed,
         workers=workers,
         store=store,
         resilience=resilience,

@@ -81,14 +81,13 @@ def trace_scheme_b(
     )
 
 
-def _trace_trial(rng: np.random.Generator, payload: tuple) -> SchemeBTrace:
+def _trace_trial(payload: tuple) -> SchemeBTrace:
     """One traced session (module-level so it pickles into pool workers).
 
     Every session of one figure shares the same network seed (the paper's
-    figure annotates *one* realisation), so the generator is rebuilt from
-    the payload's network seed rather than taken from the runner -- which
-    also makes the trace a pure function of the payload, as the cache keys
-    require.
+    figure annotates *one* realisation), so the generator is built from the
+    payload's network seed -- which also makes the trace a pure function of
+    the payload, as the cache keys require.
     """
     parameters, n, network_seed, session_index = payload
     return trace_scheme_b(
@@ -150,7 +149,6 @@ def trace_scheme_b_sessions(
             "workers": workers,
         },
         span_name="figure2.trace_sessions",
-        seed=seed,
         workers=workers,
         store=store,
         resilience=resilience,

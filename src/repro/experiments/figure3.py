@@ -88,14 +88,13 @@ class SpotCheck:
         return self.measured_region == self.predicted_region
 
 
-def _spot_check_trial(rng: np.random.Generator, payload: tuple) -> SpotCheck:
+def _spot_check_trial(payload: tuple) -> SpotCheck:
     """Measure one phase-diagram point (module-level so it pickles).
 
-    The generator is rebuilt from the per-point seed carried in the payload
-    (the historical ``seed + index`` derivation) rather than the runner's
-    spawned stream, keeping spot checks bit-compatible with the serial
-    implementation while remaining index-keyed -- and therefore identical
-    at any worker count.
+    The generator is built from the per-point seed carried in the payload
+    (the historical ``seed + index`` derivation), keeping spot checks
+    bit-compatible with the serial implementation and identical at any
+    worker count.
     """
     alpha, big_k, phi, n, point_seed = payload
     rng = np.random.default_rng(point_seed)
@@ -150,8 +149,8 @@ def simulated_spot_checks(
 
     Each point should sit strictly inside a region (not on a boundary).
     The points are independent trials, so ``workers`` fans them out over a
-    process pool; per-point seeds are spawned by index from ``seed``, making
-    the checks identical at any worker count.  ``store`` and
+    process pool; each point carries its own seed (``seed + index``),
+    making the checks identical at any worker count.  ``store`` and
     ``resilience`` take the shared recorded-run path
     (:func:`repro.experiments.recorded.run_recorded`): spot checks keyed by
     ``(alpha, K, phi, n, point seed)`` replay, an interrupt leaves a
@@ -175,7 +174,6 @@ def simulated_spot_checks(
             "workers": workers,
         },
         span_name="figure3.spot_checks",
-        seed=seed,
         workers=workers,
         store=store,
         resilience=resilience,

@@ -75,7 +75,6 @@ def run_recorded(
     command: str,
     config: dict,
     span_name: str,
-    seed: int,
     workers: Optional[int],
     store,
     resilience: Optional[ResilienceConfig],
@@ -86,7 +85,7 @@ def run_recorded(
     """Run ``trial_fn`` over ``payloads`` durably; see the module docstring.
 
     ``key_fn(payload)`` is the payload's content-hash cache key (computed
-    only when a store is open).  ``batched`` is a ``(batch_fn, plan)``
+    only when a store is open).  ``batched`` is a ``(batch_fn, batches)``
     pair routing execution through :meth:`TrialRunner.run_batched`.
     Raises :class:`~repro.parallel.TrialFailed` when fewer trials succeed
     than ``resilience.min_success_fraction`` allows.
@@ -116,10 +115,10 @@ def run_recorded(
         with span(span_name, logger=_log):
             if batched is not None:
                 results = runner.run_batched(
-                    payloads, *batched, seed=seed, cache=store, keys=keys
+                    payloads, *batched, cache=store, keys=keys
                 )
             else:
-                results = runner.run(payloads, seed=seed, cache=store, keys=keys)
+                results = runner.run(payloads, cache=store, keys=keys)
     except KeyboardInterrupt:
         # graceful drain: every completed trial is already journaled; leave
         # a resumable manifest behind and let the interrupt propagate.

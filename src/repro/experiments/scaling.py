@@ -24,7 +24,7 @@ from ..core.order import Order
 from ..core.regimes import NetworkParameters
 from ..observability.events import BatchDegradedToSerial, get_telemetry
 from ..observability.log import get_logger
-from ..parallel import BatchedTrialPlan, TrialStats
+from ..parallel import TrialStats
 from ..resilience import ResilienceConfig, validate_rate
 from ..routing.base import FlowResult
 from ..routing.batched import (
@@ -172,13 +172,12 @@ def measure_rate(
     return SCHEME_SELECTORS[scheme](net)
 
 
-def _sweep_trial(rng: np.random.Generator, payload: tuple) -> float:
+def _sweep_trial(payload: tuple) -> float:
     """One sweep trial (module-level so it pickles into pool workers).
 
-    Payloads carry an explicit :class:`TrialSeed`; the generator is rebuilt
-    from it (bit-identical to the runner's index-spawned stream), so the
-    trial's value is fully determined by the payload itself -- the property
-    the content-addressed cache keys rely on.
+    Payloads carry an explicit :class:`TrialSeed` the generator is built
+    from, so the trial's value is fully determined by the payload itself --
+    the property the content-addressed cache keys rely on.
     """
     parameters, n, scheme, build_kwargs, generic, seed = payload
     result = measure_rate(parameters, n, seed.rng(), scheme, **build_kwargs)
@@ -192,7 +191,7 @@ def _payload_rate(result: FlowResult, generic: bool) -> float:
     return float(result.per_node_rate)
 
 
-def _batched_sweep_trial(seed_seqs, payloads) -> List[float]:
+def _batched_sweep_trial(payloads) -> List[float]:
     """Execute one same-``n`` batch of scheme B or C sweep trials
     (module-level, picklable).
 
@@ -220,10 +219,7 @@ def _batched_sweep_trial(seed_seqs, payloads) -> List[float]:
             [net.access_transmission_range() for net in nets],
         )
         return [
-            _payload_rate(
-                scheme_b_flow(vector, *zone, net.backbone, traffic.destination),
-                generic,
-            )
+            _payload_rate(scheme_b_flow(vector, *zone, net.backbone, traffic), generic)
             for vector, zone, net, traffic in zip(access, zones, nets, traffics)
         ]
     if any(net.bs_positions is None for net in nets):
@@ -262,11 +258,10 @@ def sweep_trial_payloads(
     """The flat (n-major, trial-minor) payload list one sweep fans out.
 
     Trial ``index`` always maps to the same ``(n, trial)`` slot, and each
-    payload carries ``TrialSeed(seed, index)`` explicitly -- the same stream
-    :class:`TrialRunner` would spawn for that index -- which makes sweep
-    results independent of worker count, scheduling order *and* submission
-    order, and gives the cache keys a seed that lives in the payload rather
-    than in list position.
+    payload carries ``TrialSeed(seed, index)`` explicitly -- the trial's
+    whole randomness -- which makes sweep results independent of worker
+    count, scheduling order, batching and caching, and gives the cache keys
+    a seed that lives in the payload rather than in list position.
     """
     build_kwargs = build_kwargs or {}
     flat = [
@@ -337,9 +332,10 @@ def sweep_capacity(
     simulation reach (see EXPERIMENTS.md).
 
     ``workers`` fans the trials out over a process pool
-    (:class:`repro.parallel.TrialRunner`).  Per-trial seeds are spawned by
-    trial index from the master ``seed``, so any worker count -- including
-    the inline default ``None`` -- produces bit-identical rates.
+    (:class:`repro.parallel.TrialRunner`).  Each payload carries its trial's
+    seed, derived by trial index from the master ``seed``, so any worker
+    count -- including the inline default ``None`` -- produces
+    bit-identical rates.
 
     ``store`` (a :class:`repro.store.RunStore` or a directory path) and
     ``resilience`` (a :class:`repro.resilience.ResilienceConfig`) take the
@@ -358,7 +354,7 @@ def sweep_capacity(
 
     ``batch_trials`` (``>= 2``) groups same-``n`` scheme B or C trials
     into batches of at most that width: a batch is the unit the pool
-    schedules, retries, times out and fault-injects.  Each member still
+    schedules, retries and fault-injects.  Each member still
     runs the per-trial kernels (:mod:`repro.routing.batched` calls them
     member by member), so its value -- and the sweep digest -- does not
     depend on the width or the worker count.
@@ -390,12 +386,13 @@ def sweep_capacity(
     }
     batched = None
     if batch_trials is not None and scheme in ("B", "C"):
-        plan = BatchedTrialPlan.group(
-            payloads,
-            shape_key=lambda payload: (int(payload[1]),),
-            batch_trials=batch_trials,
-        )
-        batched = (_batched_sweep_trial, plan)
+        # payloads are n-major: one row of ``trials`` indices per n
+        batches = [
+            tuple(range(lo, min(lo + batch_trials, row + trials)))
+            for row in range(0, len(payloads), trials)
+            for lo in range(row, row + trials, batch_trials)
+        ]
+        batched = (_batched_sweep_trial, batches)
     elif batch_trials is not None:
         # only schemes B and C have a batched path: the user asked for
         # batching but every other scheme runs trial by trial.  Say so
@@ -423,7 +420,6 @@ def sweep_capacity(
         command="sweep",
         config=config,
         span_name="sweep_capacity",
-        seed=seed,
         workers=workers,
         store=store,
         resilience=resilience,

@@ -1,6 +1,5 @@
 """Deterministic parallel execution of independent Monte-Carlo trials."""
 
-from .batch import BatchedTrialPlan, TrialBatch
 from .runner import (
     TrialError,
     TrialFailed,
@@ -10,8 +9,6 @@ from .runner import (
 )
 
 __all__ = [
-    "BatchedTrialPlan",
-    "TrialBatch",
     "TrialError",
     "TrialFailed",
     "TrialResult",

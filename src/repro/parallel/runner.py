@@ -6,20 +6,18 @@ panels, the convergence studies) is an average over independent trials.  The
 :class:`~concurrent.futures.ProcessPoolExecutor` while keeping the results
 **bit-identical regardless of worker count or scheduling order**:
 
-- Per-trial randomness is derived up front with
-  ``numpy.random.SeedSequence(seed).spawn(len(payloads))`` -- trial ``i``
-  always receives the generator built from child ``i``, no matter which
-  worker runs it or when.  This matches the serial derivation used by
-  :func:`repro.utils.rng.spawn_rngs`, so a parallel sweep reproduces the
-  serial sweep exactly.
+- A trial is a pure function of its payload: all of its randomness comes
+  from the seed the payload carries (a :class:`~repro.store.TrialSeed` or
+  a per-point/per-network seed).  The runner derives no seeds; it only
+  schedules, retries, caches and orders.
 - Results are returned ordered by trial index, not completion order.
 
 **The batch is the only unit of execution, retry, fault injection and
-crash accounting.**  :meth:`TrialRunner.run_batched` groups trials into
-same-shape batches that one call executes together;
-:meth:`TrialRunner.run` is the same machinery over batches of one member,
-each calling ``trial_fn`` once.  A width-1 batch reports exactly what a
-serial trial does: same errors, same telemetry.
+crash accounting.**  :meth:`TrialRunner.run_batched` executes caller-given
+batches of trial indices, one call per batch; :meth:`TrialRunner.run` is
+the same machinery over batches of one member, each calling ``trial_fn``
+once.  A width-1 batch reports exactly what a serial trial does: same
+errors, same telemetry.
 
 Fault handling (each mechanism is exercised by
 ``tests/test_trial_runner_faults.py``, ``tests/test_resilience_faults.py``
@@ -27,8 +25,8 @@ and ``tests/test_batched_faults.py``):
 
 - A failing batch is retried under a :class:`~repro.resilience.RetryPolicy`
   (max attempts, capped exponential backoff): the retry re-submits the
-  batch's still-unfinished members, each with its own seed.  A member that
-  fails for good surfaces as a structured :class:`TrialError`.
+  batch's still-unfinished members.  A member that fails for good
+  surfaces as a structured :class:`TrialError`.
 - A worker killed mid-batch breaks the pool
   (:class:`~concurrent.futures.process.BrokenProcessPool`); the runner
   rebuilds the pool, re-queues every in-flight batch and reports
@@ -59,7 +57,7 @@ stopped with SIGINT/SIGTERM, which drains it (see
 :mod:`repro.resilience.drain`).
 
 The trial callable must be picklable (a module-level function) with
-signature ``trial_fn(rng, payload) -> value`` and the value must be
+signature ``trial_fn(payload) -> value`` and the value must be
 picklable too.  ``workers=None`` runs the same code path inline with no
 subprocesses -- handy under debuggers and the baseline for the determinism
 tests.
@@ -70,9 +68,9 @@ accepts an optional duck-typed ``cache`` (``get(key) -> obj with .value and
 ``key`` per trial.  Keyed trials are looked up *before* submission -- hits
 are returned as :class:`TrialResult` with ``cached=True`` and never touch
 the pool -- and journaled via ``cache.put`` the moment they complete, so an
-interrupted run preserves every finished trial.  Seeds are still spawned
-for the **full** payload list by trial index, so a partially-cached run
-hands every executing trial exactly the generator a cold run would.
+interrupted run preserves every finished trial.  Because a trial's value
+depends on its payload alone, a partially-cached run computes every
+executing trial exactly as a cold run would.
 """
 
 from __future__ import annotations
@@ -87,8 +85,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..observability import events as _events
 from ..observability.log import get_logger
@@ -210,16 +206,13 @@ class TrialStats:
         )
 
 
-def _each_member(trial_fn, seed_seqs, payloads) -> list:
+def _each_member(trial_fn, payloads) -> list:
     """The batch function of :meth:`TrialRunner.run`: ``trial_fn`` once per
-    member, on the generator of that member's own seed."""
-    return [
-        trial_fn(np.random.default_rng(seed_seq), payload)
-        for seed_seq, payload in zip(seed_seqs, payloads)
-    ]
+    member."""
+    return [trial_fn(payload) for payload in payloads]
 
 
-def _execute(batch_fn, seed_seqs, payloads, inject=None, nan=()):
+def _execute(batch_fn, payloads, inject=None, nan=()):
     """Run one batch attempt (worker side); returns a structured outcome.
 
     ``("ok", values, seconds)`` on success, else ``(kind, message,
@@ -240,7 +233,7 @@ def _execute(batch_fn, seed_seqs, payloads, inject=None, nan=()):
             raise RuntimeError(f"injected fault: trial {index} raises")
         if fault == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
-        values = batch_fn(seed_seqs, payloads)
+        values = batch_fn(payloads)
         if not isinstance(values, (list, tuple)) or len(values) != len(payloads):
             return (
                 "invalid_result",
@@ -381,7 +374,7 @@ class _Emitter:
 class _Job:
     """The state of one :meth:`TrialRunner.run` / ``run_batched`` call.
 
-    Built by the runner's prologue (validation, seeding, cache hits);
+    Built by the runner's prologue (validation, cache hits);
     :meth:`run_local` fills :attr:`results` (inline or over this process's
     pool) and the runner's epilogue turns the filled job into
     :class:`TrialStats`.
@@ -390,12 +383,10 @@ class _Job:
     indices in submission order (cache hits already removed).
     """
 
-    def __init__(self, runner, payloads, batch_fn, plan, cache, keys, emitter):
+    def __init__(self, runner, payloads, batch_fn, cache, keys, emitter):
         self.runner = runner
         self.payloads = payloads
         self.batch_fn = batch_fn
-        self.plan = plan
-        self.seeds: list = []
         self.cache = cache
         self.keys = keys
         self.emitter = emitter
@@ -553,7 +544,6 @@ class _Job:
                 inject = (fault, index)
         return (
             self.batch_fn,
-            [self.seeds[index] for index in members],
             [self.payloads[index] for index in members],
             inject,
             tuple(nan),
@@ -715,8 +705,9 @@ class TrialRunner:
     Parameters
     ----------
     trial_fn:
-        Module-level callable ``trial_fn(rng, payload) -> value``.  Must be
-        picklable when ``workers`` is not ``None``.
+        Module-level callable ``trial_fn(payload) -> value``; the payload
+        carries the trial's seed.  Must be picklable when ``workers`` is not
+        ``None``.
     workers:
         ``None`` runs trials inline (no subprocesses); an integer ``>= 1``
         uses a :class:`ProcessPoolExecutor` with that many workers.  The
@@ -760,7 +751,7 @@ class TrialRunner:
 
     def __init__(
         self,
-        trial_fn: Callable[[np.random.Generator, Any], Any],
+        trial_fn: Callable[[Any], Any],
         workers: Optional[int] = None,
         telemetry: Optional[_events.Telemetry] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -805,8 +796,6 @@ class TrialRunner:
     def run(
         self,
         payloads: Sequence[Any],
-        seed: int = 0,
-        submission_order: Optional[Sequence[int]] = None,
         cache: Optional[Any] = None,
         keys: Optional[Sequence[Optional[str]]] = None,
     ) -> List[TrialResult]:
@@ -814,24 +803,16 @@ class TrialRunner:
 
         Each trial is a batch of one member (see :meth:`run_batched`).
 
-        ``submission_order`` permutes only the order in which trials are
-        handed to the pool (used by the determinism tests to prove the
-        results do not depend on it).
-
         ``cache`` + ``keys`` enable the persistent trial cache: ``keys[i]``
         is the content-hash key of trial ``i`` (``None`` = uncacheable).
         Hits skip execution entirely (``cached=True``, ``attempts=0``);
         fresh successes are journaled via ``cache.put`` as they complete,
-        so a killed run keeps every finished trial.  Seeds are spawned for
-        the full payload list regardless of hits, keeping results
-        bit-identical to an uncached run at any worker count.
+        so a killed run keeps every finished trial.
         """
         return self._run_guarded(
             payloads,
             functools.partial(_each_member, self._trial_fn),
-            None,
-            seed,
-            submission_order,
+            [(index,) for index in range(len(payloads))],
             cache,
             keys,
         )
@@ -839,39 +820,37 @@ class TrialRunner:
     def run_batched(
         self,
         payloads: Sequence[Any],
-        batch_fn: Callable[[Sequence[Any], Sequence[Any]], Sequence[Any]],
-        plan: "BatchedTrialPlan",
-        seed: int = 0,
+        batch_fn: Callable[[Sequence[Any]], Sequence[Any]],
+        batches: Sequence[Sequence[int]],
         cache: Optional[Any] = None,
         keys: Optional[Sequence[Optional[str]]] = None,
     ) -> List[TrialResult]:
-        """Run trials grouped into same-shape batches; per-trial results.
+        """Run trials in caller-given batches; per-trial results.
 
-        ``plan`` (a :class:`~repro.parallel.batch.BatchedTrialPlan`) maps
-        trial indices into batches; ``batch_fn(seed_seqs, payloads) ->
-        values`` (module-level, picklable) executes one whole batch and
-        returns one value per member, in member order.
+        ``batches`` is a sequence of trial-index tuples that partitions the
+        payload indices; they are submitted in that order.
+        ``batch_fn(payloads) -> values`` (module-level, picklable) executes
+        one whole batch and returns one value per member, in member order.
 
         The contract is :meth:`run`'s: cache hits are served per *member*
-        before any batch executes, seeds are spawned for the full payload
-        list by trial index (each member receives the same
-        ``SeedSequence`` a serial run would), fresh member values are
-        validated and journaled individually, and results come back
-        ordered by trial index.  A batch is the unit of execution and
-        retry: a batch that fails re-submits its unfinished members, and
-        one that fails for good surfaces one :class:`TrialError` per
-        member (prefixed ``batch of N:``).  Member durations report the
-        batch duration split evenly (the journaled per-trial cost a later
-        cached run replays).
+        before any batch executes, fresh member values are validated and
+        journaled individually, and results come back ordered by trial
+        index.  A batch is the unit of execution and retry: a batch that
+        fails re-submits its unfinished members, and one that fails for
+        good surfaces one :class:`TrialError` per member (prefixed ``batch
+        of N:``).  Member durations report the batch duration split evenly
+        (the journaled per-trial cost a later cached run replays).
         """
-        from .batch import BatchedTrialPlan  # local: avoid import cycle
-
-        if not isinstance(plan, BatchedTrialPlan):
-            raise TypeError(f"plan must be a BatchedTrialPlan, got {type(plan)}")
-        return self._run_guarded(payloads, batch_fn, plan, seed, None, cache, keys)
+        batches = [tuple(members) for members in batches]
+        members = sorted(index for batch in batches for index in batch)
+        if members != list(range(len(payloads))):
+            raise ValueError(
+                f"batches do not partition the {len(payloads)} payload indices"
+            )
+        return self._run_guarded(payloads, batch_fn, batches, cache, keys)
 
     def _run_guarded(
-        self, payloads, batch_fn, plan, seed, submission_order, cache, keys
+        self, payloads, batch_fn, batches, cache, keys
     ) -> List[TrialResult]:
         """The one prologue and epilogue around every execution."""
         payloads = list(payloads)
@@ -880,14 +859,6 @@ class TrialRunner:
             raise ValueError(
                 f"need one key per payload: {len(keys)} keys, {count} payloads"
             )
-        if plan is not None and not plan.covers(count):
-            raise ValueError(f"plan does not partition the {count} payload indices")
-        if submission_order is not None and sorted(submission_order) != list(
-            range(count)
-        ):
-            raise ValueError(
-                "submission_order must be a permutation of the trial indices"
-            )
         if count == 0:
             self._last_stats = TrialStats(0, 0, 0, 0.0, self._workers)
             return []
@@ -895,7 +866,7 @@ class TrialRunner:
         sink = self._telemetry if self._telemetry is not None else _events.get_telemetry()
         emitter = _Emitter(sink, count)
         emitter.begin()
-        job = _Job(self, payloads, batch_fn, plan, cache, keys, emitter)
+        job = _Job(self, payloads, batch_fn, cache, keys, emitter)
         results = job.results
         if cache is not None and keys is not None:
             for index, key in enumerate(keys):
@@ -909,18 +880,13 @@ class TrialRunner:
                         cached=True,
                     )
                     emitter.cache_hit(results[index])
-        if plan is None:
-            order = range(count) if submission_order is None else submission_order
-            job.items = [(index,) for index in order if results[index] is None]
-        else:
-            job.items = [
-                members
-                for members in (
-                    tuple(i for i in batch.indices if results[i] is None)
-                    for batch in plan.batches
-                )
-                if members
-            ]
+        job.items = [
+            members
+            for members in (
+                tuple(i for i in batch if results[i] is None) for batch in batches
+            )
+            if members
+        ]
         _log.debug(
             "running %d batch(es) of <= %d trial(s) (%s, %d cache hit(s))",
             len(job.items),
@@ -929,7 +895,6 @@ class TrialRunner:
             emitter.cached,
         )
         if job.items:
-            job.seeds = np.random.SeedSequence(seed).spawn(count)
             job.run_local(job.items)
         self._last_stats = TrialStats(
             trials=count,
@@ -947,12 +912,11 @@ class TrialRunner:
     def run_values(
         self,
         payloads: Sequence[Any],
-        seed: int = 0,
         cache: Optional[Any] = None,
         keys: Optional[Sequence[Optional[str]]] = None,
     ) -> List[Any]:
         """Like :meth:`run` but unwrap values, raising on the first failure."""
-        results = self.run(payloads, seed=seed, cache=cache, keys=keys)
+        results = self.run(payloads, cache=cache, keys=keys)
         for result in results:
             if not result.ok:
                 raise TrialFailed(result.error)

@@ -7,8 +7,8 @@ depends on the batch it ran in:
 
 - :func:`batched_zone_access` runs :meth:`SchemeB.zone_access_vector` for
   each member;
-- :func:`scheme_b_flow` runs :meth:`SchemeB.sustainable_rate`'s flow
-  analysis on one member's access vector and returns its ``FlowResult``
+- :func:`scheme_b_flow` runs :meth:`SchemeB.sustainable_rate` on one
+  member's access vector and traffic and returns its ``FlowResult``
   (re-exported here with :func:`~repro.routing.scheme_b.zone_pair_sessions`,
   the vectorised session count both share);
 - :func:`batched_scheme_c_attach` runs scheme C's nearest-same-cluster-BS
@@ -18,7 +18,7 @@ depends on the batch it ran in:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from ..infrastructure.backbone import Backbone
 from ..mobility.shapes import MobilityShape
 from .base import FlowResult
 from .scheme_b import SchemeB, zone_pair_sessions
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..simulation.traffic import PermutationTraffic
 
 __all__ = [
     "batched_zone_access",
@@ -44,19 +47,17 @@ def batched_zone_access(
     shape: MobilityShape,
     f: float,
     transmission_range: Sequence[float],
-    chunk_size: Optional[int] = None,
 ) -> List[np.ndarray]:
     """``mu_i^A`` of every member: one :meth:`SchemeB.zone_access_vector`
     call per member.
 
-    Every argument but ``shape``, ``f`` and ``chunk_size`` is a
-    per-member sequence; the transmission range is per member because the
-    strong-regime range depends on the member's BS count.
+    Every argument but ``shape`` and ``f`` is a per-member sequence; the
+    transmission range is per member because the strong-regime range
+    depends on the member's BS count.
     """
     return [
         SchemeB.zone_access_vector(
-            home, stations, home_zone, station_zone, shape, f, radius,
-            chunk_size=chunk_size,
+            home, stations, home_zone, station_zone, shape, f, radius
         )
         for home, stations, home_zone, station_zone, radius in zip(
             ms_home, bs_positions, ms_zone, bs_zone, transmission_range
@@ -69,14 +70,12 @@ def scheme_b_flow(
     ms_zone: np.ndarray,
     bs_zone: np.ndarray,
     backbone: Backbone,
-    destination: np.ndarray,
+    traffic: PermutationTraffic,
 ) -> FlowResult:
-    """Scheme B's flow result for one realisation.
-
-    :meth:`SchemeB.sustainable_rate` on a precomputed access vector and
-    raw zone assignments, so a batched sweep needs no traffic object.
-    """
-    return SchemeB(ms_zone, bs_zone, access, backbone)._flow(destination)
+    """Scheme B's flow result for one realisation:
+    :meth:`SchemeB.sustainable_rate` on a precomputed access vector and raw
+    zone assignments."""
+    return SchemeB(ms_zone, bs_zone, access, backbone).sustainable_rate(traffic)
 
 
 def batched_scheme_c_attach(
@@ -84,19 +83,15 @@ def batched_scheme_c_attach(
     bs_positions: Sequence[np.ndarray],
     ms_cluster: Sequence[np.ndarray],
     bs_cluster: Sequence[np.ndarray],
-    chunk_size: Optional[int] = None,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Scheme C's nearest-same-cluster-BS attach of every member.
 
     Returns one ``(cell_of_ms, attach_distance)`` pair per member, to pass
-    to ``SchemeC(..., attach=...)``.  ``chunk_size`` defaults to
-    :func:`~repro.geometry.neighbors.chunk_rows`, as in the per-trial
-    scheme's own search.
+    to ``SchemeC(..., attach=...)``.
     """
     return [
         masked_nearest(
-            points, others, point_labels=labels, other_labels=other_labels,
-            chunk_size=chunk_size,
+            points, others, point_labels=labels, other_labels=other_labels
         )
         for points, others, labels, other_labels in zip(
             ms_positions, bs_positions, ms_cluster, bs_cluster

@@ -241,10 +241,6 @@ class SchemeB(RoutingScheme):
                 f"traffic has {traffic.session_count} sessions but the network "
                 f"has {self.ms_count} MSs"
             )
-        return self._flow(traffic.destination)
-
-    def _flow(self, destination: np.ndarray) -> FlowResult:
-        """The flow analysis for the sessions ``i -> destination[i]``."""
         # Phase I & III: lambda <= mu_i^A / 2 for every MS.
         access = self.ms_access_capacity()
         access_rate = float(access.min()) / 2.0
@@ -252,7 +248,9 @@ class SchemeB(RoutingScheme):
         # Phase II: accumulate unit-rate zone-to-zone flows on the backbone,
         # batched per ordered zone pair (sessions between the same zones
         # share the same wire set).
-        sessions, intra_zone = zone_pair_sessions(self._ms_zone, destination)
+        sessions, intra_zone = zone_pair_sessions(
+            self._ms_zone, traffic.destination
+        )
         missing_bs = any(
             zone not in self._bs_by_zone for pair in sessions for zone in pair
         )

@@ -7,13 +7,14 @@ SHA-256 of the canonical JSON of exactly those ingredients -- nothing about
 submission order, worker count or wall-clock time enters it, which is what
 makes a resumed sweep bit-identical to a cold one.
 
-:class:`TrialSeed` makes the per-trial randomness explicit.  Historically a
-trial's generator was implicit in its position: trial ``i`` received
-``SeedSequence(seed).spawn(count)[i]``.  ``TrialSeed(entropy, spawn_index)``
-names that same stream directly -- ``SeedSequence(e).spawn(n)[i]`` and
+:class:`TrialSeed` makes the per-trial randomness explicit: a payload
+carries it, and the trial builds its generator from it alone.
+``TrialSeed(entropy, spawn_index)`` is the stream
+``SeedSequence(entropy).spawn(n)[spawn_index]`` -- that and
 ``SeedSequence(e, spawn_key=(i,))`` construct identical sequences -- so
-payloads, cache keys and run manifests can carry the seed as data instead
-of deriving it from list position.
+trials journaled when the generator was derived from list position keep
+their values, and payloads, cache keys and run manifests carry the seed as
+data.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ __all__ = ["TrialSeed", "canonical_json", "content_digest", "trial_key"]
 class TrialSeed:
     """The explicit seed of one Monte-Carlo trial.
 
-    ``rng()`` rebuilds the exact generator the trial runner derives for
-    spawn child ``spawn_index`` of master seed ``entropy`` (verified
-    bit-for-bit by ``tests/test_store_integration.py``).
+    ``rng()`` builds the generator of spawn child ``spawn_index`` of master
+    seed ``entropy``, i.e. ``SeedSequence(entropy).spawn(n)[spawn_index]``
+    (verified bit-for-bit by ``tests/test_store_integration.py``).
     """
 
     entropy: int

@@ -1,14 +1,11 @@
-"""Shared helpers: seeded RNG streams, power-law fitting, table rendering."""
+"""Shared helpers: power-law fitting, table rendering."""
 
 from .fitting import PowerLawFit, fit_power_law, geometric_grid
-from .rng import make_rng, spawn_rngs
 from .tables import render_table
 
 __all__ = [
     "PowerLawFit",
     "fit_power_law",
     "geometric_grid",
-    "make_rng",
-    "spawn_rngs",
     "render_table",
 ]

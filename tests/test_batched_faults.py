@@ -2,12 +2,10 @@
 
 A batch is the unit of execution and retry: a fault armed for
 ``(trial i, attempt a)`` fires on the batch attempt holding member ``i``,
-and a retry re-submits only the batch's unfinished members, each with its
-own seed -- so a fault-injected batched sweep heals to the clean serial
+and a retry re-submits only the batch's unfinished members, each carrying
+its own seed -- so a fault-injected batched sweep heals to the clean serial
 digest, and a member the validator rejects is retried like a serial trial.
 """
-
-import numpy as np
 
 from repro.core.regimes import NetworkParameters
 from repro.experiments.scaling import sweep_capacity
@@ -17,8 +15,9 @@ from repro.observability import (
     TrialRetried,
     using_telemetry,
 )
-from repro.parallel import BatchedTrialPlan, TrialRunner
+from repro.parallel import TrialRunner
 from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy
+from repro.store import TrialSeed
 
 #: Table I's weak-mobility-with-BSs family, served by scheme B.
 WEAK = NetworkParameters(
@@ -68,24 +67,22 @@ def test_fault_injected_batched_pool_sweep_heals_to_the_serial_digest():
     assert not chaos.stats.degraded
 
 
-def _trial(rng, payload):
-    return float(rng.random()) + payload
+def _trial(payload):
+    offset, seed = payload
+    return float(seed.rng().random()) + offset
 
 
-def _batch(seed_seqs, payloads):
-    return [
-        _trial(np.random.default_rng(seed_seq), payload)
-        for seed_seq, payload in zip(seed_seqs, payloads)
-    ]
+def _batch(payloads):
+    return [_trial(payload) for payload in payloads]
 
 
 def _run_width_four(validator, workers=None):
-    payloads = [1.0, 10.0, 1.0, 1.0]
-    plan = BatchedTrialPlan.group(payloads, lambda payload: 0, batch_trials=4)
+    offsets = [1.0, 10.0, 1.0, 1.0]
+    payloads = [(offset, TrialSeed(5, i)) for i, offset in enumerate(offsets)]
     sink = RecordingTelemetry()
     runner = TrialRunner(_trial, workers=workers, telemetry=sink, validator=validator)
-    results = runner.run_batched(payloads, _batch, plan, seed=5)
-    serial = TrialRunner(_trial).run(payloads, seed=5)
+    results = runner.run_batched(payloads, _batch, [(0, 1, 2, 3)])
+    serial = TrialRunner(_trial).run(payloads)
     return results, serial, runner.last_stats, sink
 
 

@@ -18,6 +18,7 @@ from repro.experiments.scaling import (
 from repro.experiments.table1 import TABLE1_ROWS
 from repro.observability import RecordingTelemetry
 from repro.observability.events import BatchDegradedToSerial, using_telemetry
+from repro.parallel import TrialRunner
 from repro.serve import family_key
 from repro.store import RunStore
 
@@ -120,13 +121,45 @@ class TestBatchWidthIndependence:
         )
 
         def run(batch):
-            return _batched_sweep_trial(None, batch)
+            return _batched_sweep_trial(batch)
 
         width_3 = run(payloads)
         width_2 = run(payloads[:2]) + run(payloads[2:])
         width_1 = [value for payload in payloads for value in run([payload])]
         assert width_1 == width_2 == width_3
-        assert width_1 == [_sweep_trial(None, payload) for payload in payloads]
+        assert width_1 == [_sweep_trial(payload) for payload in payloads]
+
+
+class TestSweepBatches:
+    """The batches a ``--batch-trials`` sweep hands the runner."""
+
+    @pytest.mark.parametrize(
+        "trials, batch_trials", [(3, 2), (4, 2), (4, 3), (2, 5)], ids=str
+    )
+    def test_batches_stay_within_one_n_and_the_width(
+        self, monkeypatch, trials, batch_trials
+    ):
+        seen = []
+        run_batched = TrialRunner.run_batched
+
+        def spy(runner, payloads, batch_fn, batches, **kwargs):
+            seen.append((list(payloads), [tuple(batch) for batch in batches]))
+            return run_batched(runner, payloads, batch_fn, batches, **kwargs)
+
+        monkeypatch.setattr(TrialRunner, "run_batched", spy)
+        grid = [100, 150, 200]
+        sweep_capacity(
+            STRONG, grid, scheme="B", trials=trials, seed=42, generic=True,
+            batch_trials=batch_trials,
+        )
+        ((payloads, batches),) = seen
+        members = sorted(index for batch in batches for index in batch)
+        assert members == list(range(len(grid) * trials))
+        for batch in batches:
+            assert 1 <= len(batch) <= batch_trials
+            assert len({payloads[index][1] for index in batch}) == 1
+        # no row is split more finely than its width requires
+        assert len(batches) == len(grid) * -(-trials // batch_trials)
 
 
 def test_batch_trials_must_be_at_least_two():

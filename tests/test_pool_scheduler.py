@@ -5,9 +5,9 @@ its own :class:`~concurrent.futures.ProcessPoolExecutor`; there is no other
 scheduler.  These tests pin what that scheduler owes a sweep:
 
 - scheduling never touches science: every trial's value is a function of
-  its own ``SeedSequence`` child, checked here against an oracle that
-  spawns the seeds by hand, at any worker count, submission order, batch
-  width and cache state;
+  the seed its payload carries, checked here against an oracle that
+  spawns the seeds by hand, at any worker count, batch order, batch width
+  and cache state;
 - the pool keeps the only crash ledger: a trial is quarantined only after
   ``QUARANTINE_CRASHES`` crashes, a crash is charged to every member of the
   batch that was in flight, and a single crash is healed on a rebuilt pool;
@@ -25,45 +25,44 @@ from repro.__main__ import main
 from repro.core.regimes import NetworkParameters
 from repro.experiments.scaling import sweep_capacity
 from repro.observability import DegradedToSerial, PoolRebuilt, RecordingTelemetry
-from repro.parallel import BatchedTrialPlan, TrialRunner
+from repro.parallel import TrialRunner
 from repro.resilience import FaultPlan, ResilienceConfig, RetryPolicy
 from repro.resilience.faults import FAULT_KINDS
-from repro.store import RunStore
+from repro.store import RunStore, TrialSeed
 
 SEED = 17
-PAYLOADS = [float(i) for i in range(8)]
+PAYLOADS = [(float(i), TrialSeed(SEED, i)) for i in range(8)]
 
 
-def _trial(rng, payload):
-    return float(rng.random()) + payload
+def _trial(payload):
+    offset, seed = payload
+    return float(seed.rng().random()) + offset
 
 
-def _batch(seed_seqs, payloads):
-    return [
-        _trial(np.random.default_rng(seq), payload)
-        for seq, payload in zip(seed_seqs, payloads)
-    ]
+def _batch(payloads):
+    return [_trial(payload) for payload in payloads]
 
 
-def _value_trial(rng, payload):
-    return payload
-
-
-def _slow_first_trial(rng, payload):
+def _slow_first_trial(payload):
     # trial 0 finishes last on a two-worker pool
     import time
 
-    time.sleep(0.3 if payload == 0.0 else 0.0)
-    return _trial(rng, payload)
+    time.sleep(0.3 if payload[0] == 0.0 else 0.0)
+    return _trial(payload)
 
 
-def _oracle(payloads=PAYLOADS, seed=SEED):
-    """Per-trial values computed without the runner."""
-    seeds = np.random.SeedSequence(seed).spawn(len(payloads))
+def _oracle(payloads=PAYLOADS):
+    """Per-trial values computed without the runner or ``TrialSeed``."""
+    seeds = np.random.SeedSequence(SEED).spawn(len(payloads))
     return [
-        _trial(np.random.default_rng(seq), payload)
-        for seq, payload in zip(seeds, payloads)
+        float(np.random.default_rng(seq).random()) + offset
+        for seq, (offset, _seed) in zip(seeds, payloads)
     ]
+
+
+def _chunks(count, width):
+    """Consecutive index batches of at most ``width`` members."""
+    return [tuple(range(lo, min(lo + width, count))) for lo in range(0, count, width)]
 
 
 def _runner_class(**attributes):
@@ -97,41 +96,47 @@ ORDERS = {
 
 
 class TestSchedulingNeverTouchesValues:
-    @pytest.mark.parametrize("order", sorted(ORDERS))
     @pytest.mark.parametrize("workers", [None, 1, 2])
-    def test_run_matches_hand_spawned_seeds(self, workers, order):
+    def test_run_matches_hand_spawned_seeds(self, workers):
         runner = TrialRunner(_trial, workers=workers)
-        results = runner.run(PAYLOADS, seed=SEED, submission_order=ORDERS[order])
+        results = runner.run(PAYLOADS)
         assert [result.index for result in results] == list(range(8))
         assert [result.value for result in results] == _oracle()
         assert all(result.attempts == 1 for result in results)
 
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_batch_order_never_changes_values(self, workers, order):
+        runner = TrialRunner(_trial, workers=workers)
+        batches = [(index,) for index in ORDERS[order]]
+        results = runner.run_batched(PAYLOADS, _batch, batches)
+        assert [result.index for result in results] == list(range(8))
+        assert [result.value for result in results] == _oracle()
+
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("workers", [None, 2])
     def test_run_batched_matches_hand_spawned_seeds(self, workers, width):
-        plan = BatchedTrialPlan.group(PAYLOADS, lambda _p: "n", width)
         runner = TrialRunner(_trial, workers=workers)
-        results = runner.run_batched(PAYLOADS, _batch, plan, seed=SEED)
+        results = runner.run_batched(PAYLOADS, _batch, _chunks(8, width))
         assert [result.value for result in results] == _oracle()
         assert runner.last_stats.trials == 8
         assert runner.last_stats.failures == 0
 
     def test_results_are_ordered_by_index_not_completion(self):
         runner = TrialRunner(_slow_first_trial, workers=2)
-        results = runner.run(PAYLOADS, seed=SEED)
+        results = runner.run(PAYLOADS)
         assert [result.index for result in results] == list(range(8))
         assert [result.value for result in results] == _oracle()
 
     @pytest.mark.parametrize("hits", [(0,), (1, 3), (0, 2, 4, 5)])
     def test_cache_hits_inside_batches_keep_the_other_members_seeds(self, hits):
         """A hit removes its member from the batch; the members left run
-        with the seeds of their trial indices, not of their new positions."""
+        on their own payloads' seeds, whatever their new positions."""
         keys = [f"k{index}" for index in range(8)]
         cache = _DictCache({keys[index]: -1.0 - index for index in hits})
-        plan = BatchedTrialPlan.group(PAYLOADS, lambda _p: "n", 4)
         runner = TrialRunner(_trial, workers=2)
         results = runner.run_batched(
-            PAYLOADS, _batch, plan, seed=SEED, cache=cache, keys=keys
+            PAYLOADS, _batch, _chunks(8, 4), cache=cache, keys=keys
         )
         oracle = _oracle()
         for result in results:
@@ -156,7 +161,7 @@ class TestCrashLedger:
             telemetry=sink,
             fault_plan=FaultPlan.parse("kill@0"),
         )
-        results = runner.run(PAYLOADS, seed=SEED)
+        results = runner.run(PAYLOADS)
         assert [result.value for result in results] == _oracle()
         assert results[0].attempts == 2
         assert runner.last_stats.pool_rebuilds == 1
@@ -181,7 +186,7 @@ class TestCrashLedger:
             telemetry=sink,
             fault_plan=FaultPlan.parse("kill@0"),
         )
-        results = runner.run(PAYLOADS, seed=SEED)
+        results = runner.run(PAYLOADS)
         assert runner.last_stats.degraded
         oracle = _oracle()
         assert [result.value for result in results[1:]] == oracle[1:]
@@ -210,8 +215,7 @@ class TestCrashLedger:
             retry_policy=RetryPolicy(max_attempts=10),
         )
         payloads = PAYLOADS[:4]
-        plan = BatchedTrialPlan.group(payloads, lambda _p: "n", 2)
-        results = runner.run_batched(payloads, _batch, plan, seed=SEED)
+        results = runner.run_batched(payloads, _batch, _chunks(4, 2))
         assert [result.error.kind for result in results[:2]] == [
             "quarantined",
             "quarantined",

@@ -29,9 +29,17 @@ Scheme B is built from its access vector only: the dense ``n x k``
 ``SchemeB.access_matrix`` and the ``from_access_vector`` bypass are gone,
 and the one constructor rejects an access matrix instead of taking the
 minimum and median over all of its entries.
+
+A trial is a pure function of its payload, which carries the trial's seed:
+the runner derives no seeds (no ``seed=`` on ``run``/``run_values``/
+``run_batched`` or ``run_recorded``, no test-only ``submission_order=``),
+``run_batched`` takes plain index batches instead of a
+``BatchedTrialPlan``, and the unused ``make_rng``/``spawn_rngs`` helpers
+are gone.  The per-batch scheme B/C entry points take no ``chunk_size``.
 """
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -47,12 +55,15 @@ import repro.parallel
 import repro.resilience
 import repro.serve
 import repro.store
+import repro.utils
 from repro.__main__ import main
 from repro.experiments.delay import compare_delays
 from repro.geometry.neighbors import CellGridIndex
+from repro.experiments.recorded import run_recorded
 from repro.infrastructure.backbone import Backbone
-from repro.parallel import BatchedTrialPlan, TrialRunner
+from repro.parallel import TrialRunner
 from repro.resilience import FaultPlan, FaultSpecError, ResilienceConfig, RetryPolicy
+from repro.routing.batched import batched_scheme_c_attach, batched_zone_access
 from repro.routing.scheme_b import SchemeB
 from repro.store import RunStore
 from repro.simulation.engine import SlottedSimulator
@@ -70,11 +81,11 @@ POSITIONS = np.random.default_rng(0).random((40, 2))
 DISTANCES = np.zeros((40, 40))
 
 
-def _trial(rng, payload):
+def _trial(payload):
     return payload
 
 
-def _batch(seeds, payloads):
+def _batch(payloads):
     return list(payloads)
 
 
@@ -95,9 +106,8 @@ class TestRemovedSharedMemory:
             TrialRunner(_trial).run([1], shared=None)
 
     def test_run_batched_takes_no_shared(self):
-        plan = BatchedTrialPlan.group([1, 2], lambda payload: "all", 2)
         with pytest.raises(TypeError):
-            TrialRunner(_trial).run_batched([1, 2], _batch, plan, shared=None)
+            TrialRunner(_trial).run_batched([1, 2], _batch, [(0, 1)], shared=None)
 
     def test_run_values_takes_no_shared(self):
         with pytest.raises(TypeError):
@@ -364,3 +374,53 @@ class TestRemovedSchemeBMatrix:
     def test_constructor_rejects_anything_but_one_entry_per_ms(self, access):
         with pytest.raises(ValueError, match="one entry per MS"):
             SchemeB(np.zeros(6, int), np.zeros(3, int), access, Backbone(3, 1.0))
+
+
+class TestRemovedRunnerSeeding:
+    CALLS = {
+        "run": lambda runner, **option: runner.run([1, 2], **option),
+        "run_values": lambda runner, **option: runner.run_values([1, 2], **option),
+        "run_batched": lambda runner, **option: runner.run_batched(
+            [1, 2], _batch, [(0, 1)], **option
+        ),
+    }
+
+    @pytest.mark.parametrize("method", sorted(CALLS))
+    @pytest.mark.parametrize(
+        "option",
+        [{"seed": 0}, {"submission_order": [1, 0]}],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_runner_takes_no_seeding_option(self, method, option):
+        with pytest.raises(TypeError):
+            self.CALLS[method](TrialRunner(_trial), **option)
+
+    def test_run_recorded_takes_no_seed(self):
+        assert "seed" not in inspect.signature(run_recorded).parameters
+
+    def test_batch_plan_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.parallel.batch")
+
+    @pytest.mark.parametrize("name", ["BatchedTrialPlan", "TrialBatch"])
+    def test_no_plan_reexport(self, name):
+        assert not hasattr(repro.parallel, name)
+
+    def test_rng_helpers_are_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.utils.rng")
+
+    @pytest.mark.parametrize("name", ["make_rng", "spawn_rngs"])
+    def test_no_rng_reexport(self, name):
+        assert not hasattr(repro.utils, name)
+        assert name not in repro.utils.__all__
+
+    @pytest.mark.parametrize(
+        "entry", [batched_zone_access, batched_scheme_c_attach],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_batched_entry_takes_no_chunk_size(self, entry):
+        assert "chunk_size" not in inspect.signature(entry).parameters
+
+    def test_scheme_b_has_one_flow_entry(self):
+        assert not hasattr(SchemeB, "_flow")

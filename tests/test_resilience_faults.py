@@ -36,7 +36,7 @@ from repro.store import RunStore
 from repro.store.keys import TrialSeed, trial_key
 
 
-def _value_trial(rng, payload):
+def _value_trial(payload):
     return payload
 
 
@@ -50,7 +50,7 @@ class TestInjectedRaise:
             telemetry=sink,
             fault_plan=FaultPlan.parse("raise@0"),
         )
-        results = runner.run([10.0, 20.0], seed=0)
+        results = runner.run([10.0, 20.0])
         assert [r.value for r in results] == [10.0, 20.0]
         assert results[0].attempts == 2
         assert results[1].attempts == 1
@@ -65,7 +65,7 @@ class TestInjectedRaise:
             fault_plan=FaultPlan.parse("raise@0x99"),
             retry_policy=RetryPolicy(max_attempts=3),
         )
-        results = runner.run([1.0], seed=0)
+        results = runner.run([1.0])
         assert not results[0].ok
         assert results[0].error.kind == "exception"
         assert results[0].error.attempts == 3
@@ -79,7 +79,7 @@ class TestInjectedNan:
             validator=validate_rate,
             fault_plan=FaultPlan.parse("nan@0"),
         )
-        results = runner.run([3.5], seed=0)
+        results = runner.run([3.5])
         assert results[0].ok
         assert results[0].value == 3.5
         assert results[0].attempts == 2
@@ -90,15 +90,13 @@ class TestInjectedNan:
             validator=validate_rate,
             fault_plan=FaultPlan.parse("nan@0x99"),
         )
-        results = runner.run([3.5], seed=0)
+        results = runner.run([3.5])
         assert not results[0].ok
         assert results[0].error.kind == "invalid_result"
         assert "NaN" in results[0].error.message
 
     def test_validator_rejects_negative_throughput(self):
-        results = TrialRunner(_value_trial, validator=validate_rate).run(
-            [-1.0], seed=0
-        )
+        results = TrialRunner(_value_trial, validator=validate_rate).run([-1.0])
         assert not results[0].ok
         assert results[0].error.kind == "invalid_result"
         assert "negative" in results[0].error.message
@@ -115,7 +113,7 @@ class TestInjectedKill:
             telemetry=sink,
             fault_plan=FaultPlan.parse("kill@0"),
         )
-        results = runner.run([1.0, 2.0, 3.0, 4.0], seed=0)
+        results = runner.run([1.0, 2.0, 3.0, 4.0])
         assert all(r.ok for r in results)
         assert [r.value for r in results] == [1.0, 2.0, 3.0, 4.0]
         assert runner.last_stats.pool_rebuilds >= 1
@@ -132,7 +130,7 @@ class TestInjectedKill:
             telemetry=sink,
             fault_plan=FaultPlan.parse("kill@0"),
         )
-        results = runner.run([1.0], seed=0)
+        results = runner.run([1.0])
         assert results[0].ok
         assert results[0].attempts == 2
         # the emitted fault is the *effective* kind
@@ -152,7 +150,7 @@ class TestInjectedJournalIO:
             telemetry=sink,
             fault_plan=FaultPlan.parse("io@0"),
         )
-        results = runner.run([1.0, 2.0], seed=0, cache=store, keys=keys)
+        results = runner.run([1.0, 2.0], cache=store, keys=keys)
         # both values survive in memory...
         assert [r.value for r in results] == [1.0, 2.0]
         assert all(r.ok for r in results)
@@ -196,7 +194,7 @@ class TestCrashStormDegradation:
             fault_plan=FaultPlan.parse("kill@0-1x99"),
             retry_policy=RetryPolicy(max_attempts=10),
         )
-        results = runner.run([0.5, 1.5, 2.5, 3.5], seed=0)
+        results = runner.run([0.5, 1.5, 2.5, 3.5])
         assert runner.last_stats.degraded
         assert runner.last_stats.pool_rebuilds == 3
         assert not results[0].ok
@@ -224,7 +222,7 @@ class TestCrashStormDegradation:
             fault_plan=FaultPlan.parse("kill@*x99"),
             retry_policy=RetryPolicy(max_attempts=6),
         )
-        results = runner.run([1.0, 2.0, 3.0], seed=0)
+        results = runner.run([1.0, 2.0, 3.0])
         assert all(not r.ok for r in results)
         assert all(
             r.error.kind in {"quarantined", "exception", "worker-crash"}
@@ -239,7 +237,7 @@ import pathlib, sys, time
 from repro.parallel import TrialRunner
 from repro.resilience import interruptible
 
-def slow_trial(rng, payload):
+def slow_trial(payload):
     started, k = payload
     pathlib.Path(started, str(k)).touch()
     # long enough for the parent to SIGTERM mid-flight, short enough that

@@ -21,11 +21,11 @@ from repro.parallel import TrialRunner
 from repro.resilience import FaultPlan, RetryPolicy, validate_rate
 
 
-def _raise(rng, payload):
+def _raise(payload):
     raise ValueError("deliberate failure")
 
 
-def _value(rng, payload):
+def _value(payload):
     return payload
 
 
@@ -62,7 +62,7 @@ def observe(mode, name):
         telemetry=sink,
         **kwargs,
     )
-    [result] = runner.run([payload], seed=0)
+    [result] = runner.run([payload])
     error = result.error
     events = [
         (event.EVENT,)

@@ -22,15 +22,15 @@ from repro.parallel.runner import TrialRunner
 from repro.resilience import RetryPolicy
 
 
-def _ok_trial(rng, payload):
+def _ok_trial(payload):
     return payload * 2
 
 
-def _fail_trial(rng, payload):
+def _fail_trial(payload):
     raise ValueError("deliberate failure")
 
 
-def _sleep_then_fail_trial(rng, payload):
+def _sleep_then_fail_trial(payload):
     time.sleep(payload)
     raise ValueError("deliberate failure after a while")
 
@@ -52,7 +52,7 @@ class TestSuccessEvents:
     def test_inline_run_emits_full_lifecycle(self):
         sink = RecordingTelemetry()
         runner = TrialRunner(_ok_trial, telemetry=sink)
-        results = runner.run([1, 2, 3], seed=0)
+        results = runner.run([1, 2, 3])
         assert [r.value for r in results] == [2, 4, 6]
         assert [e.index for e in sink.of_type(TrialStarted)] == [0, 1, 2]
         finished = sink.of_type(TrialFinished)
@@ -67,7 +67,7 @@ class TestSuccessEvents:
     def test_pool_run_reports_every_trial(self):
         sink = RecordingTelemetry()
         runner = TrialRunner(_ok_trial, workers=2, telemetry=sink)
-        runner.run([1, 2, 3, 4], seed=0)
+        runner.run([1, 2, 3, 4])
         assert sorted(e.index for e in sink.of_type(TrialStarted)) == [0, 1, 2, 3]
         assert sorted(e.index for e in sink.of_type(TrialFinished)) == [0, 1, 2, 3]
         assert sink.of_type(SweepProgress)[-1].done == 4
@@ -75,13 +75,13 @@ class TestSuccessEvents:
     def test_global_sink_is_used_when_no_telemetry_argument(self):
         sink = RecordingTelemetry()
         with using_telemetry(sink):
-            TrialRunner(_ok_trial).run([7], seed=0)
+            TrialRunner(_ok_trial).run([7])
         assert [e.index for e in sink.of_type(TrialFinished)] == [0]
 
     def test_explicit_sink_wins_over_global(self):
         explicit, ambient = RecordingTelemetry(), RecordingTelemetry()
         with using_telemetry(ambient):
-            TrialRunner(_ok_trial, telemetry=explicit).run([7], seed=0)
+            TrialRunner(_ok_trial, telemetry=explicit).run([7])
         assert explicit.of_type(TrialFinished)
         assert not ambient.events
 
@@ -89,7 +89,7 @@ class TestSuccessEvents:
 class TestCacheEvents:
     def run_with_cache(self, sink, cache):
         runner = TrialRunner(_ok_trial, telemetry=sink)
-        return runner.run([5, 6], seed=0, cache=cache, keys=["k5", "k6"])
+        return runner.run([5, 6], cache=cache, keys=["k5", "k6"])
 
     def test_warm_run_emits_trial_cached(self):
         cache = FakeCache()
@@ -117,7 +117,7 @@ class TestFailureEvents:
             _fail_trial, retry_policy=RetryPolicy(max_attempts=2), telemetry=sink
         )
         with caplog.at_level(logging.WARNING, logger="repro"):
-            results = runner.run([0], seed=0)
+            results = runner.run([0])
         assert not results[0].ok
         failed = sink.of_type(TrialFailedEvent)
         assert len(failed) == 1
@@ -142,7 +142,7 @@ class TestFailureEvents:
             retry_policy=RetryPolicy(max_attempts=1),
             telemetry=sink,
         )
-        results = runner.run([0, 1], seed=0)
+        results = runner.run([0, 1])
         assert all(not r.ok for r in results)
         assert sorted(e.index for e in sink.of_type(TrialFailedEvent)) == [0, 1]
         assert sink.of_type(SweepProgress)[-1].failed == 2
@@ -154,7 +154,7 @@ class TestFailureEvents:
             retry_policy=RetryPolicy(max_attempts=1),
             telemetry=sink,
         )
-        results = runner.run([0.05], seed=0)
+        results = runner.run([0.05])
         error = results[0].error
         assert error.kind == "exception"
         assert error.elapsed_seconds >= 0.05

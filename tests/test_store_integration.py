@@ -44,11 +44,11 @@ class FakeCache:
         self.entries[key] = value
 
 
-def _double(rng, payload):
+def _double(payload):
     return payload * 2
 
 
-def _fail_on_odd(rng, payload):
+def _fail_on_odd(payload):
     if payload % 2:
         raise RuntimeError("odd payload")
     return payload
@@ -96,15 +96,16 @@ class TestRunnerCache:
         assert runner.last_stats.cache_hits == 2
 
     def test_partial_cache_preserves_seeding(self):
-        """Trial i must receive the same spawned stream whether or not the
-        other trials were served from cache."""
+        """Trial i computes the same value from its payload's seed whether
+        or not the other trials were served from cache."""
 
-        def draw(rng, payload):
-            return float(rng.random())
+        def draw(seed):
+            return float(seed.rng().random())
 
-        cold = TrialRunner(draw).run([0, 1, 2])
+        payloads = [TrialSeed(0, index) for index in range(3)]
+        cold = TrialRunner(draw).run(payloads)
         cache = FakeCache({"k0": cold[0].value, "k2": cold[2].value})
-        warm = TrialRunner(draw).run([0, 1, 2], cache=cache, keys=["k0", "miss", "k2"])
+        warm = TrialRunner(draw).run(payloads, cache=cache, keys=["k0", "miss", "k2"])
         assert warm[1].value == cold[1].value
         assert warm[1].attempts == 1 and warm[0].cached and warm[2].cached
 
@@ -120,8 +121,9 @@ class TestRunnerCache:
 # ----------------------------------------------------------------------
 class TestTrialSeed:
     def test_matches_runner_spawn_exactly(self):
-        """TrialSeed(e, i) names the same bit-stream as SeedSequence(e)'s
-        i-th spawn child -- the equivalence the whole cache rests on."""
+        """``TrialSeed(e, i)`` equals ``SeedSequence(e).spawn(n)[i]``: trials
+        journaled when the stream was derived from list position keep
+        their values -- the equivalence stored journals rest on."""
         children = np.random.SeedSequence(123).spawn(5)
         for index in range(5):
             explicit = TrialSeed(123, index).rng().random(16)

@@ -1,9 +1,8 @@
 """Determinism guarantees of :class:`repro.parallel.TrialRunner`.
 
-The runner promises bit-identical per-trial results for a fixed master
-seed regardless of worker count or submission order, because trial ``i``
-always consumes the generator spawned from child ``i`` of
-``SeedSequence(master_seed)``.
+A trial is a pure function of its payload: the payload carries the trial's
+seed, so the runner promises bit-identical per-trial results regardless of
+worker count or the order in which batches are submitted.
 """
 
 import hashlib
@@ -15,24 +14,34 @@ from repro.core.regimes import NetworkParameters
 from repro.experiments.scaling import sweep_capacity
 from repro.parallel import TrialRunner
 from repro.resilience import RetryPolicy
+from repro.store import TrialSeed
 
 
-def _draw_trial(rng, payload):
-    """Deterministic function of the trial's own stream and payload."""
-    scale, size = payload
-    return (scale * rng.random(size)).tolist()
+def _draw_trial(payload):
+    """Deterministic function of the payload and its own seed."""
+    scale, size, seed = payload
+    return (scale * seed.rng().random(size)).tolist()
 
 
-def _sum_trial(rng, payload):
-    return float(rng.random(64).sum()) + payload
+def _draw_batch(payloads):
+    return [_draw_trial(payload) for payload in payloads]
+
+
+def _sum_trial(payload):
+    offset, seed = payload
+    return float(seed.rng().random(64).sum()) + offset
+
+
+def _draw_payloads(seed, count=12, size=5):
+    return [(float(i + 1), size, TrialSeed(seed, i)) for i in range(count)]
 
 
 class TestWorkerCountInvariance:
-    PAYLOADS = [(float(i + 1), 5) for i in range(12)]
+    PAYLOADS = _draw_payloads(99)
 
-    def _values(self, workers, submission_order=None):
+    def _values(self, workers):
         runner = TrialRunner(_draw_trial, workers=workers)
-        results = runner.run(self.PAYLOADS, seed=99, submission_order=submission_order)
+        results = runner.run(self.PAYLOADS)
         assert all(result.ok for result in results)
         assert [result.index for result in results] == list(range(len(self.PAYLOADS)))
         return [result.value for result in results]
@@ -43,45 +52,55 @@ class TestWorkerCountInvariance:
         four = self._values(4)
         assert inline == one == four
 
-    def test_shuffled_submission_order_identical(self):
+    def test_shuffled_batch_order_identical(self):
+        """Batches are submitted in the given order; results come back by
+        trial index with the same values."""
         baseline = self._values(None)
-        order = list(np.random.default_rng(3).permutation(len(self.PAYLOADS)))
-        shuffled = self._values(4, submission_order=[int(i) for i in order])
-        assert baseline == shuffled
+        order = np.random.default_rng(3).permutation(len(self.PAYLOADS))
+        batches = [(int(i),) for i in order]
+        results = TrialRunner(_draw_trial, workers=4).run_batched(
+            self.PAYLOADS, _draw_batch, batches
+        )
+        assert [result.value for result in results] == baseline
 
-    def test_bad_submission_order_rejected(self):
-        runner = TrialRunner(_draw_trial)
-        with pytest.raises(ValueError):
-            runner.run(self.PAYLOADS, submission_order=[0, 0, 1])
+    @pytest.mark.parametrize(
+        "batches", [[(0,), (0,), (1,)], [(0, 1)], [(0, 1, 2, 3)]], ids=str
+    )
+    def test_batches_must_partition_the_indices(self, batches):
+        with pytest.raises(ValueError, match="partition"):
+            TrialRunner(_draw_trial).run_batched(
+                self.PAYLOADS[:3], _draw_batch, batches
+            )
 
-    def test_different_master_seeds_differ(self):
+    def test_different_payload_seeds_differ(self):
         runner = TrialRunner(_draw_trial)
-        a = runner.run(self.PAYLOADS, seed=1)
-        b = runner.run(self.PAYLOADS, seed=2)
+        a = runner.run(_draw_payloads(1))
+        b = runner.run(_draw_payloads(2))
         assert [r.value for r in a] != [r.value for r in b]
 
 
 class TestSeedStability:
     """Regression pin: the per-trial streams must never silently change.
 
-    The digest fixes the exact bytes drawn by trial 0 of a 3-trial run at
-    master seed 1234.  It breaks if the seed-derivation scheme (the
-    ``SeedSequence.spawn`` chain, the PCG64 bit generator, or the
-    index-to-child mapping) changes -- any of which would invalidate every
-    recorded experiment seed.
+    The digest fixes the exact bytes drawn by ``TrialSeed(1234, 0)``.  It
+    breaks if the seed derivation (the ``SeedSequence`` spawn-key chain,
+    the PCG64 bit generator, or the index-to-child mapping) changes -- any
+    of which would invalidate every recorded experiment seed.
     """
 
     EXPECTED_DIGEST = "a0d45320940c82d2172fba97653448237140aed2c5a31c41ddd62482d5ae8ec9"
 
     def test_known_digest(self):
         runner = TrialRunner(_draw_trial)
-        results = runner.run([(1.0, 16)] * 3, seed=1234)
+        results = runner.run(_draw_payloads(1234, count=3, size=16))
         payload_bytes = np.asarray(results[0].value, dtype=np.float64).tobytes()
         assert hashlib.sha256(payload_bytes).hexdigest() == self.EXPECTED_DIGEST
 
-    def test_matches_manual_spawn(self):
-        """Trial i's stream is exactly SeedSequence(seed).spawn(n)[i]."""
-        results = TrialRunner(_draw_trial, workers=2).run([(1.0, 4)] * 5, seed=77)
+    def test_pooled_trials_draw_the_spawned_streams(self):
+        """``TrialSeed(seed, i)`` in a pool worker draws exactly
+        ``SeedSequence(seed).spawn(n)[i]``."""
+        payloads = [(1.0, 4, TrialSeed(77, i)) for i in range(5)]
+        results = TrialRunner(_draw_trial, workers=2).run(payloads)
         children = np.random.SeedSequence(77).spawn(5)
         for index, result in enumerate(results):
             expected = np.random.default_rng(children[index]).random(4).tolist()
@@ -90,15 +109,15 @@ class TestSeedStability:
 
 class TestRunValuesAndStats:
     def test_run_values_unwraps_in_index_order(self):
-        payloads = [10.0, 20.0, 30.0]
-        values = TrialRunner(_sum_trial, workers=2).run_values(payloads, seed=5)
-        inline = TrialRunner(_sum_trial).run_values(payloads, seed=5)
+        payloads = [(10.0 * (i + 1), TrialSeed(5, i)) for i in range(3)]
+        values = TrialRunner(_sum_trial, workers=2).run_values(payloads)
+        inline = TrialRunner(_sum_trial).run_values(payloads)
         assert values == inline
         assert values[0] < values[1] < values[2]
 
     def test_stats_counters(self):
         runner = TrialRunner(_sum_trial, workers=2)
-        runner.run([1.0] * 6, seed=0)
+        runner.run([(1.0, TrialSeed(0, i)) for i in range(6)])
         stats = runner.last_stats
         assert stats.trials == 6
         assert stats.failures == 0

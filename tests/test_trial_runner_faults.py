@@ -15,15 +15,15 @@ import pytest
 from repro.parallel import TrialError, TrialFailed, TrialRunner
 
 
-def _ok_trial(rng, payload):
+def _ok_trial(payload):
     return payload
 
 
-def _raising_trial(rng, payload):
+def _raising_trial(payload):
     raise RuntimeError(f"injected failure {payload}")
 
 
-def _flaky_trial(rng, payload):
+def _flaky_trial(payload):
     """Fails on the first attempt only, using a marker file as memory."""
     marker = payload
     if not os.path.exists(marker):
@@ -33,11 +33,11 @@ def _flaky_trial(rng, payload):
     return "recovered"
 
 
-def _kill_worker_trial(rng, payload):
+def _kill_worker_trial(payload):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _kill_worker_once_trial(rng, payload):
+def _kill_worker_once_trial(payload):
     marker = payload
     if not os.path.exists(marker):
         with open(marker, "w") as handle:
@@ -50,7 +50,7 @@ class TestRaisingTrial:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_structured_error_after_one_retry(self, workers):
         runner = TrialRunner(_raising_trial, workers=workers)
-        results = runner.run(["x"], seed=0)
+        results = runner.run(["x"])
         error = results[0].error
         assert isinstance(error, TrialError)
         assert error.kind == "exception"
@@ -63,9 +63,9 @@ class TestRaisingTrial:
     def test_other_trials_still_complete(self):
         def_payloads = ["a", "b"]
         runner = TrialRunner(_raising_trial, workers=2)
-        mixed = TrialRunner(_ok_trial, workers=2).run(def_payloads, seed=0)
+        mixed = TrialRunner(_ok_trial, workers=2).run(def_payloads)
         assert [r.value for r in mixed] == def_payloads
-        results = runner.run(def_payloads, seed=0)
+        results = runner.run(def_payloads)
         assert all(not r.ok for r in results)
         assert sorted(r.index for r in results) == [0, 1]
 
@@ -76,7 +76,7 @@ class TestRaisingTrial:
 
     def test_retry_heals_transient_failure(self, tmp_path):
         marker = str(tmp_path / "flaky-marker")
-        results = TrialRunner(_flaky_trial, workers=2).run([marker], seed=0)
+        results = TrialRunner(_flaky_trial, workers=2).run([marker])
         assert results[0].ok
         assert results[0].value == "recovered"
         assert results[0].attempts == 2
@@ -86,7 +86,7 @@ class TestKilledWorker:
     def test_structured_error_after_one_retry(self):
         runner = TrialRunner(_kill_worker_trial, workers=2)
         start = time.monotonic()
-        results = runner.run([None], seed=0)
+        results = runner.run([None])
         elapsed = time.monotonic() - start
         error = results[0].error
         assert error is not None
@@ -97,15 +97,13 @@ class TestKilledWorker:
     def test_pool_recovers_for_innocent_trials(self, tmp_path):
         """A crash-once trial is re-queued onto a rebuilt pool and succeeds."""
         marker = str(tmp_path / "kill-marker")
-        results = TrialRunner(_kill_worker_once_trial, workers=1).run(
-            [marker], seed=0
-        )
+        results = TrialRunner(_kill_worker_once_trial, workers=1).run([marker])
         assert results[0].ok
         assert results[0].value == "survived"
         assert results[0].attempts == 2
 
     def test_runner_usable_after_crash(self):
         runner = TrialRunner(_kill_worker_trial, workers=1)
-        runner.run([None], seed=0)
-        healthy = TrialRunner(_ok_trial, workers=1).run([1, 2], seed=0)
+        runner.run([None])
+        healthy = TrialRunner(_ok_trial, workers=1).run([1, 2])
         assert [r.value for r in healthy] == [1, 2]

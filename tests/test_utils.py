@@ -1,4 +1,4 @@
-"""Unit tests for fitting, RNG, and table helpers."""
+"""Unit tests for fitting and table helpers."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.fitting import fit_power_law, geometric_grid
-from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.tables import render_table
 
 
@@ -75,25 +74,6 @@ class TestGeometricGrid:
             geometric_grid(10, 5, 3)
         with pytest.raises(ValueError):
             geometric_grid(10, 100, 1)
-
-
-class TestRng:
-    def test_deterministic(self):
-        assert make_rng(7).random() == make_rng(7).random()
-
-    def test_spawned_streams_differ(self):
-        streams = list(spawn_rngs(0, 3))
-        values = [stream.random() for stream in streams]
-        assert len(set(values)) == 3
-
-    def test_spawn_reproducible(self):
-        a = [g.random() for g in spawn_rngs(5, 3)]
-        b = [g.random() for g in spawn_rngs(5, 3)]
-        assert a == b
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            list(spawn_rngs(0, 0))
 
 
 class TestRenderTable:
