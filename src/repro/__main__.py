@@ -307,11 +307,12 @@ def _telemetry(args):
 
 
 def _cmd_sweep(args) -> int:
-    from .experiments.scaling import sweep_capacity
+    from .experiments.scaling import check_sweep_scheme, sweep_capacity
 
     params = _family(args)
     grid = [int(v) for v in args.grid.split(",")]
     # flags are validated before the store directory is created
+    check_sweep_scheme(params, args.scheme)
     resilience = _resilience(args)
     result = sweep_capacity(
         params,

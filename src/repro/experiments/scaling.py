@@ -42,6 +42,7 @@ _log = get_logger(__name__)
 
 __all__ = [
     "SweepResult",
+    "check_sweep_scheme",
     "measure_rate",
     "sweep_capacity",
     "sweep_trial_payloads",
@@ -222,8 +223,6 @@ def _batched_sweep_trial(payloads) -> List[float]:
             _payload_rate(scheme_b_flow(vector, *zone, net.backbone, traffic), generic)
             for vector, zone, net, traffic in zip(access, zones, nets, traffics)
         ]
-    if any(net.bs_positions is None for net in nets):
-        raise ValueError("scheme C needs infrastructure")
     attach = batched_scheme_c_attach(
         [net.process.positions() for net in nets],
         [net.bs_positions for net in nets],
@@ -304,6 +303,23 @@ def median_rates(run: RecordedRun, rows: int) -> np.ndarray:
         return np.nan_to_num(np.nanmedian(matrix, axis=1), nan=0.0)
 
 
+def check_sweep_scheme(parameters: NetworkParameters, scheme: str) -> None:
+    """Raise :class:`ValueError` unless ``scheme`` can run on ``parameters``.
+
+    Schemes B and C route through base stations, so a family without
+    infrastructure fails every one of their trials the same way; a sweep
+    rejects it before any trial runs instead of retrying each one.
+    """
+    if scheme not in SCHEME_SELECTORS:
+        raise ValueError(
+            f"scheme must be one of {sorted(SCHEME_SELECTORS)}, got {scheme!r}"
+        )
+    if scheme in ("B", "C") and not parameters.has_infrastructure:
+        raise ValueError(
+            f"scheme {scheme} needs infrastructure (a base-station exponent)"
+        )
+
+
 def sweep_capacity(
     parameters: NetworkParameters,
     n_values: Sequence[int],
@@ -359,10 +375,7 @@ def sweep_capacity(
     member by member), so its value -- and the sweep digest -- does not
     depend on the width or the worker count.
     """
-    if scheme not in SCHEME_SELECTORS:
-        raise ValueError(
-            f"scheme must be one of {sorted(SCHEME_SELECTORS)}, got {scheme!r}"
-        )
+    check_sweep_scheme(parameters, scheme)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if batch_trials is not None and batch_trials < 2:

@@ -14,9 +14,12 @@ capacities across them, the load is ``lambda`` times the number of sessions
 routed through that squarelet boundary, and the sustainable rate is the
 worst capacity/load ratio (plus per-session first/last-hop constraints).
 
-Every capacity comes from one Corollary-1 block per squarelet and per
-squarelet pair: for each cell ``c`` the blocks ``(c, c)``, ``(c, east)`` and
-``(c, north)`` are built once, never an ``n x n`` matrix.
+Every capacity comes from one Corollary-1 block per squarelet: for each
+cell ``c`` one distance-and-kernel pass builds the rows of ``c`` against the
+members of ``c``, of its east and of its north neighbour, never an ``n x n``
+matrix.  The own ``(c, c)``, ``(c, east)`` and ``(c, north)`` sub-blocks are
+copied out contiguous before any sum, so each sum adds the same floats in
+the same order as a block built for that cell pair alone.
 
 - A node's capacity into a neighbouring squarelet is its row sum in the
   block towards that squarelet.  West and south rows are the rows of the
@@ -150,6 +153,20 @@ class SchemeA(RoutingScheme):
         )
         return mu
 
+    def _cell_blocks(self, rows: np.ndarray, col_sets: List[np.ndarray]) -> List[np.ndarray]:
+        """The contiguous Corollary-1 block of ``rows`` against each of
+        ``col_sets``.
+
+        One distance-and-kernel pass builds them side by side, and each is
+        copied out contiguous: it holds the same floats in the same layout
+        as a block built on its own, so every sum over it adds them in the
+        same order.
+        """
+        widths = [cols.size for cols in col_sets]
+        fused = self._mu_block(rows, np.concatenate(col_sets))
+        parts = np.split(fused, np.cumsum(widths)[:-1], axis=1)
+        return [np.ascontiguousarray(part) for part in parts]
+
     def cell_edge_capacity(self, cell_from: int, cell_to: int) -> float:
         """Aggregate link capacity across one squarelet boundary.
 
@@ -172,7 +189,7 @@ class SchemeA(RoutingScheme):
 
     def _capacities(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every endpoint and boundary capacity, from each cell's own, east
-        and north blocks, each built once.
+        and north blocks (:meth:`_cell_blocks`), each built once.
 
         Returns ``(own, toward, boundary)``: ``own[i]`` is node ``i``'s
         capacity into its own squarelet, ``toward[i, d]`` into the
@@ -189,22 +206,24 @@ class SchemeA(RoutingScheme):
         for cell, rows in enumerate(members):
             if rows.size == 0:
                 continue
-            own[rows] = 0.5 * _without_diagonal(self._mu_block(rows, rows)).sum(axis=1)
-            if side == 1:
-                continue  # every route stays in the one cell
             row, col = divmod(cell, side)
-            for ahead, back, other in (
+            # with one cell every route stays in it: only the own block
+            ahead = () if side == 1 else (
                 (EAST, WEST, tess.flat_index(row, col + 1)),
                 (NORTH, SOUTH, tess.flat_index(row + 1, col)),
-            ):
+            )
+            own_block, *blocks = self._cell_blocks(
+                rows, [rows] + [members[other] for _, _, other in ahead]
+            )
+            own[rows] = 0.5 * _without_diagonal(own_block).sum(axis=1)
+            for (forward, back, other), block in zip(ahead, blocks):
                 cols = members[other]
                 if cols.size == 0:
                     continue
-                block = self._mu_block(rows, cols)
                 flipped = np.ascontiguousarray(block.T)
-                toward[rows, ahead] = 0.5 * block.sum(axis=1)
+                toward[rows, forward] = 0.5 * block.sum(axis=1)
                 toward[cols, back] = 0.5 * flipped.sum(axis=1)
-                boundary[cell, ahead] = 0.5 * block.sum()
+                boundary[cell, forward] = 0.5 * block.sum()
                 boundary[other, back] = 0.5 * flipped.sum()
         return own, toward, boundary
 

@@ -77,6 +77,13 @@ def zone_pair_sessions(
     return sessions, intra
 
 
+def _within_torus(y: np.ndarray, centre: float, limit: float) -> np.ndarray:
+    """Whether each wrapped coordinate ``y`` lies within torus distance
+    ``limit`` of ``centre``."""
+    dy = np.abs(y - centre)
+    return np.minimum(dy, 1.0 - dy) <= limit
+
+
 class SchemeB(RoutingScheme):
     """Three-phase BS-assisted routing over arbitrary zones.
 
@@ -151,18 +158,24 @@ class SchemeB(RoutingScheme):
         Only in-zone ``(MS, BS)`` pairs reach the distance and contact
         kernels: each zone's MSs meet that zone's BSs, ``chunk_size`` MSs
         at a time (by default :func:`~repro.geometry.neighbors.chunk_rows`
-        of ``k``, so a block stays cache-sized).  MSs and BSs are taken in
-        order of wrapped ``x``, and each block meets only the BSs within
-        ``x``-distance ``D/f`` of its ``x``-range (a ``searchsorted`` slice
-        of the zone's BS ``x``-list tripled across the torus seam): the
-        density is exactly 0 beyond its support, so no pair left out could
-        add anything but ``0.0``.  A block's values are scattered into
+        of ``k``, so a block stays cache-sized).  A zone's MSs are grouped
+        by global ``y``-strips of height ``h = 1/floor(1/reach)``, with
+        ``reach = D/f`` plus a relative margin of ``1e-9``; each strip meets
+        only the zone's BSs within torus ``y``-distance ``h/2 + reach`` of
+        its centre.  A zone with fewer MSs than one block per occupied
+        strip stays one group that meets all its BSs: there, strips would
+        only add blocks.  Within a group, MSs and BSs are taken in order of
+        wrapped ``x``, and each block meets only the BSs within
+        ``x``-distance ``reach`` of its ``x``-range (a ``searchsorted``
+        slice of the group's BS ``x``-list tripled across the torus seam).
+        The density is exactly 0 beyond its support, so no pair left out
+        could add anything but ``0.0``.  A block's values are scattered into
         full-width ``(rows, k)`` zero rows of one per-call buffer
         (re-zeroed after each block) and summed there -- so every entry is
         bit-identical to the zone-masked row sum of the full ``n x k``
         Corollary-1 matrix (``masked_matrix_oracle`` in
-        ``tests/test_scheme_b_vector.py``).  MSs of a zone without BSs get
-        ``0.0``.
+        ``tests/test_scheme_b_vector.py``).  MSs of a zone without BSs, or
+        of a strip that meets none of its zone's BSs, get ``0.0``.
         """
         ms_home = np.atleast_2d(np.asarray(ms_home, dtype=float))
         bs_positions = np.atleast_2d(np.asarray(bs_positions, dtype=float))
@@ -174,29 +187,65 @@ class SchemeB(RoutingScheme):
         padded = np.zeros((min(chunk_size, ms_home.shape[0]), k))
         reach = shape.support_radius / f * (1.0 + 1e-9)
         contact = ms_bs_contact_kernel(shape, f, transmission_range)
+        strips = max(1, math.floor(1.0 / reach))
+        height = 1.0 / strips
+        # a BS within reach of a strip's MS lies within half a strip plus
+        # reach of the strip's centre; reach's relative margin absorbs the
+        # rounding of the centre and of the fold
+        limit = 0.5 * height + reach
+        centres = (np.arange(strips) + 0.5) * height
         ms_x = np.mod(ms_home[:, 0], 1.0)
         bs_x = np.mod(bs_positions[:, 0], 1.0)
+        ms_strip = np.minimum(
+            (np.mod(ms_home[:, 1], 1.0) * strips).astype(np.intp), strips - 1
+        )
+        bs_y = np.mod(bs_positions[:, 1], 1.0)
         ms_order = np.argsort(ms_x)
         bs_order = np.argsort(bs_x)
         ms_sorted_zone = ms_zone[ms_order]
         bs_sorted_zone = bs_zone[bs_order]
         for zone in np.unique(bs_zone):
-            rows = ms_order[ms_sorted_zone == zone]
-            cols = bs_order[bs_sorted_zone == zone]
-            # any cols.size consecutive ring entries hold each BS once
-            ring = np.concatenate((cols, cols, cols))
-            x = bs_x[cols]
-            ring_x = np.concatenate((x - 1.0, x, x + 1.0))
-            for begin in range(0, rows.size, chunk_size):
-                block = rows[begin : begin + chunk_size]
-                lo = np.searchsorted(ring_x, ms_x[block[0]] - reach)
-                hi = np.searchsorted(ring_x, ms_x[block[-1]] + reach, "right")
-                window = ring[lo : min(hi, lo + cols.size)]
-                distances = batched_pairwise_distances(ms_home[block], bs_positions[window])
-                buffer = padded[: block.size]
-                buffer[:, window] = contact(distances)
-                access[block] = buffer.sum(axis=1)
-                buffer[:, window] = 0.0
+            zone_rows = ms_order[ms_sorted_zone == zone]
+            zone_cols = bs_order[bs_sorted_zone == zone]
+            row_strip = ms_strip[zone_rows]
+            counts = np.bincount(row_strip, minlength=strips)
+            occupied = np.flatnonzero(counts)
+            if zone_rows.size < occupied.size * chunk_size:
+                # too few MSs to fill one block per strip: splitting would
+                # add blocks and widen each block's x-range for little gain
+                groups = [(zone_rows, zone_cols)]
+            else:
+                # the zone's MSs strip by strip, each strip still in x
+                # order; a strip's BSs are picked only when it is reached
+                zone_rows = zone_rows[np.argsort(row_strip, kind="stable")]
+                ends = np.cumsum(counts)
+                zone_y = bs_y[zone_cols]
+                groups = (
+                    (
+                        zone_rows[ends[strip] - counts[strip] : ends[strip]],
+                        zone_cols[_within_torus(zone_y, centres[strip], limit)],
+                    )
+                    for strip in occupied
+                )
+            for rows, cols in groups:
+                if cols.size == 0:
+                    continue
+                # any cols.size consecutive ring entries hold each BS once
+                ring = np.concatenate((cols, cols, cols))
+                x = bs_x[cols]
+                ring_x = np.concatenate((x - 1.0, x, x + 1.0))
+                for begin in range(0, rows.size, chunk_size):
+                    block = rows[begin : begin + chunk_size]
+                    lo = np.searchsorted(ring_x, ms_x[block[0]] - reach)
+                    hi = np.searchsorted(ring_x, ms_x[block[-1]] + reach, "right")
+                    window = ring[lo : min(hi, lo + cols.size)]
+                    distances = batched_pairwise_distances(
+                        ms_home[block], bs_positions[window]
+                    )
+                    buffer = padded[: block.size]
+                    buffer[:, window] = contact(distances)
+                    access[block] = buffer.sum(axis=1)
+                    buffer[:, window] = 0.0
         return access
 
     # ------------------------------------------------------------------

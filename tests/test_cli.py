@@ -6,6 +6,9 @@ import logging
 import pytest
 
 from repro.__main__ import main
+from repro.core.regimes import NetworkParameters
+from repro.experiments.scaling import sweep_capacity
+from repro.parallel import TrialRunner
 
 
 class TestAnalyze:
@@ -144,6 +147,44 @@ class TestSweepStore:
         monkeypatch.chdir(tmp_path)
         assert main(argv + ["--store", "st"]) == 2
         assert "invalid arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSweepWithoutInfrastructure:
+    """Schemes B and C on a family without BSs fail before any trial runs,
+    instead of retrying a configuration error once per trial."""
+
+    NO_BS = NetworkParameters(alpha="3/8", cluster_exponent=1)
+
+    @pytest.fixture
+    def trial_calls(self, monkeypatch):
+        calls = []
+        for name in ("run", "run_batched"):
+            def spy(*args, _name=name, **kwargs):
+                calls.append(_name)
+                raise AssertionError("a trial ran")
+            monkeypatch.setattr(TrialRunner, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("batch_trials", [None, 2])
+    @pytest.mark.parametrize("scheme", ["B", "C"])
+    def test_sweep_raises_before_fan_out(self, trial_calls, scheme, batch_trials):
+        with pytest.raises(ValueError, match=f"scheme {scheme} needs infrastructure"):
+            sweep_capacity(
+                self.NO_BS, [100, 200], scheme=scheme, trials=2,
+                batch_trials=batch_trials,
+            )
+        assert trial_calls == []
+
+    def test_cli_exits_2_and_creates_nothing(
+        self, tmp_path, monkeypatch, capsys, trial_calls
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--alpha", "3/8", "--scheme", "B", "--grid", "100,200",
+                "--trials", "2", "--retries", "1", "--store", "st"]
+        assert main(argv) == 2
+        assert "scheme B needs infrastructure" in capsys.readouterr().err
+        assert trial_calls == []
         assert list(tmp_path.iterdir()) == []
 
 

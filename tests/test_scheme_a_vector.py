@@ -6,6 +6,10 @@ endpoint constraint, and boundary capacities cached per unordered cell pair
 in the orientation of the first edge that asks for them.  The array code
 must reproduce it bit for bit -- the rate with ``==`` and the details
 exactly -- because sweep digests hash those floats.
+
+:func:`three_block_capacities` is :meth:`SchemeA._capacities` before it
+fused each squarelet's blocks: one distance-and-kernel call each for the
+own, east and north block.  The fused pass must give the same bytes.
 """
 
 import math
@@ -18,12 +22,14 @@ from hypothesis import strategies as st
 from repro.experiments.table1 import TABLE1_ROWS
 from repro.mobility.shapes import UniformDiskShape
 from repro.routing.base import FlowResult
-from repro.routing.scheme_a import EAST, NORTH, SOUTH, WEST, SchemeA
+from repro.routing.scheme_a import EAST, NORTH, SOUTH, WEST, SchemeA, _without_diagonal
 from repro.simulation.network import HybridNetwork
 from repro.simulation.traffic import permutation_traffic
 
 SHAPE = UniformDiskShape(1.0)
-STRONG_BS = {row.label: row for row in TABLE1_ROWS}["strong mobility, with BSs"]
+ROWS = {row.label: row for row in TABLE1_ROWS}
+STRONG_BS = ROWS["strong mobility, with BSs"]
+STRONG_NO_BS = ROWS["strong mobility, no BSs"]
 
 
 class LoopOracle:
@@ -106,6 +112,46 @@ class LoopOracle:
                 "cells_per_side": scheme.tessellation.cells_per_side,
             },
         )
+
+
+def three_block_capacities(scheme: SchemeA):
+    """``(own, toward, boundary)`` from three separate blocks per cell: the
+    own block, then the east and the north block, each built by its own
+    ``_mu_block`` call."""
+    tess = scheme.tessellation
+    side = tess.cells_per_side
+    own = np.zeros(scheme.node_count)
+    toward = np.zeros((scheme.node_count, 4))
+    boundary = np.zeros((tess.cell_count, 4))
+    members = scheme._instance.members
+    for cell, rows in enumerate(members):
+        if rows.size == 0:
+            continue
+        own[rows] = 0.5 * _without_diagonal(scheme._mu_block(rows, rows)).sum(axis=1)
+        if side == 1:
+            continue
+        row, col = divmod(cell, side)
+        for ahead, back, other in (
+            (EAST, WEST, tess.flat_index(row, col + 1)),
+            (NORTH, SOUTH, tess.flat_index(row + 1, col)),
+        ):
+            cols = members[other]
+            if cols.size == 0:
+                continue
+            block = scheme._mu_block(rows, cols)
+            flipped = np.ascontiguousarray(block.T)
+            toward[rows, ahead] = 0.5 * block.sum(axis=1)
+            toward[cols, back] = 0.5 * flipped.sum(axis=1)
+            boundary[cell, ahead] = 0.5 * block.sum()
+            boundary[other, back] = 0.5 * flipped.sum()
+    return own, toward, boundary
+
+
+def assert_same_bytes(got, want):
+    for got_array, want_array in zip(got, want, strict=True):
+        assert got_array.dtype == want_array.dtype == np.float64
+        assert got_array.shape == want_array.shape
+        assert got_array.tobytes() == want_array.tobytes()
 
 
 def assert_identical(got: FlowResult, want: FlowResult):
@@ -249,3 +295,77 @@ class TestOrientation:
                     scheme.relay_candidates(cell), scheme.relay_candidates(other)
                 )
                 assert scheme.cell_edge_capacity(cell, other) == 0.5 * float(block.sum())
+
+
+class TestFusedPass:
+    """``_capacities`` builds each squarelet's own, east and north blocks in
+    one call; every capacity has the bytes of the three-call version."""
+
+    @pytest.mark.parametrize("row", [STRONG_NO_BS, STRONG_BS], ids=lambda row: row.label)
+    @pytest.mark.parametrize("n", [300, 2000])
+    def test_strong_realisations(self, row, n):
+        for seed in (0, 1):
+            net = HybridNetwork.build(row.parameters, n, np.random.default_rng(seed))
+            scheme = net.scheme_a()
+            assert scheme.tessellation.cells_per_side >= 3
+            assert_same_bytes(scheme._capacities(), three_block_capacities(scheme))
+
+    @pytest.mark.parametrize("side", [1, 2, 3])
+    def test_empty_single_member_and_crowded_cells(self, side):
+        """Cells with no member, with exactly one, and crowded ones, on a
+        grid of 1, 2 or 3 squarelets per side; a crowded cell's own block
+        alone is past numpy's 8192-entry reduction buffer."""
+        counts = {0: 150, side: 150}
+        if side > 1:
+            counts.update({1: 1, side * side - 1: 0})
+        scheme = self.scheme_with(counts, side)
+        sizes = [cell.size for cell in scheme._instance.members]
+        assert sizes[0] ** 2 > 8192
+        if side > 1:
+            assert 0 in sizes and 1 in sizes
+        assert_same_bytes(scheme._capacities(), three_block_capacities(scheme))
+
+    @pytest.mark.parametrize("side", [2, 3])
+    def test_fused_sub_blocks_past_numpy_reduction_buffer(self, side):
+        """A fused cell whose east block holds more than 8192 entries:
+        numpy reduces a non-contiguous array of that size in buffer-sized
+        pieces, so only the contiguous copy keeps the whole-block sum's
+        order."""
+        scheme = self.scheme_with({0: 60, 1: 140, side: 70}, side)
+        sizes = [cell.size for cell in scheme._instance.members]
+        assert sizes[0] * sizes[1] > 8192
+        assert_same_bytes(scheme._capacities(), three_block_capacities(scheme))
+
+    @staticmethod
+    def scheme_with(counts, side):
+        """Scheme A on ``side`` squarelets per side, with ``counts[cell]``
+        homes in the given cells and up to 5 in each other cell."""
+        rng = np.random.default_rng(side)
+        homes = []
+        for cell in range(side * side):
+            row, col = divmod(cell, side)
+            count = counts.get(cell, rng.integers(0, 6))
+            homes.append((np.array([col, row]) + rng.random((count, 2))) / side)
+        f = 0.9 * (side + 0.5)
+        scheme = SchemeA(np.concatenate(homes), SHAPE, f, cell_fraction=f / (side + 0.5))
+        assert scheme.tessellation.cells_per_side == side
+        return scheme
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 80),
+        side=st.sampled_from([1, 2, 3, 4, 6]),
+        clusters=st.integers(0, 3),
+    )
+    def test_property_same_bytes(self, seed, n, side, clusters):
+        rng = np.random.default_rng(seed)
+        if clusters:
+            centres = rng.random((clusters, 2))
+            homes = (centres[rng.integers(0, clusters, n)] + 0.05 * rng.random((n, 2))) % 1.0
+        else:
+            homes = rng.random((n, 2))
+        f = 0.9 * (side + 0.5)
+        scheme = SchemeA(homes, SHAPE, f, cell_fraction=f / (side + 0.5))
+        assert scheme.tessellation.cells_per_side == side
+        assert_same_bytes(scheme._capacities(), three_block_capacities(scheme))

@@ -4,11 +4,13 @@
 ``n x k`` Corollary-1 matrix, zone-masked and row-summed.  It is the one
 oracle of the access vector that every test and the flow benchmark share.
 :func:`padded_zone_oracle` is the zone loop :meth:`SchemeB.zone_access_vector`
-ran before it windowed its blocks by ``x``: every in-zone ``(MS, BS)`` pair
-through the distance and contact kernels, scattered into freshly allocated
-full-width zero rows.  The windowed kernel must reproduce it bit for bit,
-because sweep digests hash the access rates.
+ran before it windowed its blocks by ``y``-strip and ``x``: every in-zone
+``(MS, BS)`` pair through the distance and contact kernels, scattered into
+freshly allocated full-width zero rows.  The windowed kernel must reproduce
+it bit for bit, because sweep digests hash the access rates.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -161,7 +163,8 @@ class TestZoneAccessVector:
 
 
 class TestWindowedAgainstPaddedOracle:
-    """The ``x``-windowed blocks equal the padded zone loop bit for bit."""
+    """The strip- and ``x``-windowed blocks equal the padded zone loop bit
+    for bit."""
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: type(s).__name__)
@@ -260,6 +263,122 @@ class TestWindowedAgainstPaddedOracle:
         ms_zone = rng.integers(0, zones + 1, size=n)
         bs_zone = rng.integers(0, zones, size=k)
         assert_matches_oracle(homes, bs, ms_zone, bs_zone, shape, f, 0.02, chunk_size)
+
+
+def strip_height(shape, f):
+    """The height of the kernel's global ``y``-strips at reach ``D/f``."""
+    reach = shape.support_radius / f * (1.0 + 1e-9)
+    return 1.0 / max(1, math.floor(1.0 / reach))
+
+
+def assert_matches_masked_matrix(homes, bs, ms_zone, bs_zone, shape, f, r_t=0.02):
+    """Bit-equal to the oracle at every chunk size: 1 and 7 make a zone
+    fill a block per strip, so it is split into strips; the default keeps
+    these small zones whole."""
+    want = masked_matrix_oracle(homes, bs, ms_zone, bs_zone, shape, f, r_t)
+    for chunk_size in CHUNK_SIZES:
+        got = SchemeB.zone_access_vector(
+            homes, bs, ms_zone, bs_zone, shape, f, r_t, chunk_size=chunk_size
+        )
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    return want
+
+
+class TestStripWindows:
+    """Each zone's MSs meet only the zone BSs near their global ``y``-strip;
+    the edges of that window must not lose a pair the density reaches."""
+
+    @pytest.mark.parametrize("f", [2.5, 3.7, 8.0, 11.3, 25.0])
+    def test_bss_reach_away_from_mss_on_strip_edges(self, f):
+        """An MS on every strip edge, and BSs straight above and below it at
+        exactly ``D/f``: the density's support ends there, so such a pair
+        counts unless its distance rounds up, and it lies exactly on its
+        strip window's edge."""
+        height = strip_height(SHAPE, f)
+        edges = np.arange(0.0, 1.0, height)
+        x = np.linspace(0.05, 0.95, edges.size)
+        homes = np.column_stack([x, edges])
+        bs = np.concatenate([
+            np.column_stack([x, np.mod(edges + sign * SHAPE.support_radius / f, 1.0)])
+            for sign in (1.0, -1.0)
+        ])
+        zones = (np.zeros(len(homes), dtype=int), np.zeros(len(bs), dtype=int))
+        vector = assert_matches_masked_matrix(homes, bs, *zones, SHAPE, f)
+        assert np.count_nonzero(vector) > 0
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: type(s).__name__)
+    def test_mss_on_strip_boundaries(self, shape):
+        """MSs exactly on, and a hair either side of, every strip boundary,
+        among random BSs of two zones."""
+        rng = np.random.default_rng(12)
+        f = 9.0
+        edges = np.arange(0.0, 1.0, strip_height(shape, f))
+        ys = np.concatenate([edges, edges + 1e-12, edges - 1e-12, [1.0, -1e-18]])
+        homes = np.column_stack([rng.random(ys.size), ys])
+        bs = rng.random((300, 2))
+        ms_zone, bs_zone, _ = SchemeB.squarelet_zones(np.mod(homes, 1.0), bs, 2)
+        vector = assert_matches_masked_matrix(homes, bs, ms_zone, bs_zone, shape, f)
+        assert np.count_nonzero(vector) > ys.size // 2
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: type(s).__name__)
+    def test_weak_clusters_on_the_y_seam(self, shape):
+        """Clusters (the weak regime's zones) centred on ``y = 0``: MSs just
+        above the seam reach BSs just below it, and the other way round."""
+        rng = np.random.default_rng(13)
+        centres = np.array([[0.2, 0.0], [0.7, 0.0], [0.45, 0.5]])
+        ms_zone = rng.integers(0, 3, 600)
+        bs_zone = rng.integers(0, 3, 120)
+        homes = np.mod(centres[ms_zone] + rng.uniform(-0.08, 0.08, (600, 2)), 1.0)
+        bs = np.mod(centres[bs_zone] + rng.uniform(-0.08, 0.08, (120, 2)), 1.0)
+        vector = assert_matches_masked_matrix(homes, bs, ms_zone, bs_zone, shape, 30.0)
+        below = (ms_zone < 2) & (homes[:, 1] > 0.5)
+        assert np.count_nonzero(vector[below]) > 0
+
+    @pytest.mark.parametrize("f", [1.0, 1.5, 2.0, 2.0 * (1 + 1e-8), 2.1])
+    def test_reach_near_and_above_half(self, f):
+        """Reach ``>= 1/2`` leaves a single strip; just below ``1/2``, two
+        strips whose windows each cover the whole torus."""
+        rng = np.random.default_rng(14)
+        assert (strip_height(SHAPE, f) == 1.0) == (f <= 2.0)
+        homes, bs = rng.random((200, 2)), rng.random((40, 2))
+        zones = (rng.integers(0, 3, 200), rng.integers(0, 3, 40))
+        assert_matches_masked_matrix(homes, bs, *zones, SHAPE, f)
+
+    def test_strip_without_a_bs_of_its_zone(self):
+        """One zone whose BSs all sit in a thin band: the MSs of strips far
+        from it meet no BS and get exactly 0.0."""
+        rng = np.random.default_rng(15)
+        f = 20.0
+        homes = rng.random((400, 2))
+        bs = np.column_stack([rng.random(30), 0.3 + 0.02 * rng.random(30)])
+        zones = (np.zeros(400, dtype=int), np.zeros(30, dtype=int))
+        vector = assert_matches_masked_matrix(homes, bs, *zones, SHAPE, f)
+        # no band BS lies within half a strip plus reach of such an MS's
+        # strip centre
+        dy = np.abs(homes[:, 1] - 0.31)
+        far = np.minimum(dy, 1.0 - dy) > 0.01 + strip_height(SHAPE, f) + 1.0 / f
+        assert far.any() and np.all(vector[far] == 0.0)
+        assert np.count_nonzero(vector) > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 120),
+        k=st.integers(1, 40),
+        zones=st.integers(1, 4),
+        shape=st.sampled_from(SHAPES),
+        f=st.floats(1.0, 60.0),
+    )
+    def test_property_y_seam(self, seed, n, k, zones, shape, f):
+        """MSs and BSs crowded around ``y = 0 = 1`` at any reach."""
+        rng = np.random.default_rng(seed)
+        homes, bs = rng.random((n, 2)), rng.random((k, 2))
+        homes[:, 1] = np.mod(homes[:, 1] * 0.1 - 0.05, 1.0)
+        bs[:, 1] = np.mod(bs[:, 1] * 0.1 - 0.05, 1.0)
+        ms_zone = rng.integers(0, zones + 1, size=n)
+        bs_zone = rng.integers(0, zones, size=k)
+        assert_matches_masked_matrix(homes, bs, ms_zone, bs_zone, shape, f)
 
 
 class TestAccessVectorConstructor:
