@@ -32,11 +32,13 @@ reference, bit for bit.
 - **Scheme C colouring**: the CSR greedy colouring of the cell-interference
   graph against networkx's ``greedy_color(strategy="largest_first")``.
 
-Each pair must return bit-equal output at every ``n``.  The gate: at the
-smallest ``n`` of the grid, scheme A's flow must be at least
-``GATE_SPEEDUP``x faster than the loop, and scheme B's access vector at
-least ``GATE_SPEEDUP``x faster than the masked matrix on both the strong
-and the weak row.  The contact kernel is timed but not gated: at
+Each kernel and its reference run ``REPEATS`` times, alternating; the
+artifact records each side's median and quartiles, and a speedup is the
+ratio of the two medians.  Each pair must return bit-equal output at
+every ``n``.  The gate: at the smallest ``n`` of the grid, scheme A's flow
+must be at least ``GATE_SPEEDUP``x faster than the loop, and scheme B's
+access vector at least ``GATE_SPEEDUP``x faster than the masked matrix on
+both the strong and the weak row, median against median.  The contact kernel is timed but not gated: at
 ``n = 2000`` its blocks are about 25 x 25, where the lookup and the binary
 search are close.  The run writes ``BENCH_flow.json`` with provenance (git
 SHA, host, grid).  At ``n = 16000`` the strong row's masked matrix holds
@@ -82,8 +84,8 @@ N_VALUES = tuple(
     int(value)
     for value in os.environ.get("REPRO_FLOW_GRID", "2000,4000,8000,16000").split(",")
 )
-#: Timing repetitions per configuration (best-of, to shed scheduler noise).
-REPEATS = 3
+#: Timed runs of each kernel and of its reference, alternating, per point.
+REPEATS = 5
 #: The speedup gate of the kernels in ``GATED``, applied at the smallest n
 #: of the grid.
 GATE_SPEEDUP = 2.0
@@ -97,24 +99,31 @@ TRIVIAL = _ROWS["trivial mobility, with BSs"]
 OUTPUT = ROOT / "BENCH_flow.json"
 
 
-def _best_of(call):
-    """Best-of-``REPEATS`` wall clock of ``call()``; returns (seconds, result)."""
-    best = float("inf")
-    result = None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = call()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def _timed(call):
+    """Wall clock of one ``call()``; returns (seconds, result)."""
+    start = time.perf_counter()
+    result = call()
+    return time.perf_counter() - start, result
 
 
 def _pair(fast, reference, equal):
-    fast_seconds, fast_result = _best_of(fast)
-    reference_seconds, reference_result = _best_of(reference)
+    """Time ``fast`` and ``reference`` ``REPEATS`` times each, alternating,
+    so a host speed phase falls on both alike.  Each side reports the
+    median and its quartiles, and the speedup is the ratio of the medians."""
+    fast_times, reference_times = [], []
+    for _ in range(REPEATS):
+        seconds, fast_result = _timed(fast)
+        fast_times.append(seconds)
+        seconds, reference_result = _timed(reference)
+        reference_times.append(seconds)
+    q1, median, q3 = np.percentile(fast_times, [25, 50, 75])
+    ref_q1, ref_median, ref_q3 = np.percentile(reference_times, [25, 50, 75])
     return {
-        "seconds": fast_seconds,
-        "reference_seconds": reference_seconds,
-        "speedup": reference_seconds / fast_seconds,
+        "seconds": float(median),
+        "seconds_quartiles": [float(q1), float(q3)],
+        "reference_seconds": float(ref_median),
+        "reference_seconds_quartiles": [float(ref_q1), float(ref_q3)],
+        "speedup": float(ref_median / median),
         "bit_equal": bool(equal(fast_result, reference_result)),
     }
 
@@ -301,8 +310,10 @@ def _render(result):
         cells = []
         for kernel in _KERNELS:
             entry = row[kernel]
+            q1, q3 = entry["seconds_quartiles"]
             cells.append(
                 f"{kernel} {entry['seconds'] * 1e3:7.1f} ms "
+                f"[{q1 * 1e3:.1f}-{q3 * 1e3:.1f}] "
                 f"({entry['speedup']:4.1f}x, "
                 + ("bit-equal" if entry["bit_equal"] else "DIVERGED")
                 + ")"
@@ -323,7 +334,7 @@ def _check_gates(result):
         speedup = smallest[kernel]["speedup"]
         assert speedup >= GATE_SPEEDUP, (
             f"expected {kernel} >= {GATE_SPEEDUP}x {result['references'][kernel]} "
-            f"at n={smallest['n']}, measured {speedup:.2f}x"
+            f"at n={smallest['n']}, measured {speedup:.2f}x (median against median)"
         )
 
 

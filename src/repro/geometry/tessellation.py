@@ -20,6 +20,8 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from .torus import mod1
+
 __all__ = ["SquareTessellation", "tessellation_for_area", "tessellation_for_cell_side"]
 
 
@@ -63,7 +65,7 @@ class SquareTessellation:
         accepted.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        grid = np.floor(np.mod(points, 1.0) * self.cells_per_side).astype(int)
+        grid = np.floor(mod1(points) * self.cells_per_side).astype(int)
         # guard against points == 1.0 after float rounding
         np.clip(grid, 0, self.cells_per_side - 1, out=grid)
         return grid[:, 1] * self.cells_per_side + grid[:, 0]

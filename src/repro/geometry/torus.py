@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
+    "mod1",
     "wrap",
     "torus_delta",
     "torus_distance",
@@ -24,14 +25,36 @@ __all__ = [
 ]
 
 
+def mod1(values) -> np.ndarray:
+    """``np.mod(values, 1.0)``, bit for bit, as ``values - floor(values)``.
+
+    Both are exact for ``values >= 0``; for negative values both round the
+    same real number ``values + 1`` once (so tiny negatives give exactly
+    1.0, as ``np.mod`` does).  Integers and signed zeros give ``+0``,
+    infinities and NaN give NaN.  Several times faster than ``np.mod``,
+    whose float remainder goes through ``fmod`` and a sign fix-up.
+
+    >>> mod1(np.array([1.25, -0.25]))
+    array([0.25, 0.75])
+    """
+    values = np.asarray(values)
+    if values.dtype.kind != "f":
+        values = values.astype(float)
+    floor = np.floor(values)
+    if floor.ndim == 0:
+        return values - floor
+    # subtract into the floor's buffer: one temporary fewer
+    return np.subtract(values, floor, out=floor)
+
+
 def wrap(points: np.ndarray) -> np.ndarray:
     """Map coordinates into the fundamental domain ``[0, 1)^2``.
 
     >>> wrap(np.array([1.25, -0.25]))
     array([0.25, 0.75])
     """
-    wrapped = np.mod(points, 1.0)
-    # np.mod maps tiny negative values to exactly 1.0; fold those back.
+    wrapped = mod1(points)
+    # the mod maps tiny negative values to exactly 1.0; fold those back.
     return np.where(wrapped >= 1.0, 0.0, wrapped)
 
 

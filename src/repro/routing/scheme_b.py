@@ -27,7 +27,7 @@ import numpy as np
 
 from ..geometry.neighbors import chunk_rows
 from ..geometry.tessellation import SquareTessellation
-from ..geometry.torus import batched_pairwise_distances
+from ..geometry.torus import batched_pairwise_distances, mod1
 from ..infrastructure.backbone import Backbone
 from ..mobility.shapes import MobilityShape
 from ..wireless.link_capacity import ms_bs_contact_kernel
@@ -194,12 +194,12 @@ class SchemeB(RoutingScheme):
         # rounding of the centre and of the fold
         limit = 0.5 * height + reach
         centres = (np.arange(strips) + 0.5) * height
-        ms_x = np.mod(ms_home[:, 0], 1.0)
-        bs_x = np.mod(bs_positions[:, 0], 1.0)
+        ms_x = mod1(ms_home[:, 0])
+        bs_x = mod1(bs_positions[:, 0])
         ms_strip = np.minimum(
-            (np.mod(ms_home[:, 1], 1.0) * strips).astype(np.intp), strips - 1
+            (mod1(ms_home[:, 1]) * strips).astype(np.intp), strips - 1
         )
-        bs_y = np.mod(bs_positions[:, 1], 1.0)
+        bs_y = mod1(bs_positions[:, 1])
         ms_order = np.argsort(ms_x)
         bs_order = np.argsort(bs_x)
         ms_sorted_zone = ms_zone[ms_order]

@@ -51,6 +51,12 @@ class PacketRouter(abc.ABC):
 
     Node indices ``0 .. n-1`` are mobile stations; indices ``>= n`` are
     static nodes (base stations) appended by the simulator.
+
+    The simulator asks :meth:`select_transfer` only for a holder with a
+    non-empty queue.  Packets reach and leave a BS queue only through the
+    simulator (a wireless hop, reported by :meth:`on_transfer`) and the
+    router's own :meth:`wired_step`, so a router may keep per-BS state
+    about its queued packets up to date through those two hooks.
     """
 
     def on_packet_created(self, packet: Packet) -> None:
@@ -62,7 +68,8 @@ class PacketRouter(abc.ABC):
     ) -> Optional[Packet]:
         """Choose a packet from ``holder``'s queue to hand to ``peer``.
 
-        Return ``None`` when no queued packet should use this opportunity.
+        ``queue`` is never empty.  Return ``None`` when no queued packet
+        should use this opportunity.
         """
 
     def on_transfer(self, packet: Packet, from_node: int, to_node: int) -> None:
@@ -238,17 +245,19 @@ class SlottedSimulator:
             positions = np.concatenate([positions, self._static])
         self._spawn_packets()
         schedule = self._scheduler.schedule(positions)
+        queues = self._queues
+        select = self._router.select_transfer
         for a, b in schedule.pairs:
             # Each enabled pair serves one packet in each direction
-            # (Definition 10 splits the bandwidth symmetrically).
+            # (Definition 10 splits the bandwidth symmetrically).  An empty
+            # queue has nothing to send, so its router is not asked.
             for holder, peer in ((a, b), (b, a)):
-                packet = self._router.select_transfer(
-                    self._queues[holder], holder, peer
-                )
-                if packet is not None:
-                    self._transfer(packet, holder, peer)
-        moved = self._router.wired_step(self._queues, self._slot)
-        queues = self._queues
+                queue = queues[holder]
+                if queue:
+                    packet = select(queue, holder, peer)
+                    if packet is not None:
+                        self._transfer(packet, holder, peer)
+        moved = self._router.wired_step(queues, self._slot)
         # every key is taken before the first removal
         finished = sorted(
             (p for p in moved if self._router.is_delivered(p)),

@@ -105,6 +105,12 @@ class SchemeBRouter(PacketRouter):
     wire moving ``c`` packets per slot (fractional ``c`` accrues as credit).
     Phase III: a destination-zone BS delivers when scheduled with the
     destination MS.
+
+    The router tracks the packets each BS still has to send over the
+    backbone (:meth:`on_transfer` and its own wired moves keep the list),
+    so the wired step never rescans packets parked in their destination
+    zone.  BS queues must therefore change only through the engine and
+    these hooks.
     """
 
     def __init__(
@@ -132,6 +138,34 @@ class SchemeBRouter(PacketRouter):
         }
         self._credit: Dict[tuple, float] = {}
         self._credit_slot: Dict[tuple, int] = {}
+        # BS index -> its packets still due to cross the backbone, in queue
+        # order; kept by on_transfer and the wired moves
+        self._transit: Dict[int, List[Packet]] = {}
+
+    def _in_transit(self, packet: Packet, bs_local: int) -> bool:
+        """Whether a packet parked on BS ``bs_local`` still has a wire to
+        cross: it sits outside its destination zone (a zone with BSs), or,
+        with ``preferred_bs``, away from its destination's attached BS."""
+        if self._preferred_bs is not None:
+            target = self._preferred_bs[packet.destination]
+            return target >= 0 and target != bs_local
+        dest_zone = int(self._ms_zone[packet.destination])
+        return self._bs_zone[bs_local] != dest_zone and dest_zone in self._bs_by_zone
+
+    def on_transfer(self, packet: Packet, from_node: int, to_node: int) -> None:
+        if self._is_bs(from_node):
+            # with ``preferred_bs`` a Phase III delivery can take a packet
+            # that was still due to cross the backbone
+            bs_local = self._bs_index(from_node)
+            transit = self._transit.get(bs_local, [])
+            if packet in transit:
+                transit.remove(packet)
+                if not transit:
+                    del self._transit[bs_local]
+        if self._is_bs(to_node):
+            bs_local = self._bs_index(to_node)
+            if self._in_transit(packet, bs_local):
+                self._transit.setdefault(bs_local, []).append(packet)
 
     def _is_bs(self, node: int) -> bool:
         return node >= self._n
@@ -184,38 +218,37 @@ class SchemeBRouter(PacketRouter):
         return credit
 
     def wired_step(self, queues: Dict[int, List[Packet]], slot: int) -> List[Packet]:
-        """Move queued packets BS -> BS toward their destination zone.
+        """Move transit packets BS -> BS toward their destination zone.
 
+        BSs are visited in ascending order and each BS's transit packets in
+        queue order, so the backbone credit and the zone mode's target
+        draws follow the order of a scan of every BS queue; the packets
+        such a scan would skip (already in place) are never visited.
         Returns the moved packets.  Each lands on a BS while every
-        destination is an MS, so none is delivered here.
+        destination is an MS, so none is delivered here, and none is in
+        transit any more.
         """
         moved: List[Packet] = []
-        for bs_local in range(self._backbone.bs_count):
-            node = self._n + bs_local
-            queue = queues.get(node)
-            if not queue:
-                continue
-            for packet in list(queue):
-                dest_zone = int(self._ms_zone[packet.destination])
+        for bs_local in sorted(self._transit):
+            waiting: List[Packet] = []
+            for packet in self._transit[bs_local]:
                 if self._preferred_bs is not None:
                     target = int(self._preferred_bs[packet.destination])
-                    if target < 0 or target == bs_local:
-                        continue
                 else:
-                    if self._bs_zone[bs_local] == dest_zone:
-                        continue  # already in the destination zone
-                    targets = self._bs_by_zone.get(dest_zone)
-                    if targets is None or targets.size == 0:
-                        continue
-                    target = int(self._rng.choice(targets))
-                    if target == bs_local:
-                        continue
+                    dest_zone = int(self._ms_zone[packet.destination])
+                    target = int(self._rng.choice(self._bs_by_zone[dest_zone]))
                 edge = (min(bs_local, target), max(bs_local, target))
                 credit = self._edge_credit(edge, slot)
                 if credit >= 1.0:
                     self._credit[edge] = credit - 1.0
-                    queue.remove(packet)
+                    queues[packet.holder].remove(packet)
                     packet.holder = self._n + target
                     queues[packet.holder].append(packet)
                     moved.append(packet)
+                else:
+                    waiting.append(packet)
+            if waiting:
+                self._transit[bs_local] = waiting
+            else:
+                del self._transit[bs_local]
         return moved

@@ -175,7 +175,7 @@ class ProtocolModel:
         )
         lonely = guard_count == 2
         enabled = (dist < transmission_range) & lonely[i] & lonely[j]
-        return [(int(a), int(b)) for a, b in zip(i[enabled], j[enabled])]
+        return list(zip(i[enabled].tolist(), j[enabled].tolist()))
 
     def cross_cluster_interference_count(
         self,

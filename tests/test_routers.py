@@ -180,6 +180,7 @@ class TestSchemeBRouter:
         packet = make_packet(0, dest, holder=30 + wrong_bs)
         queues = {node: [] for node in range(30 + 6)}
         queues[30 + wrong_bs].append(packet)
+        router.on_transfer(packet, 0, 30 + wrong_bs)  # the engine's uplink hook
         router.wired_step(queues, slot=0)
         new_bs = packet.holder - 30
         assert bs_zone[new_bs] == ms_zone[dest]
@@ -192,6 +193,8 @@ class TestSchemeBRouter:
         router = SchemeBRouter(ms_zone, bs_zone, backbone, rng)
         packets = [make_packet(0, 1, holder=2) for _ in range(4)]
         queues = {0: [], 1: [], 2: list(packets), 3: []}
+        for packet in packets:
+            router.on_transfer(packet, 0, 2)  # the engine's uplink hook
         moved = []
         for slot in range(8):
             router.wired_step(queues, slot)

@@ -16,11 +16,11 @@ from repro.routing.scheme_c import SchemeC
 from repro.simulation.engine import SlottedSimulator
 from repro.simulation.routers import SchemeBRouter
 from repro.simulation.traffic import permutation_traffic
+from repro.store import content_digest
 from repro.wireless.scheduler import TDMACellScheduler
 
 
-@pytest.fixture(scope="module")
-def scheme_c_simulation():
+def _simulate(slots):
     n, m, radius, per_cluster = 120, 4, 0.05, 4
     rng = np.random.default_rng(8)
     centers = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
@@ -57,8 +57,13 @@ def scheme_c_simulation():
         rng=rng,
         static_positions=bs,
     )
-    metrics = sim.run(3000)
+    metrics = sim.run(slots)
     return scheme, flow_rate, metrics
+
+
+@pytest.fixture(scope="module")
+def scheme_c_simulation():
+    return _simulate(3000)
 
 
 class TestSchemeCPacketLevel:
@@ -87,3 +92,14 @@ class TestSchemeCPacketLevel:
         scheme, flow_rate, _ = scheme_c_simulation
         assert flow_rate > 0
         assert scheme.group_count >= 1
+
+    def test_short_run_digest_is_golden(self):
+        """The only pin on the router's ``preferred_bs`` mode: 600 slots of
+        this network, hashed like the engine pins of
+        ``tests/test_golden_digests.py``."""
+        _, _, metrics = _simulate(600)
+        assert (metrics.created, metrics.delivered) == (320, 296)
+        assert content_digest([
+            metrics.created, metrics.delivered, metrics.in_flight,
+            metrics.delays.tolist(), metrics.hop_counts.tolist(),
+        ]) == "3f338bdd355803b6f78db536d90045fe7b5a64cdc096b01f44402b4870734c59"

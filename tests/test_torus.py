@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.geometry.torus import (
     disk_sample,
+    mod1,
     pairwise_distances,
     random_points,
     torus_delta,
@@ -35,6 +36,66 @@ class TestWrap:
     def test_always_in_unit_square(self, p):
         wrapped = wrap(p)
         assert np.all(wrapped >= 0) and np.all(wrapped < 1)
+
+
+def _mod_oracle(x):
+    return np.mod(x, 1.0)
+
+
+def _wrap_oracle(x):
+    wrapped = np.mod(x, 1.0)
+    return np.where(wrapped >= 1.0, 0.0, wrapped)
+
+
+def _assert_bit_equal(got, want):
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+def _edge_values():
+    tiny = np.finfo(float).smallest_subnormal
+    near = [np.nextafter(v, toward) for v in (0.0, 1.0, -1.0) for toward in (-2.0, 2.0)]
+    return np.array(
+        [0.0, -0.0, 1.0, -1.0, *near, 2.0**52, -(2.0**52), 2.0**53 + 2, -(2.0**53 + 2),
+         2.0**52 + 0.5, -(2.0**52 + 0.5), np.inf, -np.inf, np.nan,
+         tiny, -tiny, 1e3 * tiny, -1e3 * tiny, np.finfo(float).tiny, -np.finfo(float).tiny,
+         np.finfo(float).max, -np.finfo(float).max]
+    )
+
+
+class TestModOneMatchesNpMod:
+    """``mod1`` is ``np.mod(x, 1.0)`` and ``wrap`` its folded form, bit for
+    bit: on random coordinates, on a band of tiny values around 0 (where
+    ``np.mod`` gives exactly 1.0 and only ``wrap`` folds), at large scales,
+    at every edge value, and for scalars, 0-d arrays and lists alike.  A
+    numpy change to ``np.mod`` fails here first."""
+
+    CASES = {
+        "random": np.random.default_rng(4).uniform(-2.0, 3.0, (50_000, 2)),
+        "tiny-band": np.random.default_rng(5).uniform(-1e-15, 1e-15, 20_000),
+        "large": np.random.default_rng(6).uniform(-1e6, 1e6, 20_000),
+        "edges": _edge_values(),
+    }
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_arrays(self, case):
+        x = self.CASES[case]
+        _assert_bit_equal(mod1(x), _mod_oracle(x))
+        _assert_bit_equal(wrap(x), _wrap_oracle(x))
+
+    def test_tiny_negatives_reach_one_and_only_wrap_folds(self):
+        x = np.array([-1e-17, -np.finfo(float).smallest_subnormal])
+        assert np.all(mod1(x) == 1.0)
+        assert np.all(wrap(x) == 0.0) and not np.signbit(wrap(x)).any()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_scalar_0d_list_and_integer_inputs(self):
+        for x in (1.25, -0.25, np.float64(-1e-17), np.array(-3.5), [1.25, -0.25],
+                  [[0.5, -2.0]], np.array([3, -4]), -7, True):
+            _assert_bit_equal(mod1(x), _mod_oracle(x))
+            _assert_bit_equal(wrap(x), _wrap_oracle(x))
 
 
 class TestDistance:
